@@ -85,7 +85,7 @@ def cmd_psi(args) -> int:
 def cmd_check(args) -> int:
     t0 = time.time()
     coeffs = _parse_coeffs(args.coeffs)
-    trace = esc.run_escalation(args.n, args.bound, jobs=args.jobs)
+    trace = esc.run_escalation(args.n, args.bound)
     criterion = esc.criterion_set(trace)
     verdict = esc.check_tight_universal(coeffs, args.n, criterion, args.bound)
     print(f"form {coeffs}, floor n={args.n}: {verdict}")
@@ -99,7 +99,7 @@ def cmd_check(args) -> int:
 
 def cmd_escalate(args) -> int:
     t0 = time.time()
-    trace = esc.run_escalation(args.n, args.bound, jobs=args.jobs)
+    trace = esc.run_escalation(args.n, args.bound)
     for rec in trace.depths:
         print(f"depth {rec.k}: |E|={len(rec.E)} |U|={len(rec.U)} "
               f"|NU|={len(rec.NU)} |A|={len(rec.A)}")
@@ -115,7 +115,7 @@ def cmd_escalate(args) -> int:
 
 def cmd_criterion(args) -> int:
     t0 = time.time()
-    trace = esc.run_escalation(args.n, args.bound, jobs=args.jobs)
+    trace = esc.run_escalation(args.n, args.bound)
     crit = esc.criterion_set(trace)
     print(f"criterion set for n={args.n}: {list(crit.values)}")
     _emit(args, "criterion", {"n": args.n}, {"criterion": list(crit.values)},
@@ -137,13 +137,16 @@ def _load_trace(args, n: int):
         trace = esc.trace_from_dict(data)
         if trace.n != n:
             raise SystemExit(f"error: trace file is for n={trace.n}, expected n={n}")
+        if trace.bound < args.bound:
+            raise SystemExit(f"error: trace file was computed to bound {trace.bound}, "
+                             f"below the requested bound {args.bound}")
         return trace
-    return esc.run_escalation(n, args.bound, jobs=args.jobs)
+    return esc.run_escalation(n, args.bound)
 
 
 def _verify_z_table(args, results: dict) -> bool:
     rows = _load_rows(args, 1)
-    reports = _map_rows(args.jobs, _z_row_args, [(row, args.bound) for row in rows])
+    reports = [tb.verify_z_row(row, args.bound) for row in rows]
     ok = True
     for rep in reports:
         mark = "ok" if rep.ok else "FAIL"
@@ -155,20 +158,6 @@ def _verify_z_table(args, results: dict) -> bool:
     }
     print(f"exception-set table: {len(rows)} rows, {'all pass' if ok else 'FAILURES'}")
     return ok
-
-
-def _z_row_args(pair):
-    row, bound = pair
-    return tb.verify_z_row(row, bound)
-
-
-def _map_rows(jobs: int, fn, items):
-    if jobs <= 1 or len(items) < 4:
-        return [fn(it) for it in items]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _verify_tight_table(args, table: int, n: int, results: dict) -> bool:
@@ -205,31 +194,19 @@ def _verify_families(args, results: dict) -> bool:
     ok = True
     details = {}
     for n in range(5, 13):
-        trace = _load_trace_cached(args, n)
+        trace = esc.run_escalation(n, args.bound)
         criterion = esc.criterion_set(trace)
         verdicts = [
             esc.check_tight_universal(a, n, criterion, args.bound).is_tight
             for a in rule.pair(n)
         ]
-        uniq = True
-        if n <= 8:
-            uniq = esc.new_tight_list(trace, n + 1) == set(rule.pair(n))
+        uniq = esc.new_tight_list(trace, n + 1) == set(rule.pair(n))
         details[str(n)] = {"tight": verdicts, "unique": uniq}
         print(f"  n={n}: families tight {verdicts}, unique new forms: {uniq}")
         ok &= all(verdicts) and uniq
     results["families"] = details
     print(f"family check: {'all pass' if ok else 'FAILURES'}")
     return ok
-
-
-_TRACE_CACHE: dict = {}
-
-
-def _load_trace_cached(args, n: int):
-    key = (n, args.bound)
-    if key not in _TRACE_CACHE:
-        _TRACE_CACHE[key] = esc.run_escalation(n, args.bound, jobs=args.jobs)
-    return _TRACE_CACHE[key]
 
 
 def _verify_lemmas(args, results: dict) -> bool:
@@ -320,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=int, required=True, help="floor of the target range")
         p.add_argument("--bound", type=int, default=esc.DEFAULT_BOUND,
                        help="certification bound (default %(default)s)")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes")
         p.add_argument("--out", help="write a JSON report here")
 
     p = sub.add_parser("sieve", help="values of a form up to a bound")

@@ -10,18 +10,21 @@ finite criterion set whose representation certifies tightness.
 Universality cannot be decided by finite enumeration, so "no gap found up
 to the bound" stands in for it; the default bound comfortably exceeds every
 range that matters for n <= 10 and is configurable upward.
+
+A universal form is new when no universal form found at an earlier depth is
+a proper subsequence of it.  That test compares it with each earlier
+universal form in turn, so its cost is polynomial in the form length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .polygonal import (
-    RepresentationSieve,
     build_sieve,
     coeff_vector,
     insert_sorted,
+    is_proper_subsequence,
 )
 
 __all__ = [
@@ -120,15 +123,14 @@ class Verdict:
         return f"{self.kind}({self.value})"
 
 
-def psi(a, n: int, bound: int = DEFAULT_BOUND, sieve: RepresentationSieve | None = None) -> PsiResult:
+def psi(a, n: int, bound: int = DEFAULT_BOUND) -> PsiResult:
     """Truant of the form a relative to floor n, scanned up to bound."""
     a = coeff_vector(a)
     if n < 1:
         raise ValueError("n must be >= 1")
     if bound < 2 * n:
         raise ValueError("bound must be >= 2n")
-    if sieve is None or sieve.bound < bound:
-        sieve = build_sieve(a, bound)
+    sieve = build_sieve(a, bound)
     return PsiResult(value=sieve.first_missing(n, bound), bound=bound)
 
 
@@ -146,18 +148,10 @@ def escalation_children(a, psi_value: int, n: int) -> set[tuple[int, ...]]:
     return {insert_sorted(a, g) for g in gs}
 
 
-def _proper_subsequences(a: tuple[int, ...]) -> set[tuple[int, ...]]:
-    subs: set[tuple[int, ...]] = set()
-    for r in range(1, len(a)):
-        subs.update(combinations(a, r))
-    return subs
-
-
 def run_escalation(
     n: int,
     bound: int = DEFAULT_BOUND,
     max_depth: int | None = None,
-    jobs: int = 1,
 ) -> EscalationTrace:
     """Run the escalation for floor n to termination.
 
@@ -179,13 +173,13 @@ def run_escalation(
     k = 1
     while True:
         members = sorted(E)
-        psis = dict(zip(members, _psi_many(members, n, bound, jobs)))
+        psis = {a: psi(a, n, bound) for a in members}
         U = [a for a in members if not psis[a].is_finite]
         A = [a for a in members if psis[a].is_finite]
         NU = [
             a
             for a in U
-            if not (_proper_subsequences(a) & universal_so_far)
+            if not any(is_proper_subsequence(u, a) for u in universal_so_far)
         ]
         depths.append(
             DepthRecord(k=k, E=tuple(members), U=tuple(U), NU=tuple(NU), A=tuple(A), psi=psis)
@@ -201,20 +195,6 @@ def run_escalation(
         for a in A:
             E |= escalation_children(a, psis[a].value, n)
         k += 1
-
-
-def _psi_for_args(args: tuple[tuple[int, ...], int, int]) -> PsiResult:
-    a, n, bound = args
-    return psi(a, n, bound)
-
-
-def _psi_many(members, n: int, bound: int, jobs: int) -> list[PsiResult]:
-    if jobs <= 1 or len(members) < 4:
-        return [psi(a, n, bound) for a in members]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_psi_for_args, [(a, n, bound) for a in members]))
 
 
 def criterion_set(trace: EscalationTrace) -> CriterionSet:

@@ -25,7 +25,7 @@ from math import gcd, isqrt, lcm
 
 import numpy as np
 
-from .polygonal import ResourceBudgetError, coeff_vector, octagonal_number
+from .polygonal import ResourceBudgetError, coeff_vector, fold, octagonal_number
 
 __all__ = [
     "GramMatrix",
@@ -33,7 +33,6 @@ __all__ = [
     "TransferInstance",
     "ConditionFailed",
     "NoEigenvector",
-    "gram_value",
     "lattice_vectors",
     "represents_lattice",
     "count_representations",
@@ -168,11 +167,6 @@ class GramMatrix:
         if self.is_diagonal:
             return f"GramMatrix.diagonal({[self.rows[i][i] for i in range(self.dim)]})"
         return f"GramMatrix({list(map(list, self.rows))})"
-
-
-def gram_value(M: GramMatrix, v) -> int:
-    """Quadratic value of the lattice with Gram matrix M at vector v."""
-    return M.value(v)
 
 
 @dataclass(frozen=True)
@@ -401,22 +395,15 @@ def represents_coprime3(diag, v: int) -> bool:
 
 
 def coprime3_values_up_to(diag, bound: int) -> int:
-    """Packed bit array of all values representable with coordinates coprime to 3."""
+    """Packed bit array of all values representable with coordinates coprime to 3.
+
+    Shares build_sieve's fold and its bit budget: a bound past
+    DEFAULT_BIT_LIMIT bits raises ResourceBudgetError before any allocation.
+    """
     ds = sorted(int(b) for b in diag)
     if any(b < 1 for b in ds):
         raise ValueError("diagonal entries must be positive")
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
-    full = (1 << (bound + 1)) - 1
-    bits = 1
-    for b in ds:
-        acc = 0
-        for y in _coprime_units(bound // b):
-            acc |= bits << (b * y * y)
-        bits = acc & full
-        if bits == 0:
-            break
-    return bits
+    return fold(([b * y * y for y in _coprime_units(bound // b)] for b in ds), bound)
 
 
 def octagonal_via_lattice(a, u: int) -> bool:

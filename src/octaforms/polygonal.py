@@ -19,6 +19,7 @@ __all__ = [
     "insert_sorted",
     "is_proper_subsequence",
     "RepresentationSieve",
+    "fold",
     "build_sieve",
     "represents",
     "witness",
@@ -58,18 +59,7 @@ def octagonal_numbers_up_to(bound: int) -> list[int]:
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    vals = [0]
-    x = 1
-    while True:
-        plus = octagonal_number(x)  # 3x^2 - 2x, the smaller of the pair
-        minus = octagonal_number(-x)
-        if plus > bound:
-            break
-        vals.append(plus)
-        if minus <= bound:
-            vals.append(minus)
-        x += 1
-    return sorted(vals)
+    return term_values(1, bound)
 
 
 def coeff_vector(entries) -> tuple[int, ...]:
@@ -193,13 +183,13 @@ class RepresentationSieve:
         return out
 
 
-def build_sieve(a, bound: int, bit_limit: int = DEFAULT_BIT_LIMIT) -> RepresentationSieve:
-    """Sieve of all values of the octagonal form with coefficients a, up to bound.
+def fold(term_lists, bound: int, bit_limit: int = DEFAULT_BIT_LIMIT) -> int:
+    """Packed bit array over [0, bound] of the sumset {0} + T1 + T2 + ...
 
-    Iterated sumset: start from {0} and fold in the term values of each
-    coefficient by shift-or on the packed bit array.
+    Each T in term_lists is folded in by shift-or.  The bit budget is
+    checked before anything is allocated, so term_lists may be a lazy
+    iterable that is only consumed once the bound has been accepted.
     """
-    a = coeff_vector(a)
     if bound < 0:
         raise ValueError("bound must be >= 0")
     if bound + 1 > bit_limit:
@@ -208,11 +198,24 @@ def build_sieve(a, bound: int, bit_limit: int = DEFAULT_BIT_LIMIT) -> Representa
         )
     mask = (1 << (bound + 1)) - 1
     bits = 1
-    for c in a:
+    for terms in term_lists:
         acc = 0
-        for v in term_values(c, bound):
+        for v in terms:
             acc |= bits << v
         bits = acc & mask
+        if not bits:
+            break
+    return bits
+
+
+def build_sieve(a, bound: int, bit_limit: int = DEFAULT_BIT_LIMIT) -> RepresentationSieve:
+    """Sieve of all values of the octagonal form with coefficients a, up to bound.
+
+    Iterated sumset: start from {0} and fold in the term values of each
+    coefficient by shift-or on the packed bit array.
+    """
+    a = coeff_vector(a)
+    bits = fold((term_values(c, bound) for c in a), bound, bit_limit)
     return RepresentationSieve(coeffs=a, bound=bound, bits=bits)
 
 

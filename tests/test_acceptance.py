@@ -5,6 +5,8 @@ criterion is exact (zero counterexamples); the stated wall-clock limits
 are asserted too.
 """
 
+import hashlib
+import json
 import random
 import time
 
@@ -15,6 +17,7 @@ from octaforms.escalation import (
     criterion_set,
     new_tight_list,
     run_escalation,
+    trace_to_dict,
 )
 from octaforms.fixtures import load_fixtures
 from octaforms.lattice import (
@@ -51,6 +54,23 @@ def traces():
     return {n: run_escalation(n, BOUND) for n in range(2, 13)}
 
 
+# sha256 of json.dumps(trace_to_dict(run_escalation(n, BOUND))), pinned so
+# that any change to the escalation's output, its ordering included, shows.
+TRACE_SHA256 = {
+    2: "4e3f217aa0be8f715cb75a39ca002216679cac70ab7591b59c09ab6113b999d6",
+    3: "02e7b7629d9904f5945e30537e2aa15f427e5137108e56965164e8ca2200723b",
+    4: "c10259a214cbf83168c089985b06cf691e679a93700b10a56baa17a2de42b8b9",
+    5: "507a223233ef680beec237d968f52b4de1bd7dd78283ef17074f5dafa9869951",
+    6: "930e65bb5e47df069cd63e40da1b37da077f6abb99d94d7c9b054e89966572be",
+    7: "8a821a0f81a50e3c66a74047d20d38a107ff8e3b0f473d201bbfe057033d6916",
+    8: "e65220f81ef3f72822e66135e71aa4a7a0958d58d3c0e4851af89e0b003181f9",
+    9: "65a7622d39acc54933dfb419720efc7dfc15c8cdc4ef112727e8c35e93f02d28",
+    10: "04b45fe0fdb1f40bcc104fc3de01d769eca9d4a7b3c229012c7c5dc9f4d1d28b",
+    11: "4d4589111afa4e636ff79deed8daf110fcf57dd9aea24ab5e63a5af8a6d3a2b9",
+    12: "42e7a80995b4d835f28231b6446efcaf958097bd35b2e0d739e478ef4a8c0d20",
+}
+
+
 @pytest.fixture(scope="module")
 def fixtures():
     return load_fixtures()
@@ -70,6 +90,14 @@ def test_criterion_1_escalation_floor2(traces):
     ok &= elapsed < 60
     report(1, "full escalation for floor 2 reproduces all depth data", ok,
            f"{elapsed:.2f}s")
+
+
+def test_escalation_traces_are_byte_identical(traces):
+    digests = {
+        n: hashlib.sha256(json.dumps(trace_to_dict(tr)).encode()).hexdigest()
+        for n, tr in traces.items()
+    }
+    assert digests == TRACE_SHA256
 
 
 def test_criterion_2_census_and_set_equality(traces):
@@ -116,9 +144,8 @@ def test_criterion_5_families(traces):
         crit = criterion_set(traces[n])
         for a in rule.pair(n):
             ok &= check_tight_universal(a, n, crit, BOUND).is_tight
-    for n in range(5, 9):
         ok &= new_tight_list(traces[n], n + 1) == set(rule.pair(n))
-    report(5, "the two families are tight for n=5..12 and unique for n=5..8", ok)
+    report(5, "the two families are tight and the unique new forms for n=5..12", ok)
 
 
 def test_criterion_6_progression_transfers(fixtures):

@@ -76,6 +76,19 @@ def test_verify_round_trip(tmp_path, capsys):
     assert run(["verify", "t3", "--trace", str(out)]) == 2
 
 
+def test_verify_rejects_trace_below_requested_bound(tmp_path, capsys):
+    out = tmp_path / "t2.json"
+    assert run(["escalate", "--n", "2", "--bound", "50000", "--out", str(out)]) == 0
+    # a trace certified past the requested bound is accepted
+    assert run(["verify", "t2", "--trace", str(out), "--bound", "20000"]) == 0
+    report = json.loads(out.read_text())
+    report["results"]["trace"]["bound"] = 10
+    out.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert run(["verify", "t2", "--trace", str(out)]) == 2
+    assert "bound 10" in capsys.readouterr().err
+
+
 def test_verify_z_table(tmp_path, capsys):
     out = tmp_path / "z.json"
     assert run(["verify", "z-table", "--bound", "5000", "--out", str(out)]) == 0
@@ -116,12 +129,3 @@ def test_verify_detects_broken_fixtures(tmp_path, capsys):
 def test_missing_data_paths_are_usage_errors(tmp_path):
     assert run(["verify", "z-table", "--data-dir", str(tmp_path / "nope")]) == 2
     assert run(["verify", "lemmas", "--fixtures", str(tmp_path / "nope.txt")]) == 2
-
-
-def test_jobs_flag_equivalence(capsys, tmp_path):
-    out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-    assert run(["escalate", "--n", "3", "--bound", "20000", "--out", str(out1)]) == 0
-    assert run(["escalate", "--n", "3", "--bound", "20000", "--jobs", "3",
-                "--out", str(out2)]) == 0
-    a, b = json.loads(out1.read_text()), json.loads(out2.read_text())
-    assert a["results"]["trace"] == b["results"]["trace"]

@@ -13,6 +13,7 @@ from octaforms.escalation import (
     trace_from_dict,
     trace_to_dict,
 )
+from octaforms.tables import FamilyRule
 
 BOUND = 50_000
 
@@ -172,8 +173,14 @@ def test_determinism(trace2):
     assert again == trace2
 
 
-def test_parallel_run_matches_serial(trace2):
-    assert run_escalation(2, BOUND, jobs=2) == trace2
+@pytest.mark.parametrize("n", [30, 60])
+def test_large_floors_find_exactly_the_two_families(n):
+    # the minimality test is polynomial in the form length, so floors far
+    # beyond the tabulated ones terminate quickly
+    trace = run_escalation(n, BOUND)
+    assert trace.terminated_at == n + 1
+    assert new_tight_list(trace, n + 1) == set(FamilyRule().pair(n))
+    assert sum(len(rec.NU) for rec in trace.depths) == 2
 
 
 def test_depth_limit_is_enforced():

@@ -1,6 +1,7 @@
 """Lattice representation, similitudes, and the two transfer checks."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from octaforms.lattice import (
     check_prec,
     coprime3_values_up_to,
     count_representations,
-    gram_value,
     jones_strengthen,
     lattice_values_up_to,
     lattice_vectors,
@@ -61,9 +61,9 @@ def test_gram_matrix_validation():
 
 
 def test_gram_value_examples():
-    assert gram_value(D((1, 1, 1)), (1, 2, 2)) == 9
-    assert gram_value(GramMatrix([[1, 0, 0], [0, 4, 1], [0, 1, 7]]), (1, 1, 0)) == 5
-    assert gram_value(D((2, 3, 3)), (1, 1, 1)) == 8
+    assert D((1, 1, 1)).value((1, 2, 2)) == 9
+    assert GramMatrix([[1, 0, 0], [0, 4, 1], [0, 1, 7]]).value((1, 1, 0)) == 5
+    assert D((2, 3, 3)).value((1, 1, 1)) == 8
     m = GramMatrix([[2, -1, 1], [-1, 4, 1], [1, 1, 5]])
     assert m.bilinear((1, 0, 0), (0, 1, 0)) == -1
 
@@ -103,6 +103,17 @@ def test_vector_enumeration_budget():
         lattice_vectors(D((1, 1, 1)), 10**6, budget=100)
     with pytest.raises(ResourceBudgetError):
         residues(D((1, 1, 1)), 1000, 1)
+
+
+def test_coprime3_bulk_guard_fires_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceBudgetError):
+            coprime3_values_up_to((1, 1, 1), 2**31)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_huge_entries_fall_back_to_exact_arithmetic():

@@ -9,6 +9,7 @@ from octaforms.polygonal import (
     ResourceBudgetError,
     build_sieve,
     coeff_vector,
+    fold,
     insert_sorted,
     is_proper_subsequence,
     missing_in_range,
@@ -125,6 +126,23 @@ def test_build_sieve_known_exception_sets():
 def test_build_sieve_resource_guard():
     with pytest.raises(ResourceBudgetError):
         build_sieve((1,), 10**7, bit_limit=10**6)
+
+
+def test_fold_is_the_sumset_and_checks_its_budget_first():
+    a = (1, 2, 5)
+    terms = [[c * p for p in oracle_octagonal(60 // c)] for c in a]
+    bits = fold(terms, 60)
+    assert bits == build_sieve(a, 60).bits
+    assert [v for v in range(61) if (bits >> v) & 1] == sorted(oracle_values(a, 60))
+
+    def never_consumed():
+        raise AssertionError("term lists read before the budget check")
+        yield
+
+    with pytest.raises(ResourceBudgetError):
+        fold(never_consumed(), 10**7, bit_limit=10**6)
+    with pytest.raises(ValueError):
+        fold(never_consumed(), -1)
 
 
 def test_represents_examples():
