@@ -43,13 +43,13 @@ def _emit(args, command: str, inputs: dict, results: dict, status: str, bound: i
         "results": results,
         "status": status,
         "bound_used": bound,
-        "elapsed_ms": int((time.time() - t0) * 1000),
+        "elapsed_ms": int((time.perf_counter() - t0) * 1000),
     }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
 
 
 def cmd_sieve(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     coeffs = _parse_coeffs(args.coeffs)
     sieve = build_sieve(coeffs, args.bound)
     lo = coeffs[0]
@@ -70,7 +70,7 @@ def cmd_sieve(args) -> int:
 
 
 def cmd_psi(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     coeffs = _parse_coeffs(args.coeffs)
     r = esc.psi(coeffs, args.n, args.bound)
     if r.is_finite:
@@ -83,7 +83,7 @@ def cmd_psi(args) -> int:
 
 
 def cmd_check(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     coeffs = _parse_coeffs(args.coeffs)
     trace = esc.run_escalation(args.n, args.bound)
     criterion = esc.criterion_set(trace)
@@ -98,7 +98,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_escalate(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     trace = esc.run_escalation(args.n, args.bound)
     for rec in trace.depths:
         print(f"depth {rec.k}: |E|={len(rec.E)} |U|={len(rec.U)} "
@@ -114,7 +114,7 @@ def cmd_escalate(args) -> int:
 
 
 def cmd_criterion(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     trace = esc.run_escalation(args.n, args.bound)
     crit = esc.criterion_set(trace)
     print(f"criterion set for n={args.n}: {list(crit.values)}")
@@ -127,21 +127,6 @@ def _load_rows(args, table: int):
     if args.data_dir:
         return tb.load_table(Path(args.data_dir) / tb.TABLE_FILES[table])
     return tb.load_table(table)
-
-
-def _load_trace(args, n: int):
-    if getattr(args, "trace", None):
-        data = json.loads(Path(args.trace).read_text())
-        if "results" in data:  # a full escalate report
-            data = data["results"]["trace"]
-        trace = esc.trace_from_dict(data)
-        if trace.n != n:
-            raise SystemExit(f"error: trace file is for n={trace.n}, expected n={n}")
-        if trace.bound < args.bound:
-            raise SystemExit(f"error: trace file was computed to bound {trace.bound}, "
-                             f"below the requested bound {args.bound}")
-        return trace
-    return esc.run_escalation(n, args.bound)
 
 
 def _verify_z_table(args, results: dict) -> bool:
@@ -162,7 +147,7 @@ def _verify_z_table(args, results: dict) -> bool:
 
 def _verify_tight_table(args, table: int, n: int, results: dict) -> bool:
     rows = _load_rows(args, table)
-    trace = _load_trace(args, n)
+    trace = esc.run_escalation(n, args.bound)
     census = tb.table_census(rows)
     report = tb.verify_table(rows, n, trace)
     criterion = esc.criterion_set(trace)
@@ -260,7 +245,7 @@ def _verify_lemmas(args, results: dict) -> bool:
 
 
 def cmd_verify(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     target = args.target
     results: dict = {}
     ok = True
@@ -322,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="re-check the bundled classification data")
     p.add_argument("target", choices=VERIFY_TARGETS)
     common(p)
-    p.add_argument("--trace", help="reuse an escalate JSON report instead of recomputing")
     p.add_argument("--data-dir", help="directory with table data files (default: bundled)")
     p.add_argument("--fixtures", help="lattice fixture file (default: bundled)")
     p.set_defaults(fn=cmd_verify)

@@ -42,7 +42,6 @@ __all__ = [
     "check_tight_universal",
     "new_tight_list",
     "trace_to_dict",
-    "trace_from_dict",
 ]
 
 DEFAULT_BOUND = 50_000
@@ -256,27 +255,3 @@ def trace_to_dict(trace: EscalationTrace) -> dict:
             for rec in trace.depths
         ],
     }
-
-
-def trace_from_dict(data: dict) -> EscalationTrace:
-    """Inverse of trace_to_dict."""
-    bound = data["bound"]
-    depths = []
-    for rec in data["depths"]:
-        psis = {
-            tuple(int(t) for t in key.split(",")): PsiResult(value=val, bound=bound)
-            for key, val in rec["psi"].items()
-        }
-        depths.append(
-            DepthRecord(
-                k=rec["k"],
-                E=tuple(tuple(a) for a in rec["E"]),
-                U=tuple(tuple(a) for a in rec["U"]),
-                NU=tuple(tuple(a) for a in rec["NU"]),
-                A=tuple(tuple(a) for a in rec["A"]),
-                psi=psis,
-            )
-        )
-    return EscalationTrace(
-        n=data["n"], bound=bound, depths=tuple(depths), terminated_at=data["terminated_at"]
-    )

@@ -36,7 +36,7 @@ __all__ = [
     "lattice_vectors",
     "represents_lattice",
     "count_representations",
-    "lattice_values_up_to",
+    "lattice_counts_up_to",
     "represents_coprime3",
     "coprime3_values_up_to",
     "octagonal_via_lattice",
@@ -72,28 +72,14 @@ class NoEigenvector(Exception):
     """A self-similitude has no rational fixed line; the instance is malformed."""
 
 
-def _det3(m) -> int:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
 def _det(m) -> int:
-    n = len(m)
-    if n == 1:
+    # Laplace expansion along the first row; dimensions here never exceed 4.
+    if len(m) == 1:
         return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if n == 3:
-        return _det3(m)
-    # Laplace expansion; dimensions here never exceed 4.
-    total = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * _det(minor)
-    return total
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
+    )
 
 
 class GramMatrix:
@@ -217,12 +203,8 @@ def _range_bounds(M: GramMatrix, v: int) -> list[int]:
             if r != i
         ]
         adj = _det(minor)
-        b = isqrt(v * adj // det)
-        while (b + 1) * (b + 1) * det <= v * adj:
-            b += 1
-        while b > 0 and b * b * det > v * adj:
-            b -= 1
-        bounds.append(b)
+        # the largest b with b*b*det <= v*adj: b*b is an integer, so the floor loses nothing
+        bounds.append(isqrt(v * adj // det))
     return bounds
 
 
@@ -330,8 +312,12 @@ def count_representations(M: GramMatrix, v: int, budget: int = DEFAULT_POINT_BUD
     return _vectors_cached(M, v, budget).shape[0]
 
 
-def lattice_values_up_to(M: GramMatrix, bound: int, budget: int = DEFAULT_POINT_BUDGET) -> np.ndarray:
-    """Boolean array r where r[v] says whether M represents v, v = 0..bound."""
+def lattice_counts_up_to(M: GramMatrix, bound: int, budget: int = DEFAULT_POINT_BUDGET) -> np.ndarray:
+    """int64 array r where r[v] counts the x with Q_M(x) = v, v = 0..bound.
+
+    One sweep of the ellipsoid box for every value at once; M represents v
+    iff r[v] > 0.
+    """
     if M.dim != 3:
         raise ValueError("bulk enumeration requires a ternary lattice")
     if bound < 0:
@@ -342,16 +328,15 @@ def lattice_values_up_to(M: GramMatrix, bound: int, budget: int = DEFAULT_POINT_
         raise ResourceBudgetError("ellipsoid box exceeds the point budget")
     if not _disc_fits_int64(m, bound, b1, b2) or m[2][2] * b3 * b3 >= 2**60:
         raise ResourceBudgetError("bulk scan bound too large for exact int64 batches")
-    rep = np.zeros(bound + 1, dtype=bool)
+    counts = np.zeros(bound + 1, dtype=np.int64)
     x2 = np.arange(-b2, b2 + 1, dtype=np.int64)[:, None]
     x3 = np.arange(-b3, b3 + 1, dtype=np.int64)[None, :]
     tail = m[1][1] * x2 * x2 + 2 * m[1][2] * x2 * x3 + m[2][2] * x3 * x3
     cross = 2 * (m[0][1] * x2 + m[0][2] * x3)
     for x1 in range(-b1, b1 + 1):
         q = m[0][0] * x1 * x1 + cross * x1 + tail
-        vals = q[(q >= 0) & (q <= bound)]
-        rep[vals] = True
-    return rep
+        counts += np.bincount(q[(q >= 0) & (q <= bound)], minlength=bound + 1)
+    return counts
 
 
 def _coprime_units(cap: int) -> list[int]:
@@ -441,15 +426,10 @@ def residues(N: GramMatrix, d: int, a: int) -> set[tuple[int, int, int]]:
     return {tuple(int(e) for e in row) for row in _residue_array(N, d, a)}
 
 
-def _similitude_columns(M: GramMatrix, N: GramMatrix, d: int, budget: int):
-    t = d * d
-    return [lattice_vectors(M, t * N.rows[j][j], budget) for j in range(3)]
-
-
 def _iter_similitudes(M: GramMatrix, N: GramMatrix, d: int, budget: int):
     """Yield all T (3x3 int64 arrays) with t(T) M T = d^2 N, column by column."""
     t = d * d
-    C1, C2, C3 = _similitude_columns(M, N, d, budget)
+    C1, C2, C3 = (lattice_vectors(M, t * N.rows[j][j], budget) for j in range(3))
     if min(len(C1), len(C2), len(C3)) == 0:
         return
     if len(C1) * len(C2) > budget or any(c.dtype == object for c in (C1, C2, C3)):
@@ -548,12 +528,12 @@ def _primitive(w):
 
 def _fixed_line(T, d: int) -> tuple[int, int, int]:
     """Primitive integer w with (1/d) T w = det((1/d)T) w, deterministic sign."""
-    detT = _det3(T)
+    detT = _det(T)
     if abs(detT) != d**3:
         raise NoEigenvector(f"determinant {detT} is not +-d^3")
     lam = detT // (d**3)
     A = [[T[i][j] - (lam * d if i == j else 0) for j in range(3)] for i in range(3)]
-    if _det3(A) != 0:
+    if _det(A) != 0:
         raise NoEigenvector("eigenvalue has no rational line")
     for i, j in ((0, 1), (0, 2), (1, 2)):
         w = _primitive(_cross(A[i], A[j]))

@@ -10,8 +10,6 @@ from octaforms.escalation import (
     new_tight_list,
     psi,
     run_escalation,
-    trace_from_dict,
-    trace_to_dict,
 )
 from octaforms.tables import FamilyRule
 
@@ -186,7 +184,3 @@ def test_large_floors_find_exactly_the_two_families(n):
 def test_depth_limit_is_enforced():
     with pytest.raises(EscalationDepthError):
         run_escalation(2, BOUND, max_depth=3)
-
-
-def test_trace_round_trip(trace2):
-    assert trace_from_dict(trace_to_dict(trace2)) == trace2

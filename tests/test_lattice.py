@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from octaforms.lattice import (
     ConditionFailed,
@@ -17,7 +19,7 @@ from octaforms.lattice import (
     coprime3_values_up_to,
     count_representations,
     jones_strengthen,
-    lattice_values_up_to,
+    lattice_counts_up_to,
     lattice_vectors,
     octagonal_via_lattice,
     represents_coprime3,
@@ -76,6 +78,8 @@ def test_representation_counts_match_oracle():
     assert count_representations(cube, 0) == 1
     for v in range(0, 60):
         assert count_representations(cube, v) == oracle_count_cube(v), v
+    assert lattice_counts_up_to(cube, 0).tolist() == [1]
+    assert lattice_counts_up_to(cube, 59).tolist() == [oracle_count_cube(v) for v in range(60)]
 
 
 def test_representation_nondiagonal():
@@ -93,9 +97,42 @@ def test_representation_nondiagonal():
 
 def test_bulk_values_agree_with_pointwise():
     for m in (D((1, 1, 1)), D((6, 12, 27)), GramMatrix([[7, 2, 0], [2, 16, 0], [0, 0, 27]])):
-        bulk = lattice_values_up_to(m, 400)
+        bulk = lattice_counts_up_to(m, 400) > 0
         for v in range(401):
             assert bulk[v] == represents_lattice(m, v), (m, v)
+
+
+@st.composite
+def ternary_grams(draw):
+    diag = [draw(st.integers(1, 9)) for _ in range(3)]
+    off = [draw(st.integers(-4, 4)) for _ in range(3)]
+    rows = [[diag[0], off[0], off[1]], [off[0], diag[1], off[2]], [off[1], off[2], diag[2]]]
+    try:
+        return GramMatrix(rows)
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ternary_grams())
+def test_bulk_counts_agree_with_per_value_counts(m):
+    # the per-value ellipsoid scan is the oracle for the box sweep
+    top = 40
+    counts = lattice_counts_up_to(m, top).tolist()
+    assert counts == [count_representations(m, v) for v in range(top + 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(ternary_grams(), st.integers(0, 10**18))
+def test_range_bounds_are_exact(m, v):
+    # b_i is the largest b with b^2 det <= v adj_i, adj_i the complementary 2x2 minor
+    from octaforms.lattice import _range_bounds
+
+    r = m.rows
+    for i, b in enumerate(_range_bounds(m, v)):
+        j, k = (c for c in range(3) if c != i)
+        adj = r[j][j] * r[k][k] - r[j][k] * r[k][j]
+        assert b * b * m.det <= v * adj < (b + 1) * (b + 1) * m.det
 
 
 def test_vector_enumeration_budget():
@@ -110,6 +147,20 @@ def test_coprime3_bulk_guard_fires_before_allocating():
     try:
         with pytest.raises(ResourceBudgetError):
             coprime3_values_up_to((1, 1, 1), 2**31)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_bulk_counts_guards_fire_before_allocating():
+    # the point budget, then the int64 guard, both before the count array exists
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceBudgetError, match="point budget"):
+            lattice_counts_up_to(D((1, 1, 1)), 10**9)
+        with pytest.raises(ResourceBudgetError, match="int64"):
+            lattice_counts_up_to(D((1, 1, 1)), 2**62, budget=10**40)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -210,8 +261,8 @@ def test_check_prec_soundness_desk_scale():
     M = GramMatrix([[1, 0, 0], [0, 4, 1], [0, 1, 7]])
     N = D((1, 1, 27))
     top = 3000
-    rn = lattice_values_up_to(N, top)
-    rm = lattice_values_up_to(M, top)
+    rn = lattice_counts_up_to(N, top) > 0
+    rm = lattice_counts_up_to(M, top) > 0
     for a in (0, 1):
         assert check_prec(M, N, 4, a)
         for v in range(a, top + 1, 4):
@@ -311,9 +362,9 @@ def test_scaled_prime_squares_reach_the_mod9_lattice():
 def test_stable_transfer_soundness_desk_scale():
     # outside the excluded square class, progression values of N are values of M
     top = 5000
-    rm = lattice_values_up_to(MOD9, top)
+    rm = lattice_counts_up_to(MOD9, top) > 0
     for N, exc in ((D((6, 12, 27)), 12), (D((3, 6, 108)), 3)):
-        rn = lattice_values_up_to(N, top)
+        rn = lattice_counts_up_to(N, top) > 0
         squares = {exc * h * h for h in range(1, top) if exc * h * h <= top}
         for v in range(3, top + 1, 9):
             if rn[v] and v not in squares:
