@@ -14,7 +14,10 @@ of an arithmetic progression from one lattice to another:
 
 A side door connects octagonal forms to lattices: u is a value of the
 form with coefficients a iff 3u + sum(a) is represented by the diagonal
-lattice <a> with every coordinate coprime to 3.
+lattice <a> with every coordinate coprime to 3.  The door is crossed both
+ways without a search of its own: represents_coprime3 asks polygonal's
+DFS, and octagonal_via_lattice reads the coprime-to-3 sumset fold, so the
+two routes check each other.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from math import gcd, isqrt, lcm
 
 import numpy as np
 
-from .polygonal import ResourceBudgetError, coeff_vector, fold, octagonal_number
+from .polygonal import ResourceBudgetError, coeff_vector, fold, octagonal_number, represents
 
 __all__ = [
     "GramMatrix",
@@ -51,6 +54,16 @@ __all__ = [
 
 # Lattice-point budget for a single ellipsoid enumeration.
 DEFAULT_POINT_BUDGET = 10**8
+# Byte budget for one dense numpy temporary (residue cube, column pairing);
+# 256 MiB, the size of a sieve at polygonal.DEFAULT_BIT_LIMIT.
+ARRAY_BYTE_LIMIT = 2**28
+
+
+def _check_array_bytes(nbytes: int, what: str) -> None:
+    if nbytes > ARRAY_BYTE_LIMIT:
+        raise ResourceBudgetError(
+            f"{what} needs {nbytes} bytes, over the limit of {ARRAY_BYTE_LIMIT} bytes"
+        )
 
 
 class ConditionFailed(Exception):
@@ -347,36 +360,16 @@ def _coprime_units(cap: int) -> list[int]:
 def represents_coprime3(diag, v: int) -> bool:
     """True iff v = sum(b_i * y_i^2) with every y_i coprime to 3.
 
-    diag is the list of diagonal coefficients; coordinates equal to zero are
-    not allowed (zero is divisible by 3).
+    diag is the list of diagonal coefficients, in any order; coordinates
+    equal to zero are not allowed (zero is divisible by 3).  Every y^2 is
+    1 mod 3, and y = |3x - 1| gives b*y^2 = 3*b*P8(x) + b, so this is the
+    octagonal search at (v - sum(diag)) / 3.
     """
-    ds = sorted((int(b) for b in diag), reverse=True)
-    if any(b < 1 for b in ds):
-        raise ValueError("diagonal entries must be positive")
+    ds = coeff_vector(sorted(int(b) for b in diag))
     if v < 0:
         raise ValueError("v must be >= 0")
-    if v % gcd(*ds):
-        return False
-    suffix = [0] * (len(ds) + 1)
-    for i in range(len(ds) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + ds[i]
-    dead: set[tuple[int, int]] = set()
-
-    def go(i: int, rem: int) -> bool:
-        if i == len(ds):
-            return rem == 0
-        if (i, rem) in dead:
-            return False
-        b = ds[i]
-        y = 1
-        while b * y * y + suffix[i + 1] <= rem:
-            if go(i + 1, rem - b * y * y):
-                return True
-            y += 2 if y % 3 == 2 else 1  # skip multiples of 3
-        dead.add((i, rem))
-        return False
-
-    return go(0, v)
+    s = sum(ds)
+    return v >= s and (v - s) % 3 == 0 and represents(ds, (v - s) // 3)
 
 
 def coprime3_values_up_to(diag, bound: int) -> int:
@@ -385,9 +378,7 @@ def coprime3_values_up_to(diag, bound: int) -> int:
     Shares build_sieve's fold and its bit budget: a bound past
     DEFAULT_BIT_LIMIT bits raises ResourceBudgetError before any allocation.
     """
-    ds = sorted(int(b) for b in diag)
-    if any(b < 1 for b in ds):
-        raise ValueError("diagonal entries must be positive")
+    ds = coeff_vector(sorted(int(b) for b in diag))
     return fold(([b * y * y for y in _coprime_units(bound // b)] for b in ds), bound)
 
 
@@ -395,17 +386,20 @@ def octagonal_via_lattice(a, u: int) -> bool:
     """Decide u -> p8(a) through the lattice side of the correspondence.
 
     u is a value of the octagonal form with coefficients a exactly when
-    3u + sum(a) is a coprime-to-3 value of the diagonal form <a>.
+    3u + sum(a) is a coprime-to-3 value of the diagonal form <a>.  That
+    bit is read from coprime3_values_up_to, so 3u + sum(a) + 1 is bounded
+    by the fold's bit budget (ResourceBudgetError past it).
     """
     a = coeff_vector(a)
     if u < 0:
         raise ValueError("u must be >= 0")
-    return represents_coprime3(a, 3 * u + sum(a))
+    v = 3 * u + sum(a)
+    return bool((coprime3_values_up_to(a, v) >> v) & 1)
 
 
 def _h_cube(d: int) -> np.ndarray:
-    if d > 512:
-        raise ResourceBudgetError(f"residue cube of size {d}^3 is out of budget")
+    # meshgrid's three int64 arrays and their stacked copy are alive at once
+    _check_array_bytes(2 * 3 * 8 * d**3, f"residue cube of size {d}^3")
     r = np.arange(d, dtype=np.int64)
     grid = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1)
     return grid.reshape(-1, 3)
@@ -432,8 +426,9 @@ def _iter_similitudes(M: GramMatrix, N: GramMatrix, d: int, budget: int):
     C1, C2, C3 = (lattice_vectors(M, t * N.rows[j][j], budget) for j in range(3))
     if min(len(C1), len(C2), len(C3)) == 0:
         return
-    if len(C1) * len(C2) > budget or any(c.dtype == object for c in (C1, C2, C3)):
+    if any(c.dtype == object for c in (C1, C2, C3)):
         raise ResourceBudgetError("similitude column sets too large to pair up")
+    _check_array_bytes(8 * len(C1) * len(C2), f"pairing {len(C1)} x {len(C2)} similitude columns")
     Marr = M.as_array()
     G12 = C1 @ Marr @ C2.T
     pairs = np.argwhere(G12 == t * N.rows[0][1])
@@ -475,21 +470,18 @@ def check_prec(
     """
     if not 0 <= a < d:
         raise ValueError("need 0 <= a < d")
-    R = _residue_array(N, d, a)
-    if R.shape[0] == 0:
-        return True
-    covered = np.zeros(R.shape[0], dtype=bool)
-    for T in _iter_similitudes(M, N, d, budget):
-        covered |= ((T @ R.T) % d == 0).all(axis=0)
-        if covered.all():
-            return True
-    return False
+    return bool(_covered_mask(M, N, d, _residue_array(N, d, a), budget).all())
 
 
 def _covered_mask(M: GramMatrix, N: GramMatrix, d: int, R: np.ndarray, budget: int) -> np.ndarray:
+    # which rows of R some similitude sends to 0 mod d; stops once all are
     covered = np.zeros(R.shape[0], dtype=bool)
+    if R.shape[0] == 0:
+        return covered  # nothing to cover, so no similitude is needed
     for T in _iter_similitudes(M, N, d, budget):
         covered |= ((T @ R.T) % d == 0).all(axis=0)
+        if covered.all():
+            break
     return covered
 
 

@@ -3,7 +3,9 @@
 A sum c1*P8(x1) + ... + ck*P8(xk) with positive integer coefficients is
 decided here two ways: a bit-sieve over a value range (fast, bulk) and a
 pruned depth-first search (single values, produces witnesses).  Both paths
-are exact integer arithmetic throughout.
+are exact integer arithmetic throughout.  The search is the package's only
+one: lattice.represents_coprime3 answers through it, since y = |3x - 1|
+turns b*y^2 with y prime to 3 into 3*b*P8(x) + b.
 """
 
 from __future__ import annotations
@@ -140,47 +142,44 @@ class RepresentationSieve:
             raise ValueError(f"value {v} outside sieve range [0, {self.bound}]")
         return bool((self.bits >> v) & 1)
 
+    def _window(self, lo: int, hi: int) -> tuple[int, int]:
+        # bits of [lo, hi] shifted down to bit 0, and the all-ones mask of that width
+        if not 0 <= lo <= hi <= self.bound:
+            raise ValueError(f"range [{lo}, {hi}] outside sieve range [0, {self.bound}]")
+        mask = (1 << (hi - lo + 1)) - 1
+        return (self.bits >> lo) & mask, mask
+
     def missing_in_range(self, lo: int, hi: int, limit: int | None = None) -> list[int]:
         """Sorted list of the values in [lo, hi] NOT represented.
 
         With limit, stops after that many gaps (cheap peek at huge ranges).
         """
-        if not 0 <= lo <= hi <= self.bound:
-            raise ValueError(f"range [{lo}, {hi}] outside sieve range [0, {self.bound}]")
-        window = (self.bits >> lo) & ((1 << (hi - lo + 1)) - 1)
-        gaps = ~window & ((1 << (hi - lo + 1)) - 1)
-        out = []
-        while gaps and (limit is None or len(out) < limit):
-            low = gaps & -gaps
-            out.append(lo + low.bit_length() - 1)
-            gaps ^= low
-        return out
+        window, mask = self._window(lo, hi)
+        return [lo + i for i in _set_bits(~window & mask, limit)]
 
     def count_represented(self, lo: int, hi: int) -> int:
         """Number of represented values in [lo, hi]."""
-        if not 0 <= lo <= hi <= self.bound:
-            raise ValueError(f"range [{lo}, {hi}] outside sieve range [0, {self.bound}]")
-        return ((self.bits >> lo) & ((1 << (hi - lo + 1)) - 1)).bit_count()
+        return self._window(lo, hi)[0].bit_count()
 
     def first_missing(self, lo: int, hi: int) -> int | None:
         """Smallest value in [lo, hi] not represented, or None."""
-        if not 0 <= lo <= hi <= self.bound:
-            raise ValueError(f"range [{lo}, {hi}] outside sieve range [0, {self.bound}]")
-        window = (self.bits >> lo) & ((1 << (hi - lo + 1)) - 1)
-        gaps = ~window & ((1 << (hi - lo + 1)) - 1)
-        if gaps == 0:
-            return None
-        return lo + (gaps & -gaps).bit_length() - 1
+        window, mask = self._window(lo, hi)
+        gaps = ~window & mask
+        return lo + (gaps & -gaps).bit_length() - 1 if gaps else None
 
     def values(self) -> list[int]:
         """Sorted list of all represented values <= bound."""
-        out = []
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return out
+        return _set_bits(self.bits)
+
+
+def _set_bits(bits: int, limit: int | None = None) -> list[int]:
+    # positions of the set bits of bits, ascending; at most limit of them
+    out = []
+    while bits and (limit is None or len(out) < limit):
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
 
 
 def fold(term_lists, bound: int, bit_limit: int = DEFAULT_BIT_LIMIT) -> int:

@@ -77,9 +77,9 @@ def fixtures():
 
 
 def test_criterion_1_escalation_floor2(traces):
-    t0 = time.time()
+    t0 = time.perf_counter()
     tr = run_escalation(2, BOUND)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     sizes = [(len(r.E), len(r.U), len(r.NU), len(r.A)) for r in tr.depths]
     ok = sizes == [(1, 0, 0, 1), (1, 0, 0, 1), (2, 0, 0, 2),
                    (9, 3, 3, 6), (52, 49, 39, 3), (30, 30, 15, 0)]
@@ -126,13 +126,13 @@ def test_criterion_3_criterion_sets(traces):
 
 
 def test_criterion_4_exception_table():
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows = load_table(1)
     ok = len(rows) == 26
     for row in rows:
         sieve = build_sieve(row.prefix, BOUND)
         ok &= tuple(sieve.missing_in_range(row.prefix[0], BOUND)) == row.expect_z
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok &= elapsed < 30
     report(4, "all 26 exception sets match at bound 50000", ok, f"{elapsed:.2f}s")
 
@@ -149,13 +149,13 @@ def test_criterion_5_families(traces):
 
 
 def test_criterion_6_progression_transfers(fixtures):
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = [
         name
         for name, inst in sorted(fixtures.prec.items())
         if not check_prec(inst.M, inst.N, inst.d, inst.a)
     ]
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = not failures and len(fixtures.prec) == 24 and elapsed < 300
     report(6, "all 24 progression transfer instances hold", ok,
            f"{elapsed:.2f}s" + (f" failures: {failures}" if failures else ""))

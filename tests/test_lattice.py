@@ -9,6 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from octaforms.lattice import (
+    ARRAY_BYTE_LIMIT,
+    DEFAULT_POINT_BUDGET,
     ConditionFailed,
     GenusFixture,
     GramMatrix,
@@ -28,8 +30,12 @@ from octaforms.lattice import (
     transfer_matrices,
     two_threes_params,
     two_threes_sufficient,
+    _disc_fits_int64,
+    _range_bounds,
+    _vector_batches,
+    _vector_batches_exact,
 )
-from octaforms.polygonal import ResourceBudgetError, represents
+from octaforms.polygonal import ResourceBudgetError, build_sieve, polygonal_number, represents, witness
 
 D = GramMatrix.diagonal
 
@@ -126,8 +132,6 @@ def test_bulk_counts_agree_with_per_value_counts(m):
 @given(ternary_grams(), st.integers(0, 10**18))
 def test_range_bounds_are_exact(m, v):
     # b_i is the largest b with b^2 det <= v adj_i, adj_i the complementary 2x2 minor
-    from octaforms.lattice import _range_bounds
-
     r = m.rows
     for i, b in enumerate(_range_bounds(m, v)):
         j, k = (c for c in range(3) if c != i)
@@ -167,6 +171,71 @@ def test_bulk_counts_guards_fire_before_allocating():
     assert peak < 1 << 20
 
 
+def test_residue_cube_guard_fires_before_allocating():
+    # a 180^3 cube would stack 140 MB of int64 (280 MB with meshgrid's arrays)
+    assert 2 * 3 * 8 * 180**3 > ARRAY_BYTE_LIMIT
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceBudgetError, match="residue cube"):
+            residues(D((1, 1, 1)), 180, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_similitude_pairing_guard_fires_before_allocating():
+    # 672945 = 3*5*7*13*17*29 has 6144 representations by x^2 + y^2 + z^2, so
+    # pairing the first two columns would take 6144^2 int64 entries (302 MB)
+    v = 672945
+    assert 8 * 6144**2 > ARRAY_BYTE_LIMIT
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceBudgetError, match="pairing 6144 x 6144"):
+            transfer_matrices(D((1, 1, 1)), D((v, v, v)), 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 24
+
+
+def _scaled(m, s):
+    return GramMatrix([[s * e for e in row] for row in m.rows])
+
+
+def _largest_int64_scale(m, w):
+    # largest s for which the int64 batches handle s*M at s*w; the box does not depend on s
+    b1, b2, _ = _range_bounds(m, w)
+
+    def fits(s):
+        return _disc_fits_int64(_scaled(m, s).rows, s * w, b1, b2)
+
+    lo, hi = 1, 2
+    while fits(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    return lo
+
+
+@settings(max_examples=80, deadline=None)
+@given(ternary_grams(), st.integers(1, 30), st.sampled_from([None, -1, 0, 1]))
+def test_int64_batches_match_exact_fallback(m, w, near_switch):
+    # near_switch scales M and w to just below (-1, 0) or just past (1) the 2^62 switch
+    s = 1 if near_switch is None else _largest_int64_scale(m, w) + near_switch
+    m, v = _scaled(m, s), s * w
+    b1, b2, _ = _range_bounds(m, v)
+    assert _disc_fits_int64(m.rows, v, b1, b2) == (near_switch != 1)
+
+    def vectors(batches):
+        return sorted(tuple(int(e) for e in row) for batch in batches for row in batch)
+
+    fast = vectors(_vector_batches(m, v, DEFAULT_POINT_BUDGET))
+    assert fast == vectors(_vector_batches_exact(m.rows, v, b1, b2))
+    assert all(m.value(x) == v for x in fast)
+
+
 def test_huge_entries_fall_back_to_exact_arithmetic():
     # discriminants beyond int64 switch to plain-int batches, same answers
     scale = 10**14
@@ -184,7 +253,13 @@ def test_represents_coprime3_examples():
     assert not represents_coprime3((1, 1, 1), 1)
     assert not represents_coprime3((1, 1, 1), 0)
     assert represents_coprime3((2, 2, 3, 3), 16)
+    assert represents_coprime3((3, 2, 3, 2), 16)  # any order of the diagonal
     assert represents((2, 2, 3, 3), 2)
+    for diag in ((), (0,), (1, 0, 2), (-1, 1)):
+        with pytest.raises(ValueError):
+            represents_coprime3(diag, 0)
+    with pytest.raises(ValueError):
+        represents_coprime3((1, 1, 1), -1)
 
 
 def test_coprime3_bulk_agrees_with_search():
@@ -195,6 +270,24 @@ def test_coprime3_bulk_agrees_with_search():
         mask = coprime3_values_up_to(diag, 150)
         for v in range(151):
             assert bool((mask >> v) & 1) == represents_coprime3(diag, v), (diag, v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(1, 12), min_size=1, max_size=5),
+    st.integers(0, 300),
+    st.integers(0, 3 * 300 + 5 * 12),
+)
+def test_sieve_dfs_and_correspondence_agree(diag, u, v):
+    # three routes to u -> p8(a): the sieve's fold, the DFS, the coprime-to-3 fold
+    a = tuple(sorted(diag))
+    assert (u in build_sieve(a, 300)) == represents(a, u) == octagonal_via_lattice(a, u)
+    xs = witness(a, u)
+    if xs is not None:
+        assert sum(c * polygonal_number(8, x) for c, x in zip(a, xs)) == u
+    mask = coprime3_values_up_to(diag, 3 * 300 + 5 * 12)
+    for t in (v, 3 * u + sum(a)):
+        assert represents_coprime3(diag, t) == bool((mask >> t) & 1), (diag, t)
 
 
 def test_octagonal_via_lattice_examples():
