@@ -145,8 +145,8 @@ def _verify_z_table(args, results: dict) -> bool:
     return ok
 
 
-def _verify_tight_table(args, table: int, n: int, results: dict) -> bool:
-    rows = _load_rows(args, table)
+def _verify_tight_table(args, n: int, results: dict) -> bool:
+    rows = _load_rows(args, n)
     trace = esc.run_escalation(n, args.bound)
     census = tb.table_census(rows)
     report = tb.verify_table(rows, n, trace)
@@ -252,11 +252,11 @@ def cmd_verify(args) -> int:
     if target in ("z-table", "all"):
         ok &= _verify_z_table(args, results)
     if target in ("t2", "all"):
-        ok &= _verify_tight_table(args, 2, 2, results)
+        ok &= _verify_tight_table(args, 2, results)
     if target in ("t3", "all"):
-        ok &= _verify_tight_table(args, 3, 3, results)
+        ok &= _verify_tight_table(args, 3, results)
     if target in ("t4", "all"):
-        ok &= _verify_tight_table(args, 4, 4, results)
+        ok &= _verify_tight_table(args, 4, results)
     if target in ("thm5", "families", "all"):
         ok &= _verify_families(args, results)
     if target in ("lemmas", "all"):

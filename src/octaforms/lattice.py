@@ -28,7 +28,9 @@ from math import gcd, isqrt, lcm
 
 import numpy as np
 
-from .polygonal import ResourceBudgetError, coeff_vector, fold, octagonal_number, represents
+from .polygonal import (
+    ResourceBudgetError, check_bytes, coeff_vector, fold, octagonal_number, represents
+)
 
 __all__ = [
     "GramMatrix",
@@ -52,18 +54,9 @@ __all__ = [
     "jones_strengthen",
 ]
 
-# Lattice-point budget for a single ellipsoid enumeration.
-DEFAULT_POINT_BUDGET = 10**8
-# Byte budget for one dense numpy temporary (residue cube, column pairing);
-# 256 MiB, the size of a sieve at polygonal.DEFAULT_BIT_LIMIT.
-ARRAY_BYTE_LIMIT = 2**28
-
-
-def _check_array_bytes(nbytes: int, what: str) -> None:
-    if nbytes > ARRAY_BYTE_LIMIT:
-        raise ResourceBudgetError(
-            f"{what} needs {nbytes} bytes, over the limit of {ARRAY_BYTE_LIMIT} bytes"
-        )
+# Lattice points one ellipsoid scan may visit; dense arrays are held to
+# polygonal.BYTE_LIMIT.  There is no per-call override.
+POINT_BUDGET = 10**8
 
 
 class ConditionFailed(Exception):
@@ -182,9 +175,9 @@ class GenusFixture:
         if len(dets) != 1:
             raise ValueError(f"genus classes disagree on determinant: {sorted(dets)}")
 
-    def represents(self, v: int, budget: int = DEFAULT_POINT_BUDGET) -> bool:
+    def represents(self, v: int) -> bool:
         """Genus membership at desk scale: some listed class represents v."""
-        return any(represents_lattice(c, v, budget) for c in self.classes)
+        return any(represents_lattice(c, v) for c in self.classes)
 
 
 @dataclass(frozen=True)
@@ -249,7 +242,7 @@ def _vector_batches_exact(m, v: int, b1: int, b2: int):
             yield np.array(found, dtype=object)
 
 
-def _vector_batches(M: GramMatrix, v: int, budget: int):
+def _vector_batches(M: GramMatrix, v: int):
     """Yield per-x1 arrays of solutions of Q_M(x) = v (dimension 3 only)."""
     if M.dim != 3:
         raise ValueError("vector enumeration requires a ternary lattice")
@@ -260,13 +253,14 @@ def _vector_batches(M: GramMatrix, v: int, budget: int):
         return
     m = M.rows
     b1, b2, _ = _range_bounds(M, v)
-    if (2 * b1 + 1) * (2 * b2 + 1) > budget:
-        raise ResourceBudgetError(
-            f"ellipsoid scan of {(2 * b1 + 1) * (2 * b2 + 1)} points exceeds budget {budget}"
-        )
+    points = (2 * b1 + 1) * (2 * b2 + 1)
+    if points > POINT_BUDGET:
+        raise ResourceBudgetError(f"ellipsoid scan of {points} points, over budget {POINT_BUDGET}")
     if not _disc_fits_int64(m, v, b1, b2):
         yield from _vector_batches_exact(m, v, b1, b2)
         return
+    # one x1 row peaks at about eight row-sized int64 arrays (e, f, disc, r and their temporaries)
+    check_bytes(9 * 8 * (2 * b2 + 1), f"ellipsoid rows of {2 * b2 + 1} points")
     a33 = m[2][2]
     x2 = np.arange(-b2, b2 + 1, dtype=np.int64)
     for x1 in range(-b1, b1 + 1):
@@ -276,10 +270,8 @@ def _vector_batches(M: GramMatrix, v: int, budget: int):
         ok = disc >= 0
         if not ok.any():
             continue
+        # below 2^62 float64 sqrt of a square n^2 is n exactly, and a non-square fails r*r == disc
         r = np.sqrt(disc.clip(min=0)).astype(np.int64)
-        # round-off repair keeps the integer square root exact
-        r = np.where((r + 1) * (r + 1) <= disc, r + 1, r)
-        r = np.where(r * r > disc.clip(min=0), r - 1, r)
         ok &= r * r == disc
         rows = []
         for sign in (1, -1):
@@ -300,32 +292,32 @@ def _vector_batches(M: GramMatrix, v: int, budget: int):
 
 
 @lru_cache(maxsize=4096)
-def _vectors_cached(M: GramMatrix, v: int, budget: int) -> np.ndarray:
-    batches = list(_vector_batches(M, v, budget))
+def _vectors_cached(M: GramMatrix, v: int) -> np.ndarray:
+    batches = list(_vector_batches(M, v))
     if not batches:
         return np.empty((0, 3), dtype=np.int64)
     return np.concatenate(batches)
 
 
-def lattice_vectors(M: GramMatrix, v: int, budget: int = DEFAULT_POINT_BUDGET) -> np.ndarray:
+def lattice_vectors(M: GramMatrix, v: int) -> np.ndarray:
     """All integer vectors x with Q_M(x) = v, as an (n, 3) array."""
-    return _vectors_cached(M, v, budget).copy()
+    return _vectors_cached(M, v).copy()
 
 
-def represents_lattice(M: GramMatrix, v: int, budget: int = DEFAULT_POINT_BUDGET) -> bool:
+def represents_lattice(M: GramMatrix, v: int) -> bool:
     """True iff the ternary lattice M represents v."""
-    for batch in _vector_batches(M, v, budget):
+    for batch in _vector_batches(M, v):
         if batch.size:
             return True
     return False
 
 
-def count_representations(M: GramMatrix, v: int, budget: int = DEFAULT_POINT_BUDGET) -> int:
+def count_representations(M: GramMatrix, v: int) -> int:
     """Number of integer vectors x with Q_M(x) = v (signs and order distinct)."""
-    return _vectors_cached(M, v, budget).shape[0]
+    return _vectors_cached(M, v).shape[0]
 
 
-def lattice_counts_up_to(M: GramMatrix, bound: int, budget: int = DEFAULT_POINT_BUDGET) -> np.ndarray:
+def lattice_counts_up_to(M: GramMatrix, bound: int) -> np.ndarray:
     """int64 array r where r[v] counts the x with Q_M(x) = v, v = 0..bound.
 
     One sweep of the ellipsoid box for every value at once; M represents v
@@ -337,10 +329,14 @@ def lattice_counts_up_to(M: GramMatrix, bound: int, budget: int = DEFAULT_POINT_
         raise ValueError("bound must be >= 0")
     m = M.rows
     b1, b2, b3 = _range_bounds(M, bound)
-    if (2 * b1 + 1) * (2 * b2 + 1) * (2 * b3 + 1) > budget:
+    if (2 * b1 + 1) * (2 * b2 + 1) * (2 * b3 + 1) > POINT_BUDGET:
         raise ResourceBudgetError("ellipsoid box exceeds the point budget")
     if not _disc_fits_int64(m, bound, b1, b2) or m[2][2] * b3 * b3 >= 2**60:
         raise ResourceBudgetError("bulk scan bound too large for exact int64 batches")
+    # the counts and one slice's bincount, both of length bound + 1
+    check_bytes(2 * 8 * (bound + 1), f"counts to {bound}")
+    # tail, cross, the last slice's q and two partial sums of the next one
+    check_bytes(5 * 8 * (2 * b2 + 1) * (2 * b3 + 1), f"box slices of {2 * b2 + 1} x {2 * b3 + 1}")
     counts = np.zeros(bound + 1, dtype=np.int64)
     x2 = np.arange(-b2, b2 + 1, dtype=np.int64)[:, None]
     x3 = np.arange(-b3, b3 + 1, dtype=np.int64)[None, :]
@@ -375,8 +371,8 @@ def represents_coprime3(diag, v: int) -> bool:
 def coprime3_values_up_to(diag, bound: int) -> int:
     """Packed bit array of all values representable with coordinates coprime to 3.
 
-    Shares build_sieve's fold and its bit budget: a bound past
-    DEFAULT_BIT_LIMIT bits raises ResourceBudgetError before any allocation.
+    Shares build_sieve's fold and its byte limit: a bound past
+    8 * BYTE_LIMIT bits raises ResourceBudgetError before any allocation.
     """
     ds = coeff_vector(sorted(int(b) for b in diag))
     return fold(([b * y * y for y in _coprime_units(bound // b)] for b in ds), bound)
@@ -388,7 +384,7 @@ def octagonal_via_lattice(a, u: int) -> bool:
     u is a value of the octagonal form with coefficients a exactly when
     3u + sum(a) is a coprime-to-3 value of the diagonal form <a>.  That
     bit is read from coprime3_values_up_to, so 3u + sum(a) + 1 is bounded
-    by the fold's bit budget (ResourceBudgetError past it).
+    by the fold's byte limit (ResourceBudgetError past it).
     """
     a = coeff_vector(a)
     if u < 0:
@@ -398,8 +394,9 @@ def octagonal_via_lattice(a, u: int) -> bool:
 
 
 def _h_cube(d: int) -> np.ndarray:
-    # meshgrid's three int64 arrays and their stacked copy are alive at once
-    _check_array_bytes(2 * 3 * 8 * d**3, f"residue cube of size {d}^3")
+    # counted at its heaviest consumer: check_bad_partition's block walk holds
+    # shifts, reach and np.unique's copies of reach, six int64 cubes at once
+    check_bytes(6 * 3 * 8 * d**3, f"residue cube of size {d}^3")
     r = np.arange(d, dtype=np.int64)
     grid = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1)
     return grid.reshape(-1, 3)
@@ -420,15 +417,16 @@ def residues(N: GramMatrix, d: int, a: int) -> set[tuple[int, int, int]]:
     return {tuple(int(e) for e in row) for row in _residue_array(N, d, a)}
 
 
-def _iter_similitudes(M: GramMatrix, N: GramMatrix, d: int, budget: int):
+def _iter_similitudes(M: GramMatrix, N: GramMatrix, d: int):
     """Yield all T (3x3 int64 arrays) with t(T) M T = d^2 N, column by column."""
     t = d * d
-    C1, C2, C3 = (lattice_vectors(M, t * N.rows[j][j], budget) for j in range(3))
+    C1, C2, C3 = (lattice_vectors(M, t * N.rows[j][j]) for j in range(3))
     if min(len(C1), len(C2), len(C3)) == 0:
         return
     if any(c.dtype == object for c in (C1, C2, C3)):
         raise ResourceBudgetError("similitude column sets too large to pair up")
-    _check_array_bytes(8 * len(C1) * len(C2), f"pairing {len(C1)} x {len(C2)} similitude columns")
+    # G12 and its == mask: 9 bytes a pair
+    check_bytes(9 * len(C1) * len(C2), f"pairing {len(C1)} x {len(C2)} similitude columns")
     Marr = M.as_array()
     G12 = C1 @ Marr @ C2.T
     pairs = np.argwhere(G12 == t * N.rows[0][1])
@@ -443,9 +441,7 @@ def _iter_similitudes(M: GramMatrix, N: GramMatrix, d: int, budget: int):
             yield np.column_stack((C1[i], C2[j], C3[k]))
 
 
-def transfer_matrices(
-    M: GramMatrix, N: GramMatrix, d: int, budget: int = DEFAULT_POINT_BUDGET
-) -> list[tuple[tuple[int, ...], ...]]:
+def transfer_matrices(M: GramMatrix, N: GramMatrix, d: int) -> list[tuple[tuple[int, ...], ...]]:
     """The full set of integer matrices T with t(T) M T = d^2 N.
 
     Finite because each column lies on an ellipsoid of M.  Returned sorted
@@ -455,13 +451,11 @@ def transfer_matrices(
         raise ValueError("similitudes require ternary lattices")
     if d < 1:
         raise ValueError("d must be >= 1")
-    out = {tuple(tuple(int(e) for e in row) for row in T) for T in _iter_similitudes(M, N, d, budget)}
+    out = {tuple(tuple(int(e) for e in row) for row in T) for T in _iter_similitudes(M, N, d)}
     return sorted(out)
 
 
-def check_prec(
-    M: GramMatrix, N: GramMatrix, d: int, a: int, budget: int = DEFAULT_POINT_BUDGET
-) -> bool:
+def check_prec(M: GramMatrix, N: GramMatrix, d: int, a: int) -> bool:
     """Progression transfer test: is every residue of N in class a covered?
 
     True iff each v in H_d^3 with Q_N(v) = a (mod d) satisfies T v = 0
@@ -470,25 +464,25 @@ def check_prec(
     """
     if not 0 <= a < d:
         raise ValueError("need 0 <= a < d")
-    return bool(_covered_mask(M, N, d, _residue_array(N, d, a), budget).all())
+    return bool(_covered_mask(M, N, d, _residue_array(N, d, a)).all())
 
 
-def _covered_mask(M: GramMatrix, N: GramMatrix, d: int, R: np.ndarray, budget: int) -> np.ndarray:
+def _covered_mask(M: GramMatrix, N: GramMatrix, d: int, R: np.ndarray) -> np.ndarray:
     # which rows of R some similitude sends to 0 mod d; stops once all are
     covered = np.zeros(R.shape[0], dtype=bool)
     if R.shape[0] == 0:
         return covered  # nothing to cover, so no similitude is needed
-    for T in _iter_similitudes(M, N, d, budget):
+    for T in _iter_similitudes(M, N, d):
         covered |= ((T @ R.T) % d == 0).all(axis=0)
         if covered.all():
             break
     return covered
 
 
-def _matrix_power_is_identity(T, d: int, max_power: int = 6) -> bool:
+def _matrix_power_is_identity(T, d: int) -> bool:
     # finite order in GL_3(Q) forces order 1, 2, 3, 4 or 6
     P = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
-    for k in range(1, max_power + 1):
+    for k in range(1, 7):
         P = [
             [sum(P[i][l] * T[l][j] for l in range(3)) for j in range(3)]
             for i in range(3)
@@ -542,9 +536,7 @@ def _fixed_line(T, d: int) -> tuple[int, int, int]:
     return (1, 0, 0)  # A = 0: every direction is fixed
 
 
-def check_bad_partition(
-    inst: TransferInstance, budget: int = DEFAULT_POINT_BUDGET
-) -> list[int]:
+def check_bad_partition(inst: TransferInstance) -> list[int]:
     """Verify a stable-vector transfer instance; return the excluded classes.
 
     The uncovered residues of N in class a (mod d) are split into blocks,
@@ -561,7 +553,7 @@ def check_bad_partition(
     if not inst.transforms:
         raise ValueError("instance carries no transform matrices")
     R = _residue_array(N, d, a)
-    covered = _covered_mask(M, N, d, R, budget)
+    covered = _covered_mask(M, N, d, R)
     bad = R[~covered]
     bad_set = {tuple(int(e) for e in v) for v in bad}
 

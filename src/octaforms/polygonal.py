@@ -28,12 +28,19 @@ __all__ = [
     "missing_in_range",
 ]
 
-# One bit per value; 2**31 bits = 256 MiB of sieve.
-DEFAULT_BIT_LIMIT = 2**31
+# The one memory limit, for any single dense allocation: 256 MiB, which
+# is a sieve of 2**31 bits.  There is no per-call override.
+BYTE_LIMIT = 2**28
 
 
 class ResourceBudgetError(Exception):
-    """A requested computation exceeds its configured memory or point budget."""
+    """A requested computation exceeds the byte limit or a point budget."""
+
+
+def check_bytes(nbytes: int, what: str) -> None:
+    """Raise ResourceBudgetError if what needs more than BYTE_LIMIT bytes."""
+    if nbytes > BYTE_LIMIT:
+        raise ResourceBudgetError(f"{what} needs {nbytes} bytes, over the {BYTE_LIMIT}-byte limit")
 
 
 def polygonal_number(m: int, x: int) -> int:
@@ -182,19 +189,16 @@ def _set_bits(bits: int, limit: int | None = None) -> list[int]:
     return out
 
 
-def fold(term_lists, bound: int, bit_limit: int = DEFAULT_BIT_LIMIT) -> int:
+def fold(term_lists, bound: int) -> int:
     """Packed bit array over [0, bound] of the sumset {0} + T1 + T2 + ...
 
-    Each T in term_lists is folded in by shift-or.  The bit budget is
+    Each T in term_lists is folded in by shift-or.  The byte limit is
     checked before anything is allocated, so term_lists may be a lazy
     iterable that is only consumed once the bound has been accepted.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    if bound + 1 > bit_limit:
-        raise ResourceBudgetError(
-            f"sieve of {bound + 1} bits exceeds the limit of {bit_limit} bits"
-        )
+    check_bytes((bound + 8) // 8, f"sieve of {bound + 1} bits")
     mask = (1 << (bound + 1)) - 1
     bits = 1
     for terms in term_lists:
@@ -207,14 +211,14 @@ def fold(term_lists, bound: int, bit_limit: int = DEFAULT_BIT_LIMIT) -> int:
     return bits
 
 
-def build_sieve(a, bound: int, bit_limit: int = DEFAULT_BIT_LIMIT) -> RepresentationSieve:
+def build_sieve(a, bound: int) -> RepresentationSieve:
     """Sieve of all values of the octagonal form with coefficients a, up to bound.
 
     Iterated sumset: start from {0} and fold in the term values of each
     coefficient by shift-or on the packed bit array.
     """
     a = coeff_vector(a)
-    bits = fold((term_values(c, bound) for c in a), bound, bit_limit)
+    bits = fold((term_values(c, bound) for c in a), bound)
     return RepresentationSieve(coeffs=a, bound=bound, bits=bits)
 
 

@@ -80,24 +80,21 @@ class ZReport:
     actual: tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class FamilyRule:
-    """The two coefficient families that stay tight for every floor n >= n_min.
+    """The two coefficient families that stay tight for every floor n >= N_MIN.
 
     doubled(n) repeats the floor and runs to 2n-1; run(n) is the straight
     run from n to 2n.  Both have length n+1.
     """
 
-    n_min: int = 5
+    N_MIN = 5
 
     def doubled(self, n: int) -> tuple[int, ...]:
-        if n < self.n_min:
-            raise ValueError(f"family defined for n >= {self.n_min}")
-        return (n,) + tuple(range(n, 2 * n))
+        return (n,) + self.run(n)[:-1]
 
     def run(self, n: int) -> tuple[int, ...]:
-        if n < self.n_min:
-            raise ValueError(f"family defined for n >= {self.n_min}")
+        if n < self.N_MIN:
+            raise ValueError(f"family defined for n >= {self.N_MIN}")
         return tuple(range(n, 2 * n + 1))
 
     def pair(self, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -9,8 +9,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from octaforms.lattice import (
-    ARRAY_BYTE_LIMIT,
-    DEFAULT_POINT_BUDGET,
     ConditionFailed,
     GenusFixture,
     GramMatrix,
@@ -35,7 +33,14 @@ from octaforms.lattice import (
     _vector_batches,
     _vector_batches_exact,
 )
-from octaforms.polygonal import ResourceBudgetError, build_sieve, polygonal_number, represents, witness
+from octaforms.polygonal import (
+    BYTE_LIMIT,
+    ResourceBudgetError,
+    build_sieve,
+    polygonal_number,
+    represents,
+    witness,
+)
 
 D = GramMatrix.diagonal
 
@@ -141,7 +146,7 @@ def test_range_bounds_are_exact(m, v):
 
 def test_vector_enumeration_budget():
     with pytest.raises(ResourceBudgetError):
-        lattice_vectors(D((1, 1, 1)), 10**6, budget=100)
+        lattice_vectors(D((1, 1, 1)), 10**8)
     with pytest.raises(ResourceBudgetError):
         residues(D((1, 1, 1)), 1000, 1)
 
@@ -158,13 +163,34 @@ def test_coprime3_bulk_guard_fires_before_allocating():
 
 
 def test_bulk_counts_guards_fire_before_allocating():
-    # the point budget, then the int64 guard, both before the count array exists
+    # the point budget, the int64 guard, then the bytes of the counts and of
+    # one box slice, all before the count array exists
     tracemalloc.start()
     try:
         with pytest.raises(ResourceBudgetError, match="point budget"):
             lattice_counts_up_to(D((1, 1, 1)), 10**9)
+        # 6.7e7 box points, within the point budget, but a discriminant past int64
         with pytest.raises(ResourceBudgetError, match="int64"):
-            lattice_counts_up_to(D((1, 1, 1)), 2**62, budget=10**40)
+            lattice_counts_up_to(D((1, 1, 2**40)), 2**24)
+        # 64 GiB of counts; a slice is 181 x 181 points (0.25 MiB)
+        with pytest.raises(ResourceBudgetError, match="counts to"):
+            lattice_counts_up_to(D((2**20, 2**20, 2**20)), 2**33)
+        # 92 MiB of counts; a slice is 6929 x 6929 points (366 MiB)
+        with pytest.raises(ResourceBudgetError, match="box slices"):
+            lattice_counts_up_to(D((10**9, 1, 1)), 12_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_vector_row_guard_fires_before_allocating():
+    # x1 = 0 is the only row, within the point budget, but each of its int64
+    # temporaries has 97,979,589 entries (784 MB)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceBudgetError, match="ellipsoid rows"):
+            represents_lattice(D((10**16, 1, 1)), 24 * 10**14)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -173,11 +199,18 @@ def test_bulk_counts_guards_fire_before_allocating():
 
 def test_residue_cube_guard_fires_before_allocating():
     # a 180^3 cube would stack 140 MB of int64 (280 MB with meshgrid's arrays)
-    assert 2 * 3 * 8 * 180**3 > ARRAY_BYTE_LIMIT
+    assert 2 * 3 * 8 * 180**3 > BYTE_LIMIT
+    # meshgrid would build a 130^3 cube in 105 MB, but check_bad_partition's
+    # block walk (shifts, reach and np.unique's copies) would take 316 MB
+    assert 2 * 3 * 8 * 130**3 <= BYTE_LIMIT < 6 * 3 * 8 * 130**3
+    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    inst = TransferInstance("big", D((1, 1, 1)), D((1, 1, 1)), 130, 1, (identity,))
     tracemalloc.start()
     try:
         with pytest.raises(ResourceBudgetError, match="residue cube"):
             residues(D((1, 1, 1)), 180, 1)
+        with pytest.raises(ResourceBudgetError, match="residue cube"):
+            check_bad_partition(inst)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -188,7 +221,7 @@ def test_similitude_pairing_guard_fires_before_allocating():
     # 672945 = 3*5*7*13*17*29 has 6144 representations by x^2 + y^2 + z^2, so
     # pairing the first two columns would take 6144^2 int64 entries (302 MB)
     v = 672945
-    assert 8 * 6144**2 > ARRAY_BYTE_LIMIT
+    assert 8 * 6144**2 > BYTE_LIMIT
     tracemalloc.start()
     try:
         with pytest.raises(ResourceBudgetError, match="pairing 6144 x 6144"):
@@ -231,7 +264,7 @@ def test_int64_batches_match_exact_fallback(m, w, near_switch):
     def vectors(batches):
         return sorted(tuple(int(e) for e in row) for batch in batches for row in batch)
 
-    fast = vectors(_vector_batches(m, v, DEFAULT_POINT_BUDGET))
+    fast = vectors(_vector_batches(m, v))
     assert fast == vectors(_vector_batches_exact(m.rows, v, b1, b2))
     assert all(m.value(x) == v for x in fast)
 
