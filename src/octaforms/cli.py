@@ -215,20 +215,23 @@ def _verify_lemmas(args, results: dict) -> bool:
         print(f"  {'ok' if good else 'FAIL'} stable-vector {name}: {note}")
     ok &= not prec_fail and not bad_fail
 
+    # each suite runs at its own fixed bound; --bound does not reach them
+    bounds = {"congruence": 10_000, "jones": 10_000, "counting": 2000,
+              "pair_2233": 10_000, "family_2233t": 2000}
     lemma_fail = {}
     for lemma in lm.CONGRUENCE_LEMMAS:
-        bad = lm.congruence_counterexamples(lemma, 10_000)
+        bad = lm.congruence_counterexamples(lemma, bounds["congruence"])
         if bad:
             lemma_fail[lemma.name] = bad[:10]
         print(f"  {'ok' if not bad else 'FAIL'} congruence {lemma.name} "
               f"({lemma.description})")
-    jones_bad = lm.jones_counterexamples(10_000)
+    jones_bad = lm.jones_counterexamples(bounds["jones"])
     print(f"  {'ok' if not jones_bad else 'FAIL'} prime-to-3 strengthening")
-    count_bad = lm.counting_counterexamples(2000)
+    count_bad = lm.counting_counterexamples(bounds["counting"])
     print(f"  {'ok' if not count_bad else 'FAIL'} scaled representation counts")
-    pair_bad = lm.pair_2233_counterexamples(10_000)
+    pair_bad = lm.pair_2233_counterexamples(bounds["pair_2233"])
     print(f"  {'ok' if not pair_bad else 'FAIL'} (2,2,3,3) coverage")
-    fam_bad = lm.family_2233t_counterexamples()
+    fam_bad = lm.family_2233t_counterexamples(bound=bounds["family_2233t"])
     print(f"  {'ok' if not fam_bad else 'FAIL'} (2,2,3,3,t) coverage")
     ok &= not lemma_fail and not jones_bad and not count_bad and not pair_bad and not fam_bad
     results["lemmas"] = {
@@ -240,6 +243,7 @@ def _verify_lemmas(args, results: dict) -> bool:
         "pair_2233_failures": pair_bad[:10],
         "family_2233t_failures": [list(p) for p in fam_bad[:10]],
     }
+    results["lemma_bounds"] = bounds
     print(f"lemma suite: {'all pass' if ok else 'FAILURES'}")
     return ok
 
@@ -263,7 +267,8 @@ def cmd_verify(args) -> int:
         ok &= _verify_lemmas(args, results)
     status = "pass" if ok else "fail"
     print(f"verify {target}: {status.upper()}")
-    _emit(args, f"verify {target}", {"target": target}, results, status, args.bound, t0)
+    bound = None if target == "lemmas" else args.bound  # no lemma suite reads --bound
+    _emit(args, f"verify {target}", {"target": target}, results, status, bound, t0)
     return 0 if ok else 1
 
 

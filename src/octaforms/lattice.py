@@ -393,19 +393,16 @@ def octagonal_via_lattice(a, u: int) -> bool:
     return bool((coprime3_values_up_to(a, v) >> v) & 1)
 
 
-def _h_cube(d: int) -> np.ndarray:
-    # counted at its heaviest consumer: check_bad_partition's block walk holds
-    # shifts, reach and np.unique's copies of reach, six int64 cubes at once
-    check_bytes(6 * 3 * 8 * d**3, f"residue cube of size {d}^3")
-    r = np.arange(d, dtype=np.int64)
-    grid = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1)
-    return grid.reshape(-1, 3)
-
-
 def _residue_array(N: GramMatrix, d: int, a: int) -> np.ndarray:
-    V = _h_cube(d)
-    q = np.einsum("ni,ij,nj->n", V, N.as_array(), V)
-    return V[q % d == a]
+    # rows v of H_d^3 with Q_N(v) = a (mod d), in lexicographic order.  Counted
+    # at the heaviest consumer's peak with every residue in the class:
+    # residues' set of tuples, 167.8 d^3 bytes at d = 108 (the block walk: 91)
+    check_bytes(168 * d**3, f"residue cube of size {d}^3")
+    x, y, z = np.ogrid[:d, :d, :d]
+    # entries reduced mod d keep q far inside int64 whatever N's size
+    (n11, n12, n13), (_, n22, n23), (_, _, n33) = ([e % d for e in row] for row in N.rows)
+    q = n11 * x * x + n22 * y * y + n33 * z * z + 2 * (n12 * x * y + n13 * x * z + n23 * y * z)
+    return np.argwhere(q % d == a)
 
 
 def residues(N: GramMatrix, d: int, a: int) -> set[tuple[int, int, int]]:
@@ -525,15 +522,7 @@ def _fixed_line(T, d: int) -> tuple[int, int, int]:
         w = _primitive(_cross(A[i], A[j]))
         if w is not None:
             return w
-    # rank <= 1: pick the deterministic primitive vector orthogonal to a row
-    for row in A:
-        if any(row):
-            p, q, s = row
-            for cand in ((q, -p, 0), (s, 0, -p), (0, s, -q)):
-                w = _primitive(cand)
-                if w is not None:
-                    return w
-    return (1, 0, 0)  # A = 0: every direction is fixed
+    raise NoEigenvector("the fixed space is not a line")
 
 
 def check_bad_partition(inst: TransferInstance) -> list[int]:
@@ -552,34 +541,37 @@ def check_bad_partition(inst: TransferInstance) -> list[int]:
         raise ValueError("need 0 <= a < d")
     if not inst.transforms:
         raise ValueError("instance carries no transform matrices")
+    # a residue is a row of R or its flat index x*d^2 + y*d + z in H_d^3
+    cube = (d, d, d)
     R = _residue_array(N, d, a)
     covered = _covered_mask(M, N, d, R)
-    bad = R[~covered]
-    bad_set = {tuple(int(e) for e in v) for v in bad}
+    rest = R[~covered]
+    uncovered = np.ravel_multi_index(rest.T, cube)  # increasing, as R is sorted
 
     if inst.blocks is not None:
-        blocks = [tuple(tuple(int(e) for e in v) for v in block) for block in inst.blocks]
-        union: set = set()
-        total = 0
-        for block in blocks:
-            union.update(block)
-            total += len(block)
-        if union != bad_set or total != len(bad_set):
+        try:
+            blocks = [np.array(block, dtype=np.int64, ndmin=2) for block in inst.blocks]
+            listed = np.concatenate([np.ravel_multi_index(B.T, cube) for B in blocks])
+        except (ValueError, OverflowError):
+            raise ValueError(f"block residues must be three integers in [0, {d})") from None
+        if not np.array_equal(np.sort(listed), uncovered):
             raise ValueError(
                 f"blocks do not partition the uncovered residue set "
-                f"({len(bad_set)} uncovered, blocks cover {len(union)})"
+                f"({uncovered.size} uncovered, blocks cover {np.unique(listed).size})"
             )
     else:
         if len(inst.transforms) != 1:
             raise ValueError("implicit single block requires exactly one transform")
-        blocks = [tuple(sorted(bad_set))]
+        blocks = [rest]
     if len(blocks) != len(inst.transforms):
         raise ValueError("need exactly one transform per block")
 
     Narr = N.as_array()
-    covered_set = {tuple(int(e) for e in v) for v in R[covered]}
+    covered_bits = np.zeros(d**3, dtype=bool)
+    covered_bits[np.ravel_multi_index(R[covered].T, cube)] = True
+    x, y, z = np.ogrid[:d, :d, :d]
     excluded: list[int] = []
-    for bi, (block, T) in enumerate(zip(blocks, inst.transforms), start=1):
+    for bi, (B, T) in enumerate(zip(blocks, inst.transforms), start=1):
         Tm = tuple(tuple(int(e) for e in row) for row in T)
         # self-similitude sanity: t(T) N T = d^2 N
         Ta = np.array(Tm, dtype=np.int64)
@@ -587,25 +579,26 @@ def check_bad_partition(inst: TransferInstance) -> list[int]:
             raise ValueError(f"transform {bi} is not a self-similitude of ratio d^2")
         if _matrix_power_is_identity(Tm, d):
             raise ConditionFailed("i", bi, detail="(1/d) T has finite order")
-        allowed = covered_set | set(block)
+        allowed = covered_bits.copy()
+        allowed[np.ravel_multi_index(B.T, cube)] = True
         # residues reachable from x = v + d*s under x -> (1/d) T x are
-        # (1/d) T v + T s (mod d); these stay inside the class a (mod d)
-        shifts = (Ta @ _h_cube(d).T) % d
-        for v in block:
-            img = Ta @ np.array(v, dtype=np.int64)
+        # (1/d) T v + T s (mod d); the shifts T s (mod d) are one subgroup of
+        # H_d^3, the same for every v, so reduce them once
+        s = np.ravel_multi_index([(r[0] * x + r[1] * y + r[2] * z) % d for r in Ta % d], cube)
+        shifts = np.array(np.unravel_index(np.unique(s), cube))
+        for v in B:
+            img = Ta @ v
             if (img % d).any():
                 raise ConditionFailed(
-                    "ii", bi, witness=v, detail="(1/d) T v is not integral"
+                    "ii", bi, witness=tuple(v.tolist()), detail="(1/d) T v is not integral"
                 )
-            reach = ((img // d)[:, None] + shifts) % d
-            for col in np.unique(reach, axis=1).T:
-                if tuple(int(e) for e in col) not in allowed:
-                    raise ConditionFailed(
-                        "ii",
-                        bi,
-                        witness=v,
-                        detail=f"residue {tuple(int(e) for e in col)} escapes the block",
-                    )
+            reach = np.ravel_multi_index(((img // d)[:, None] + shifts) % d, cube)
+            escaping = reach[~allowed[reach]]
+            if escaping.size:
+                first = tuple(int(e) for e in np.unravel_index(escaping.min(), cube))
+                raise ConditionFailed(
+                    "ii", bi, witness=tuple(v.tolist()), detail=f"residue {first} escapes the block"
+                )
         w = _fixed_line(Tm, d)
         excluded.append(N.value(w))
     return excluded

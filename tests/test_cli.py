@@ -113,6 +113,18 @@ def test_verify_detects_broken_fixtures(tmp_path, capsys):
     assert "FAIL stable-vector 234-n1-a3" in capsys.readouterr().out
 
 
+def test_verify_lemmas_reports_the_bounds_it_used(tmp_path, capsys):
+    out = tmp_path / "lemmas.json"
+    assert run(["verify", "lemmas", "--bound", "5", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["bound_used"] is None
+    assert report["results"]["lemma_bounds"] == {
+        "congruence": 10_000, "jones": 10_000, "counting": 2000,
+        "pair_2233": 10_000, "family_2233t": 2000,
+    }
+    assert not any(report["results"]["lemmas"].values())
+
+
 def test_missing_data_paths_are_usage_errors(tmp_path):
     assert run(["verify", "z-table", "--data-dir", str(tmp_path / "nope")]) == 2
     assert run(["verify", "lemmas", "--fixtures", str(tmp_path / "nope.txt")]) == 2

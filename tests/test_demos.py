@@ -1,0 +1,18 @@
+"""Every script in demos/ runs to completion against the current package."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+def test_all_five_demos_are_found():
+    assert [p.name[:2] for p in DEMOS] == ["01", "02", "03", "04", "05"]
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(path, capsys):
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out

@@ -1,13 +1,17 @@
 """Lattice representation, similitudes, and the two transfer checks."""
 
+import hashlib
+import json
 import random
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from octaforms.fixtures import load_fixtures
 from octaforms.lattice import (
     ConditionFailed,
     GenusFixture,
@@ -28,8 +32,10 @@ from octaforms.lattice import (
     transfer_matrices,
     two_threes_params,
     two_threes_sufficient,
+    _covered_mask,
     _disc_fits_int64,
     _range_bounds,
+    _residue_array,
     _vector_batches,
     _vector_batches_exact,
 )
@@ -198,17 +204,17 @@ def test_vector_row_guard_fires_before_allocating():
 
 
 def test_residue_cube_guard_fires_before_allocating():
-    # a 180^3 cube would stack 140 MB of int64 (280 MB with meshgrid's arrays)
-    assert 2 * 3 * 8 * 180**3 > BYTE_LIMIT
-    # meshgrid would build a 130^3 cube in 105 MB, but check_bad_partition's
-    # block walk (shifts, reach and np.unique's copies) would take 316 MB
-    assert 2 * 3 * 8 * 130**3 <= BYTE_LIMIT < 6 * 3 * 8 * 130**3
+    # counted at 168 bytes a residue: with every residue in the class,
+    # tracemalloc measured residues' set of tuples at 167.8 d^3 bytes (d = 108)
+    # and check_bad_partition at 91 d^3 (d = 50 and 100); 117 is the first
+    # d refused, so 117^3 residues are never laid out
+    assert 168 * 116**3 <= BYTE_LIMIT < 168 * 117**3
     identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    inst = TransferInstance("big", D((1, 1, 1)), D((1, 1, 1)), 130, 1, (identity,))
+    inst = TransferInstance("big", D((1, 1, 1)), D((1, 1, 1)), 117, 1, (identity,))
     tracemalloc.start()
     try:
         with pytest.raises(ResourceBudgetError, match="residue cube"):
-            residues(D((1, 1, 1)), 180, 1)
+            residues(D((1, 1, 1)), 117, 1)
         with pytest.raises(ResourceBudgetError, match="residue cube"):
             check_bad_partition(inst)
         _, peak = tracemalloc.get_traced_memory()
@@ -345,6 +351,12 @@ def test_residues_examples():
     even = residues(cube, 2, 0)
     assert even == {(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)}
     assert len(residues(D((2, 3, 4)), 3, 1)) <= 27
+    # an entry past int64 / 4: the residues follow from the entries mod d
+    big = 2**62 + 1
+    assert residues(D((big, 1, 1)), 5, 1) == {
+        (x, y, z) for x in range(5) for y in range(5) for z in range(5)
+        if (big * x * x + y * y + z * z) % 5 == 1
+    }
 
 
 def test_transfer_matrices_small():
@@ -427,6 +439,14 @@ def test_check_bad_partition_explicit_block():
     )
     with pytest.raises(ValueError):
         check_bad_partition(wrong)
+    # every listed residue is three integers in [0, 9), listed once: (0, 7, 15)
+    # and (1, -1, 6) share the flat index 78 of the missing (0, 8, 6) in H_9^3
+    assert block[-1] == (0, 8, 6)
+    for last in ((0, 7, 15), (1, -1, 6), (10**30, 0, 0), (0, 8), (0, 8, 6, 0)):
+        with pytest.raises(ValueError):
+            check_bad_partition(replace(inst, blocks=(block[:-1] + (last,),)))
+    with pytest.raises(ValueError):
+        check_bad_partition(replace(inst, blocks=(block + block[:1],)))
 
 
 def test_check_bad_partition_rejects_finite_order():
@@ -453,6 +473,47 @@ def test_check_bad_partition_rejects_wrong_dynamics():
         except ValueError:
             continue
     assert wrong is not None and wrong.witness is not None
+    # every such T for two N against MOD9 at a = 3, then the bundled fixtures:
+    # the excluded classes, or the failing condition, block, witness and
+    # message.  Pinned from the tuple-set walk, where the 176 transforms
+    # split into 16 passes, 64 (i) and 96 (ii) failures.
+    outcomes = [
+        _outcome(stable_instance(lat, T))
+        for lat in (N, D((3, 6, 108)))
+        for T in transfer_matrices(lat, lat, 9)
+    ]
+    assert [sum(o[0] == c for o in outcomes) for c in ("ok", "i", "ii")] == [16, 64, 96]
+    outcomes += [_outcome(inst) for _, inst in sorted(load_fixtures().bad.items())]
+    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert digest == "b461662014c46978fda1e3a7ca9c0f1582be28f857f6b205f53c339be31f011a"
+
+
+def _outcome(inst):
+    try:
+        return ["ok", check_bad_partition(inst)]
+    except ConditionFailed as e:
+        return [e.condition, e.block, e.witness and list(e.witness), str(e)]
+
+
+def test_check_bad_partition_reports_the_first_escape():
+    # split each fixture's uncovered residues into two blocks under the same T:
+    # blocks are walked in file order, and the escaping residue reported is
+    # the lexicographically smallest one.  Pinned from the tuple-set walk.
+    outcomes = []
+    for _, inst in sorted(load_fixtures().bad.items()):
+        R = _residue_array(inst.N, inst.d, inst.a)
+        rest = [tuple(v.tolist()) for v in R[~_covered_mask(inst.M, inst.N, inst.d, R)]]
+        two = replace(inst, transforms=inst.transforms * 2)
+        splits = [(rest[i + 1:] + rest[:i], rest[i:i + 1]) for i in range(4)]
+        splits.append((rest[0::2], rest[1::2]))
+        outcomes += [_outcome(replace(two, blocks=tuple(map(tuple, b)))) for b in splits]
+    assert outcomes[0] == [
+        "ii", 1, [0, 1, 3],
+        "condition (ii) fails for block 1 at (0, 1, 3): residue (0, 1, 0) escapes the block",
+    ]
+    assert len(outcomes) == 25 and all("escapes the block" in o[-1] for o in outcomes)
+    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert digest == "a6e0cffbc3514238eb8da2a677e6f98f484cddd4e68c87922fda68eb60074be7"
 
 
 def test_check_bad_partition_rejects_non_similitude():
@@ -472,6 +533,11 @@ def test_eigenvector_error_paths():
 
     with pytest.raises(NoEigenvector):
         _fixed_line(((2, 0, 0), (0, 2, 0), (0, 0, 2)), 9)
+    # 9 I fixes all of Q^3 and the shear a plane: neither has a fixed line
+    with pytest.raises(NoEigenvector):
+        _fixed_line(((9, 0, 0), (0, 9, 0), (0, 0, 9)), 9)
+    with pytest.raises(NoEigenvector):
+        _fixed_line(((9, 9, 0), (0, 9, 0), (0, 0, 9)), 9)
 
 
 def test_scaled_prime_squares_reach_the_mod9_lattice():
