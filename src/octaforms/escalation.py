@@ -14,6 +14,10 @@ range that matters for n <= 10 and is configurable upward.
 A universal form is new when no universal form found at an earlier depth is
 a proper subsequence of it.  That test compares it with each earlier
 universal form in turn, so its cost is polynomial in the form length.
+
+Each child's sieve is its parent's sieve with the new coefficient folded
+in (RepresentationSieve.extend), so a depth costs one fold per candidate.
+Only the sieves of active members are kept, for their children.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .polygonal import (
+    RepresentationSieve,
     build_sieve,
     coeff_vector,
     insert_sorted,
@@ -129,8 +134,16 @@ def psi(a, n: int, bound: int = DEFAULT_BOUND) -> PsiResult:
         raise ValueError("n must be >= 1")
     if bound < 2 * n:
         raise ValueError("bound must be >= 2n")
-    sieve = build_sieve(a, bound)
-    return PsiResult(value=sieve.first_missing(n, bound), bound=bound)
+    return _truant(build_sieve(a, bound), n)
+
+
+def _truant(sieve: RepresentationSieve, n: int) -> PsiResult:
+    return PsiResult(value=sieve.first_missing(n, sieve.bound), bound=sieve.bound)
+
+
+def _new_coefficients(psi_value: int, n: int) -> list[int]:
+    # n..psi_value-n and psi_value itself, ascending
+    return list(range(n, psi_value - n + 1)) + [psi_value]
 
 
 def escalation_children(a, psi_value: int, n: int) -> set[tuple[int, ...]]:
@@ -142,9 +155,7 @@ def escalation_children(a, psi_value: int, n: int) -> set[tuple[int, ...]]:
     a = coeff_vector(a)
     if psi_value < n:
         raise ValueError("psi_value must be >= n")
-    gs = set(range(n, psi_value - n + 1))
-    gs.add(psi_value)
-    return {insert_sorted(a, g) for g in gs}
+    return {insert_sorted(a, g) for g in _new_coefficients(psi_value, n)}
 
 
 def run_escalation(
@@ -168,11 +179,13 @@ def run_escalation(
 
     depths: list[DepthRecord] = []
     universal_so_far: set[tuple[int, ...]] = set()
-    E: set[tuple[int, ...]] = {(n,)}
+    root = build_sieve((n,), bound)
+    found = {root.coeffs: _truant(root, n)}  # the candidates E and their truants
+    sieves = {root.coeffs: root}  # the active candidates' sieves
     k = 1
     while True:
-        members = sorted(E)
-        psis = {a: psi(a, n, bound) for a in members}
+        members = sorted(found)
+        psis = {a: found[a] for a in members}
         U = [a for a in members if not psis[a].is_finite]
         A = [a for a in members if psis[a].is_finite]
         NU = [
@@ -190,9 +203,17 @@ def run_escalation(
                 f"no empty active set by depth {max_depth} (n={n}, bound={bound})"
             )
         universal_so_far.update(U)
-        E = set()
+        found, children = {}, {}
         for a in A:
-            E |= escalation_children(a, psis[a].value, n)
+            parent = sieves.pop(a)
+            for g in _new_coefficients(psis[a].value, n):
+                child = insert_sorted(a, g)
+                if child not in found:
+                    sieve = parent.extend(g)
+                    found[child] = _truant(sieve, n)
+                    if found[child].is_finite:
+                        children[child] = sieve
+        sieves = children
         k += 1
 
 

@@ -566,17 +566,18 @@ def check_bad_partition(inst: TransferInstance) -> list[int]:
     if len(blocks) != len(inst.transforms):
         raise ValueError("need exactly one transform per block")
 
-    Narr = N.as_array()
     covered_bits = np.zeros(d**3, dtype=bool)
     covered_bits[np.ravel_multi_index(R[covered].T, cube)] = True
     x, y, z = np.ogrid[:d, :d, :d]
     excluded: list[int] = []
     for bi, (B, T) in enumerate(zip(blocks, inst.transforms), start=1):
         Tm = tuple(tuple(int(e) for e in row) for row in T)
-        # self-similitude sanity: t(T) N T = d^2 N
-        Ta = np.array(Tm, dtype=np.int64)
-        if not np.array_equal(Ta.T @ Narr @ Ta, d * d * Narr):
+        # self-similitude sanity, t(T) N T = d^2 N, in exact ints before any int64 array
+        cols = tuple(zip(*Tm))
+        if any(N.bilinear(cols[i], cols[j]) != d * d * N.rows[i][j]
+               for i in range(3) for j in range(3)):
             raise ValueError(f"transform {bi} is not a self-similitude of ratio d^2")
+        Ta = np.array(Tm, dtype=np.int64)
         if _matrix_power_is_identity(Tm, d):
             raise ConditionFailed("i", bi, detail="(1/d) T has finite order")
         allowed = covered_bits.copy()

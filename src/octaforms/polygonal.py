@@ -1,17 +1,20 @@
 """Generalized polygonal numbers and representation by octagonal forms.
 
 A sum c1*P8(x1) + ... + ck*P8(xk) with positive integer coefficients is
-decided here two ways: a bit-sieve over a value range (fast, bulk) and a
-pruned depth-first search (single values, produces witnesses).  Both paths
-are exact integer arithmetic throughout.  The search is the package's only
-one: lattice.represents_coprime3 answers through it, since y = |3x - 1|
-turns b*y^2 with y prime to 3 into 3*b*P8(x) + b.
+decided here two ways: a bit-sieve over a value range (fast, bulk; one
+uint64 word-array fold kernel) and a pruned depth-first search (single
+values, produces witnesses).  Both paths are exact integer arithmetic
+throughout.  The search is the package's only one:
+lattice.represents_coprime3 answers through it, since y = |3x - 1| turns
+b*y^2 with y prime to 3 into 3*b*P8(x) + b.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
+
+import numpy as np
 
 __all__ = [
     "ResourceBudgetError",
@@ -115,21 +118,20 @@ def is_proper_subsequence(b, a) -> bool:
 
 
 def term_values(coefficient: int, cap: int) -> list[int]:
-    """All nonnegative values coefficient * P8(x) <= cap, ascending."""
+    """All nonnegative values coefficient * P8(x) <= cap, ascending.
+
+    P8(x) = x(3x - 2) for x >= 1 and x(3x + 2) for x <= -1; with
+    s = isqrt(1 + 3 * (cap // coefficient)) there are (s + 1) // 3 values
+    of the first kind and (s - 1) // 3 of the second.  Since
+    x(3x - 2) < x(3x + 2) < (x + 1)(3x + 1), the two arms interleave.
+    """
     if cap < 0:
         return []
-    out = [0]
-    x = 1
-    while True:
-        v = coefficient * octagonal_number(x)
-        if v > cap:
-            break
-        out.append(v)
-        w = coefficient * octagonal_number(-x)
-        if w <= cap:
-            out.append(w)
-        x += 1
-    return sorted(set(out))
+    s = isqrt(1 + 3 * (cap // coefficient))
+    out = [0] * (1 + (s + 1) // 3 + (s - 1) // 3)
+    out[1::2] = [coefficient * x * (3 * x - 2) for x in range(1, (s + 1) // 3 + 1)]
+    out[2::2] = [coefficient * x * (3 * x + 2) for x in range(1, (s - 1) // 3 + 1)]
+    return out
 
 
 @dataclass(frozen=True)
@@ -178,6 +180,16 @@ class RepresentationSieve:
         """Sorted list of all represented values <= bound."""
         return _set_bits(self.bits)
 
+    def extend(self, g: int) -> RepresentationSieve:
+        """Sieve of insert_sorted(coeffs, g) at the same bound.
+
+        The sumset does not depend on the order of its terms, so this is
+        one fold of g's term values into bits.
+        """
+        coeffs = insert_sorted(self.coeffs, g)
+        bits = fold([term_values(g, self.bound)], self.bound, self.bits)
+        return RepresentationSieve(coeffs=coeffs, bound=self.bound, bits=bits)
+
 
 def _set_bits(bits: int, limit: int | None = None) -> list[int]:
     # positions of the set bits of bits, ascending; at most limit of them
@@ -189,33 +201,47 @@ def _set_bits(bits: int, limit: int | None = None) -> list[int]:
     return out
 
 
-def fold(term_lists, bound: int) -> int:
-    """Packed bit array over [0, bound] of the sumset {0} + T1 + T2 + ...
+def fold(term_lists, bound: int, bits: int = 1) -> int:
+    """Packed bit array over [0, bound] of the sumset bits + T1 + T2 + ...
 
-    Each T in term_lists is folded in by shift-or.  The byte limit is
-    checked before anything is allocated, so term_lists may be a lazy
-    iterable that is only consumed once the bound has been accepted.
+    bits is a packed set within [0, bound], by default {0}.  The fold runs
+    on (bound + 64) // 64 uint64 words: the values v of a term list are
+    grouped by v & 63, the words are shifted once per group, and each v
+    ORs that shifted copy into the accumulator from word v >> 6 on.  The
+    byte limit is checked before anything is allocated, so term_lists may
+    be a lazy iterable that is only consumed once the bound is accepted.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    check_bytes((bound + 8) // 8, f"sieve of {bound + 1} bits")
-    mask = (1 << (bound + 1)) - 1
-    bits = 1
+    nw = (bound + 64) // 64
+    check_bytes(8 * nw, f"sieve of {bound + 1} bits")
+    words = np.frombuffer(bits.to_bytes(8 * nw, "little"), dtype="<u8")
+    shifted = np.empty(nw, dtype="<u8")
+    top = np.uint64((1 << (bound % 64 + 1)) - 1)  # the last word's bits within bound
     for terms in term_lists:
-        acc = 0
+        groups: dict[int, list[int]] = {}
         for v in terms:
-            acc |= bits << v
-        bits = acc & mask
-        if not bits:
-            break
-    return bits
+            if v <= bound:
+                groups.setdefault(v & 63, []).append(v >> 6)
+        acc = np.zeros(nw, dtype="<u8")
+        for r, offsets in groups.items():
+            src = words
+            if r:
+                np.left_shift(words, r, out=shifted)
+                shifted[1:] |= words[:-1] >> (64 - r)
+                src = shifted
+            for q in offsets:
+                acc[q:] |= src[: nw - q]
+        acc[-1] &= top
+        words = acc
+    return int.from_bytes(words.tobytes(), "little")
 
 
 def build_sieve(a, bound: int) -> RepresentationSieve:
     """Sieve of all values of the octagonal form with coefficients a, up to bound.
 
     Iterated sumset: start from {0} and fold in the term values of each
-    coefficient by shift-or on the packed bit array.
+    coefficient (see fold).
     """
     a = coeff_vector(a)
     bits = fold((term_values(c, bound) for c in a), bound)

@@ -51,7 +51,7 @@ def report(num: int, desc: str, ok: bool, detail: str = ""):
 
 @pytest.fixture(scope="module")
 def traces():
-    return {n: run_escalation(n, BOUND) for n in range(2, 13)}
+    return {n: run_escalation(n, BOUND) for n in range(2, 21)}
 
 
 # sha256 of json.dumps(trace_to_dict(run_escalation(n, BOUND))), pinned so
@@ -68,6 +68,14 @@ TRACE_SHA256 = {
     10: "04b45fe0fdb1f40bcc104fc3de01d769eca9d4a7b3c229012c7c5dc9f4d1d28b",
     11: "4d4589111afa4e636ff79deed8daf110fcf57dd9aea24ab5e63a5af8a6d3a2b9",
     12: "42e7a80995b4d835f28231b6446efcaf958097bd35b2e0d739e478ef4a8c0d20",
+    13: "5737961f502fc3a8ca4b319390def0f2cfb00e7a817a2a6634d9b3600f45456f",
+    14: "6b862d07f2ff17939a1fc2731b6dfecbcdd88b140a165fcbf8432aba3e8213d2",
+    15: "d15a6f2423ceb51bf83073be12713da2280999318bd3cb3cc6a35cf675cdd4de",
+    16: "15947fe44fa691ece9663b1ad61cdc3acecad06f4e3117042515338421b9bb5b",
+    17: "2ac3c59f1a3ae99aaa7b045d0ed7d9e8b21db23819edf71249c238dbf99ff2a2",
+    18: "e01d85d33f559c2c4f24f23b9e0249d36587ea16eb0ea3055bdbec6105980693",
+    19: "3c62812f5b83b14be40c09450c9b8804bed58947afe4f5ae887d481331a0e8b5",
+    20: "af09ca4e08fa6ec522e3fa226dfd54630f02076d6ce6c430cd8fed42bce605f6",
 }
 
 

@@ -113,6 +113,21 @@ def test_verify_detects_broken_fixtures(tmp_path, capsys):
     assert "FAIL stable-vector 234-n1-a3" in capsys.readouterr().out
 
 
+def test_verify_reports_a_transform_beyond_int64_as_a_failure(tmp_path, capsys):
+    from octaforms.fixtures import bundled_fixture_path
+
+    path = tmp_path / "fx.txt"
+    path.write_text(
+        bundled_fixture_path().read_text().replace(
+            "T = 3 0 -18 / 0 9 0 / 4 0 3", "T = 300000000000000000000 0 -18 / 0 9 0 / 4 0 3", 1
+        )
+    )
+    assert run(["verify", "lemmas", "--fixtures", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert "FAIL stable-vector 234-n1-a3: transform 1 is not a self-similitude" in out
+    assert "Traceback" not in out + err
+
+
 def test_verify_lemmas_reports_the_bounds_it_used(tmp_path, capsys):
     out = tmp_path / "lemmas.json"
     assert run(["verify", "lemmas", "--bound", "5", "--out", str(out)]) == 0

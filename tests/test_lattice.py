@@ -457,6 +457,18 @@ def test_check_bad_partition_rejects_finite_order():
     assert e.value.condition == "i"
 
 
+def test_check_bad_partition_checks_the_similitude_in_exact_ints():
+    # an entry beyond int64 is rejected before any array is built
+    huge = ((300000000000000000000, 0, -18), (0, 9, 0), (4, 0, 3))
+    with pytest.raises(ValueError, match="not a self-similitude"):
+        check_bad_partition(stable_instance(D((6, 12, 27)), huge))
+    # t(T) T = I + 2^64 I wraps to I in int64; exact ints see it
+    cube = D((1, 1, 1))
+    wraps = ((1, 2**32, 0), (-(2**32), 1, 0), (0, 0, 1))
+    with pytest.raises(ValueError, match="not a self-similitude"):
+        check_bad_partition(TransferInstance("test", cube, cube, 1, 0, transforms=(wraps,)))
+
+
 def test_check_bad_partition_rejects_wrong_dynamics():
     # a genuine infinite-order self-similitude whose dynamics leave the block
     N = D((6, 12, 27))

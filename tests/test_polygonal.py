@@ -1,9 +1,12 @@
 """Core representation machinery against an independent brute-force oracle."""
 
+import hashlib
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from octaforms.polygonal import (
     ResourceBudgetError,
@@ -16,6 +19,7 @@ from octaforms.polygonal import (
     octagonal_numbers_up_to,
     polygonal_number,
     represents,
+    term_values,
     witness,
 )
 
@@ -143,6 +147,61 @@ def test_fold_is_the_sumset_and_checks_its_budget_first():
         fold(never_consumed(), 2**31)
     with pytest.raises(ValueError):
         fold(never_consumed(), -1)
+
+
+# values on and around the 64-bit word boundaries of the fold
+EDGE_TERMS = st.lists(
+    st.one_of(st.sampled_from([0, 63, 64, 65, 127, 128]), st.integers(0, 450)),
+    min_size=1, max_size=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bound=st.integers(0, 400), term_lists=st.lists(EDGE_TERMS, max_size=4))
+@example(bound=62, term_lists=[[0, 63], [64, 65]])
+@example(bound=63, term_lists=[[0, 63], [0, 63, 64]])
+@example(bound=64, term_lists=[[0, 64], [0, 63, 65]])
+@example(bound=127, term_lists=[[0, 63, 64], [0, 64, 127]])
+@example(bound=128, term_lists=[[0, 64, 65], [0, 63, 128]])
+@example(bound=191, term_lists=[[0, 127, 128], [0, 63, 64, 65]])
+def test_fold_matches_a_set_sumset_across_word_boundaries(bound, term_lists):
+    sums = {0}
+    for terms in term_lists:
+        sums = {s + t for s in sums for t in terms if s + t <= bound}
+    bits = fold(term_lists, bound)
+    assert bits >> (bound + 1) == 0
+    assert {v for v in range(bound + 1) if (bits >> v) & 1} == sums
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bound=st.sampled_from([0, 62, 63, 64, 127, 128, 191, 400]),
+    a=st.lists(st.integers(1, 70), min_size=1, max_size=4),
+)
+def test_extend_is_the_sieve_of_the_inserted_form(bound, a):
+    for order in set(permutations(a)):
+        sieve = build_sieve(order[:1], bound)
+        for g in order[1:]:
+            sieve = sieve.extend(g)
+        assert sieve == build_sieve(sorted(a), bound)
+
+
+def test_sieve_bits_at_a_million_are_pinned():
+    pins = {
+        (2, 3, 4, 5): "8cfa615d44571b1f55519a82c420423e21158ae36ca4e8fa66b494a4b00c79c9",
+        (2, 2, 2, 3): "c9675414b6cb5a6b20679be4d0694dbf835cf36478e382af2b233166f1b7bd35",
+        (3, 4, 5, 6, 8): "a0d3b21a9640ae321ac9d51705053d563b2c0138df497b5b96044620621f1f30",
+    }
+    for a, pin in pins.items():
+        bits = build_sieve(a, 10**6).bits.to_bytes((10**6 + 8) // 8, "little")
+        assert hashlib.sha256(bits).hexdigest() == pin, a
+
+
+def test_term_values_match_the_per_x_loop():
+    for c in range(1, 41):
+        for cap in range(-1, 2001):
+            expect = {c * p for p in oracle_octagonal(cap // c)} if cap >= 0 else set()
+            assert term_values(c, cap) == sorted(expect), (c, cap)
 
 
 def test_represents_examples():
