@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 from .polygonal import (
     RepresentationSieve,
+    _is_proper_subsequence,
     build_sieve,
     coeff_vector,
     insert_sorted,
-    is_proper_subsequence,
 )
 
 __all__ = [
@@ -191,7 +191,7 @@ def run_escalation(
         NU = [
             a
             for a in U
-            if not any(is_proper_subsequence(u, a) for u in universal_so_far)
+            if not any(_is_proper_subsequence(u, a) for u in universal_so_far)
         ]
         depths.append(
             DepthRecord(k=k, E=tuple(members), U=tuple(U), NU=tuple(NU), A=tuple(A), psi=psis)

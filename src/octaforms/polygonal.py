@@ -106,8 +106,11 @@ def is_proper_subsequence(b, a) -> bool:
     Both vectors are sorted, so subsequence containment coincides with
     multiset containment with strictly smaller length.
     """
-    b = coeff_vector(b)
-    a = coeff_vector(a)
+    return _is_proper_subsequence(coeff_vector(b), coeff_vector(a))
+
+
+def _is_proper_subsequence(b: tuple[int, ...], a: tuple[int, ...]) -> bool:
+    # is_proper_subsequence for canonical tuples, which it does not re-validate
     if len(b) >= len(a):
         return False
     i = 0
@@ -153,18 +156,36 @@ class RepresentationSieve:
 
     def _window(self, lo: int, hi: int) -> tuple[int, int]:
         # bits of [lo, hi] shifted down to bit 0, and the all-ones mask of that width
-        if not 0 <= lo <= hi <= self.bound:
-            raise ValueError(f"range [{lo}, {hi}] outside sieve range [0, {self.bound}]")
+        self._check_range(lo, hi)
         mask = (1 << (hi - lo + 1)) - 1
         return (self.bits >> lo) & mask, mask
+
+    def _check_range(self, lo: int, hi: int) -> None:
+        if not 0 <= lo <= hi <= self.bound:
+            raise ValueError(f"range [{lo}, {hi}] outside sieve range [0, {self.bound}]")
+
+    def _scan(self, lo: int, hi: int, missing: bool, limit: int | None = None) -> list[int]:
+        # The values in [lo, hi] that are represented (or missing), ascending;
+        # at most limit of them.  The bytes are unpacked one fixed slice at a
+        # time, so the cost is linear in the bound and a limit ends it early.
+        self._check_range(lo, hi)
+        buf = np.frombuffer(self.bits.to_bytes((self.bound + 8) // 8, "little"), dtype=np.uint8)
+        out: list[int] = []
+        for i in range(lo // 8, hi // 8 + 1, _READ_BYTES):
+            if limit is not None and len(out) >= limit:
+                break
+            chunk = buf[i : min(i + _READ_BYTES, hi // 8 + 1)]
+            pos = np.flatnonzero(np.unpackbits(~chunk if missing else chunk, bitorder="little"))
+            pos += 8 * i
+            out.extend(pos[(pos >= lo) & (pos <= hi)].tolist())
+        return out[:limit]
 
     def missing_in_range(self, lo: int, hi: int, limit: int | None = None) -> list[int]:
         """Sorted list of the values in [lo, hi] NOT represented.
 
         With limit, stops after that many gaps (cheap peek at huge ranges).
         """
-        window, mask = self._window(lo, hi)
-        return [lo + i for i in _set_bits(~window & mask, limit)]
+        return self._scan(lo, hi, missing=True, limit=limit)
 
     def count_represented(self, lo: int, hi: int) -> int:
         """Number of represented values in [lo, hi]."""
@@ -178,7 +199,7 @@ class RepresentationSieve:
 
     def values(self) -> list[int]:
         """Sorted list of all represented values <= bound."""
-        return _set_bits(self.bits)
+        return self._scan(0, self.bound, missing=False)
 
     def extend(self, g: int) -> RepresentationSieve:
         """Sieve of insert_sorted(coeffs, g) at the same bound.
@@ -191,50 +212,133 @@ class RepresentationSieve:
         return RepresentationSieve(coeffs=coeffs, bound=self.bound, bits=bits)
 
 
-def _set_bits(bits: int, limit: int | None = None) -> list[int]:
-    # positions of the set bits of bits, ascending; at most limit of them
-    out = []
-    while bits and (limit is None or len(out) < limit):
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return out
+_READ_BYTES = 1 << 11  # read-out slice: 16,384 bits
+_FULL = np.uint64(2**64 - 1)
+_GAP_CHUNK, _TERM_CHUNK = 256, 64  # one 128 KiB int64 block per gap-test step
 
 
 def fold(term_lists, bound: int, bits: int = 1) -> int:
     """Packed bit array over [0, bound] of the sumset bits + T1 + T2 + ...
 
-    bits is a packed set within [0, bound], by default {0}.  The fold runs
-    on (bound + 64) // 64 uint64 words: the values v of a term list are
-    grouped by v & 63, the words are shifted once per group, and each v
-    ORs that shifted copy into the accumulator from word v >> 6 on.  The
-    byte limit is checked before anything is allocated, so term_lists may
-    be a lazy iterable that is only consumed once the bound is accepted.
+    bits is a packed set S within [0, bound], by default {0}.  The fold runs
+    on nw = (bound + 64) // 64 uint64 words, and each term list T takes the
+    cheapest of three exact ways to S + T:
+
+    - S = {0} (the first list of a fold from the default bits): S + T is
+      T's own bitmap, scattered one bit position v & 63 at a time.
+    - 0 in T and S misses at most nw / 16 values: S is then a subset of
+      S + T, so only a gap g of S can change, and it joins iff g - t is in
+      S for some t in T with 0 < t <= g.  The gaps are tested against T in
+      fixed-size blocks, and each is dropped once it is covered.
+    - Otherwise the values v of T are grouped by v & 63, the words are
+      shifted once per group, and each v ORs that shifted copy into the
+      accumulator from word v >> 6 on.
+
+    The byte limit is checked before anything is allocated, so term_lists
+    may be a lazy iterable that is only consumed once the bound is accepted.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
     nw = (bound + 64) // 64
     check_bytes(8 * nw, f"sieve of {bound + 1} bits")
     words = np.frombuffer(bits.to_bytes(8 * nw, "little"), dtype="<u8")
-    shifted = np.empty(nw, dtype="<u8")
     top = np.uint64((1 << (bound % 64 + 1)) - 1)  # the last word's bits within bound
+    seed = bits == 1
     for terms in term_lists:
-        groups: dict[int, list[int]] = {}
-        for v in terms:
-            if v <= bound:
-                groups.setdefault(v & 63, []).append(v >> 6)
-        acc = np.zeros(nw, dtype="<u8")
-        for r, offsets in groups.items():
-            src = words
-            if r:
-                np.left_shift(words, r, out=shifted)
-                shifted[1:] |= words[:-1] >> (64 - r)
-                src = shifted
-            for q in offsets:
-                acc[q:] |= src[: nw - q]
-        acc[-1] &= top
-        words = acc
+        terms = list(terms)  # read twice: the test for 0, then the fold
+        if seed:
+            words = _fold_seed(_group(terms, bound), nw)
+        elif 0 in terms and (gaps := _few_gaps(words, top)) is not None:
+            words = _fold_gaps(words, gaps, terms, bound, top)
+        else:
+            words = _fold_dense(words, _group(terms, bound), top)
+        seed = False
     return int.from_bytes(words.tobytes(), "little")
+
+
+def _group(terms: list[int], bound: int) -> list[list[int]]:
+    # the word offsets v >> 6 of the values v <= bound, bucketed by v & 63
+    groups: list[list[int]] = [[] for _ in range(64)]
+    for v in terms:
+        if v <= bound:
+            groups[v & 63].append(v >> 6)
+    return groups
+
+
+def _fold_seed(groups: list[list[int]], nw: int) -> np.ndarray:
+    # {0} + T, T's bitmap: one bit position per bucket.  A repeated offset
+    # sets the same bit, so the buffered fancy-index OR is exact.
+    acc = np.zeros(nw, dtype="<u8")
+    for r, offsets in enumerate(groups):
+        if offsets:
+            acc[offsets] |= np.uint64(1 << r)
+    return acc
+
+
+def _few_gaps(words: np.ndarray, top: np.uint64) -> np.ndarray | None:
+    # The values missing from the set, ascending, if at most nw / 16; else None.
+    # Every open word holds a gap, so the open words are counted first.
+    nw = words.size
+    is_open = words != _FULL
+    is_open[-1] = words[-1] != top
+    if 16 * np.count_nonzero(is_open) > nw:
+        return None
+    idx = np.flatnonzero(is_open)
+    holes = ~words[idx]
+    if idx.size and idx[-1] == nw - 1:
+        holes[-1] &= top
+    pos = np.flatnonzero(np.unpackbits(holes.view(np.uint8), bitorder="little"))
+    if 16 * pos.size > nw:
+        return None
+    return idx[pos >> 6] * 64 + (pos & 63)
+
+
+def _fold_gaps(
+    words: np.ndarray, gaps: np.ndarray, terms: list[int], bound: int, top: np.uint64
+) -> np.ndarray:
+    # S + T for 0 in T: the gaps of S that some positive t covers join S.
+    t_all = np.asarray(terms)
+    t_all = t_all[(t_all > 0) & (t_all <= bound)].astype(np.int64)
+    covered = []
+    for i in range(0, t_all.size, _TERM_CHUNK):
+        t = t_all[i : i + _TERM_CHUNK]
+        start = np.searchsorted(gaps, t.min())  # the gaps below every t here stay
+        if start == gaps.size:
+            continue
+        hit = np.zeros(gaps.size, dtype=bool)
+        for j in range(start, gaps.size, _GAP_CHUNK):
+            d = gaps[j : j + _GAP_CHUNK, None] - t
+            found = words[d >> 6]  # a d < 0 reads a wrapped word, masked out below
+            found >>= (d & 63).view(np.uint64)
+            found &= d >= 0  # bit d of S, where t <= g
+            hit[j : j + _GAP_CHUNK] = found.any(axis=1)
+        covered.append(gaps[hit])
+        gaps = gaps[~hit]
+    acc = words.copy()
+    if covered:
+        new = np.concatenate(covered)
+        np.bitwise_or.at(acc, new >> 6, np.left_shift(np.uint64(1), (new & 63).astype(np.uint64)))
+    acc[-1] &= top
+    return acc
+
+
+def _fold_dense(words: np.ndarray, groups: list[list[int]], top: np.uint64) -> np.ndarray:
+    # S + T by one shifted copy of the words per bucket and one OR per term
+    nw = words.size
+    shifted = np.empty(nw, dtype="<u8")
+    acc = np.zeros(nw, dtype="<u8")
+    for r, offsets in enumerate(groups):
+        if not offsets:
+            continue
+        src = words
+        if r:
+            np.left_shift(words, r, out=shifted)
+            shifted[1:] |= words[:-1] >> (64 - r)
+            src = shifted
+        for q in offsets:
+            acc[q:] |= src[: nw - q]
+    acc[-1] &= top
+    return acc
 
 
 def build_sieve(a, bound: int) -> RepresentationSieve:

@@ -2,12 +2,16 @@
 
 import hashlib
 import random
+import time
 from itertools import permutations, product
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from octaforms import lattice, polygonal
 from octaforms.polygonal import (
     ResourceBudgetError,
     build_sieve,
@@ -187,14 +191,106 @@ def test_extend_is_the_sieve_of_the_inserted_form(bound, a):
 
 
 def test_sieve_bits_at_a_million_are_pinned():
+    # (3,3,4,4) misses a whole residue class, so its last fold stays dense;
+    # the tail of (8, ..., 16) folds only the gaps of a nearly full sieve.
     pins = {
         (2, 3, 4, 5): "8cfa615d44571b1f55519a82c420423e21158ae36ca4e8fa66b494a4b00c79c9",
         (2, 2, 2, 3): "c9675414b6cb5a6b20679be4d0694dbf835cf36478e382af2b233166f1b7bd35",
         (3, 4, 5, 6, 8): "a0d3b21a9640ae321ac9d51705053d563b2c0138df497b5b96044620621f1f30",
+        (3, 3, 4, 4, 5): "b50afdffe7bcc051947fcece1986f089e306d1fecd02bc9e0fa4428fbb493f8f",
+        tuple(range(8, 17)): "b5beb15f07ef4075a91ebd548b58351697d242c499f43fd07525a51d89ea9874",
     }
     for a, pin in pins.items():
         bits = build_sieve(a, 10**6).bits.to_bytes((10**6 + 8) // 8, "little")
         assert hashlib.sha256(bits).hexdigest() == pin, a
+    # coprime-to-3 values: term lists b*y^2 with y >= 1, so no list holds 0
+    bits = lattice.coprime3_values_up_to((3, 4, 5, 6), 10**6).to_bytes((10**6 + 8) // 8, "little")
+    assert hashlib.sha256(bits).hexdigest() == (
+        "2aca8ee65667975a539eeec2fc6648d75e6fab9189eeda5b152b37e555443b05"
+    )
+
+
+def _as_words(bits, bound):
+    nw = (bound + 64) // 64
+    return np.frombuffer(bits.to_bytes(8 * nw, "little"), dtype="<u8"), nw
+
+
+def _as_int(words):
+    return int.from_bytes(words.tobytes(), "little")
+
+
+# sets that are full but for 0-8 gaps, on bounds of 16 to 160 words;
+# -1 stands for a gap at the bound itself
+NEAR_FULL = st.lists(
+    st.one_of(st.sampled_from([0, 63, 64, -1]), st.integers(0, 160 * 64)), max_size=8
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    bound=st.integers(16 * 64 - 1, 160 * 64 - 1),
+    gaps=NEAR_FULL,
+    terms=st.lists(st.integers(1, 160 * 64 + 10), max_size=10),
+    with_zero=st.booleans(),
+)
+@example(bound=1023, gaps=[0], terms=[1, 64], with_zero=True)
+@example(bound=1023, gaps=[-1], terms=[1, 1023], with_zero=False)
+@example(bound=8191, gaps=[0, 63, 64, -1, 100, 4000, 8000, 8190], terms=[1, 63, 64, 65],
+         with_zero=True)
+def test_fold_regimes_agree_on_nearly_full_sets(bound, gaps, terms, with_zero):
+    gaps = {g % (bound + 1) for g in gaps}
+    S = set(range(bound + 1)) - gaps
+    T = terms + [0] if with_zero else terms
+    expect = {s + t for s in S for t in T if s + t <= bound}
+    bits = (1 << (bound + 1)) - 1 - sum(1 << g for g in gaps)
+    words, nw = _as_words(bits, bound)
+    top = np.uint64((1 << (bound % 64 + 1)) - 1)
+
+    dense = polygonal._fold_dense(words, polygonal._group(T, bound), top)
+    assert {v for v in range(bound + 1) if (_as_int(dense) >> v) & 1} == expect
+    if with_zero:
+        # the gap route is exact for any gap list once 0 is a term
+        every_gap = np.array(sorted(gaps), dtype=np.int64)
+        assert _as_int(polygonal._fold_gaps(words, every_gap, T, bound, top)) == _as_int(dense)
+        few = polygonal._few_gaps(words, top)
+        assert (few is not None) == (16 * len(gaps) <= nw)
+        if few is not None:
+            assert few.tolist() == sorted(gaps)
+
+    with mock.patch.object(polygonal, "_fold_gaps", wraps=polygonal._fold_gaps) as spy:
+        assert fold([T], bound, bits) == _as_int(dense)
+    assert spy.called == (with_zero and 16 * len(gaps) <= nw)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bound=st.integers(0, 3000), terms=st.lists(st.integers(0, 3100), max_size=12))
+def test_a_fold_from_zero_scatters_the_terms(bound, terms):
+    words, nw = _as_words(1, bound)
+    top = np.uint64((1 << (bound % 64 + 1)) - 1)
+    groups = polygonal._group(terms, bound)
+    seeded = polygonal._fold_seed(groups, nw)
+    assert _as_int(seeded) == _as_int(polygonal._fold_dense(words, groups, top))
+    assert fold([terms], bound) == _as_int(seeded) == sum(1 << t for t in set(terms) if t <= bound)
+
+
+def test_read_outs_match_a_string_oracle_past_a_hundred_thousand_gaps():
+    bound = 300_000
+    sieve = build_sieve((1, 1), bound)
+    flags = bin(sieve.bits)[2:].zfill(bound + 1)[::-1]  # flags[v] == "1" iff v represented
+    assert flags.count("0") > 10**5
+    edge = 8 * polygonal._READ_BYTES  # bits per read-out slice
+    windows = [(0, bound), (1, bound), (7, 9), (edge - 1, edge), (edge - 3, 2 * edge + 5),
+               (bound - 70, bound), (bound, bound), (12_345, 250_001)]
+    for lo, hi in windows:
+        gaps = [v for v in range(lo, hi + 1) if flags[v] == "0"]
+        for limit in (None, 0, 1, 100, len(gaps), len(gaps) + 1):
+            assert sieve.missing_in_range(lo, hi, limit) == gaps[:limit], (lo, hi, limit)
+    assert sieve.values() == [v for v in range(bound + 1) if flags[v] == "1"]
+
+    t0 = time.perf_counter()
+    sieve.missing_in_range(1, bound)
+    sieve.values()
+    assert time.perf_counter() - t0 < 1.5  # a per-bit read-out takes seconds at this bound
 
 
 def test_term_values_match_the_per_x_loop():
