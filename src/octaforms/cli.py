@@ -4,6 +4,10 @@ Verbs: sieve, check, psi, escalate, criterion, verify.  Exit codes: 0 when
 everything asked for passes, 1 on a verification failure, 2 on usage or
 resource errors.  With --out, a JSON report (schema 1, integer payloads
 only) is written alongside the human-readable output.
+
+Each cmd_* prints its human-readable lines and returns (exit code, inputs,
+results); run() alone times the command, writes the report and maps
+errors to exit code 2.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 from . import escalation as esc
@@ -21,36 +26,19 @@ from .fixtures import load_fixtures
 from .lattice import ConditionFailed, NoEigenvector, check_bad_partition, check_prec
 from .polygonal import ResourceBudgetError, build_sieve, coeff_vector
 
-VERIFY_TARGETS = ("z-table", "t2", "t3", "t4", "thm5", "families", "lemmas", "all")
-
 USAGE_ERROR = 2
 
 
-def _parse_coeffs(text: str) -> tuple[int, ...]:
+def _coeffs(text: str) -> tuple[int, ...]:
+    # argparse type for --coeffs: a bad value is a usage error with its reason
     try:
         return coeff_vector(int(t) for t in text.split(","))
     except ValueError as e:
-        raise SystemExit(f"error: bad --coeffs value: {e}")
+        raise argparse.ArgumentTypeError(str(e))
 
 
-def _emit(args, command: str, inputs: dict, results: dict, status: str, bound: int, t0: float) -> None:
-    if not getattr(args, "out", None):
-        return
-    report = {
-        "schema": 1,
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "status": status,
-        "bound_used": bound,
-        "elapsed_ms": int((time.perf_counter() - t0) * 1000),
-    }
-    Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
-
-
-def cmd_sieve(args) -> int:
-    t0 = time.perf_counter()
-    coeffs = _parse_coeffs(args.coeffs)
+def cmd_sieve(args) -> tuple[int, dict, dict]:
+    coeffs = args.coeffs
     sieve = build_sieve(coeffs, args.bound)
     lo = coeffs[0]
     missing_count = (args.bound - lo + 1) - sieve.count_represented(lo, args.bound)
@@ -63,42 +51,31 @@ def cmd_sieve(args) -> int:
         print(f"missing from [{lo}, {args.bound}]: {shown}{more}")
     else:
         print(f"no gaps in [{lo}, {args.bound}]")
-    _emit(args, "sieve", {"coeffs": list(coeffs), "bound": args.bound},
-          {"missing_count": missing_count, "missing_head": head},
-          "pass", args.bound, t0)
-    return 0
+    return 0, {"coeffs": list(coeffs), "bound": args.bound}, {
+        "missing_count": missing_count, "missing_head": head}
 
 
-def cmd_psi(args) -> int:
-    t0 = time.perf_counter()
-    coeffs = _parse_coeffs(args.coeffs)
+def cmd_psi(args) -> tuple[int, dict, dict]:
+    coeffs = args.coeffs
     r = esc.psi(coeffs, args.n, args.bound)
     if r.is_finite:
         print(f"psi{coeffs} = {r.value} for floor n={args.n}")
     else:
         print(f"psi{coeffs}: no gap in [{args.n}, {args.bound}] (universal at this bound)")
-    _emit(args, "psi", {"coeffs": list(coeffs), "n": args.n},
-          {"psi": r.value}, "pass", args.bound, t0)
-    return 0
+    return 0, {"coeffs": list(coeffs), "n": args.n}, {"psi": r.value}
 
 
-def cmd_check(args) -> int:
-    t0 = time.perf_counter()
-    coeffs = _parse_coeffs(args.coeffs)
+def cmd_check(args) -> tuple[int, dict, dict]:
+    coeffs = args.coeffs
     trace = esc.run_escalation(args.n, args.bound)
     criterion = esc.criterion_set(trace)
     verdict = esc.check_tight_universal(coeffs, args.n, criterion, args.bound)
     print(f"form {coeffs}, floor n={args.n}: {verdict}")
-    status = "pass" if verdict.is_tight else "fail"
-    _emit(args, "check", {"coeffs": list(coeffs), "n": args.n},
-          {"verdict": verdict.kind, "value": verdict.value,
-           "criterion": list(criterion.values)},
-          status, args.bound, t0)
-    return 0 if verdict.is_tight else 1
+    return (0 if verdict.is_tight else 1), {"coeffs": list(coeffs), "n": args.n}, {
+        "verdict": verdict.kind, "value": verdict.value, "criterion": list(criterion.values)}
 
 
-def cmd_escalate(args) -> int:
-    t0 = time.perf_counter()
+def cmd_escalate(args) -> tuple[int, dict, dict]:
     trace = esc.run_escalation(args.n, args.bound)
     for rec in trace.depths:
         print(f"depth {rec.k}: |E|={len(rec.E)} |U|={len(rec.U)} "
@@ -106,46 +83,34 @@ def cmd_escalate(args) -> int:
     total = sum(len(r.NU) for r in trace.depths)
     crit = esc.criterion_set(trace)
     print(f"new tight universal forms: {total}; criterion set {list(crit.values)}")
-    _emit(args, "escalate", {"n": args.n},
-          {"trace": esc.trace_to_dict(trace), "new_count": total,
-           "criterion": list(crit.values)},
-          "pass", args.bound, t0)
-    return 0
+    return 0, {"n": args.n}, {
+        "trace": esc.trace_to_dict(trace), "new_count": total, "criterion": list(crit.values)}
 
 
-def cmd_criterion(args) -> int:
-    t0 = time.perf_counter()
+def cmd_criterion(args) -> tuple[int, dict, dict]:
     trace = esc.run_escalation(args.n, args.bound)
     crit = esc.criterion_set(trace)
     print(f"criterion set for n={args.n}: {list(crit.values)}")
-    _emit(args, "criterion", {"n": args.n}, {"criterion": list(crit.values)},
-          "pass", args.bound, t0)
-    return 0
+    return 0, {"n": args.n}, {"criterion": list(crit.values)}
 
 
 def _load_rows(args, table: int):
-    if args.data_dir:
-        return tb.load_table(Path(args.data_dir) / tb.TABLE_FILES[table])
-    return tb.load_table(table)
+    return tb.load_table(Path(args.data_dir) / tb.TABLE_FILES[table] if args.data_dir else table)
 
 
 def _verify_z_table(args, results: dict) -> bool:
     rows = _load_rows(args, 1)
     reports = [tb.verify_z_row(row, args.bound) for row in rows]
-    ok = True
     for rep in reports:
         mark = "ok" if rep.ok else "FAIL"
         print(f"  {mark} {rep.row.prefix}: missing {list(rep.actual) or '{}'}")
-        ok &= rep.ok
-    results["z-table"] = {
-        "rows": len(rows),
-        "failures": [list(r.row.prefix) for r in reports if not r.ok],
-    }
-    print(f"exception-set table: {len(rows)} rows, {'all pass' if ok else 'FAILURES'}")
-    return ok
+    failures = [list(r.row.prefix) for r in reports if not r.ok]
+    results["z-table"] = {"rows": len(rows), "failures": failures}
+    print(f"exception-set table: {len(rows)} rows, {'FAILURES' if failures else 'all pass'}")
+    return not failures
 
 
-def _verify_tight_table(args, n: int, results: dict) -> bool:
+def _verify_tight_table(args, results: dict, n: int) -> bool:
     rows = _load_rows(args, n)
     trace = esc.run_escalation(n, args.bound)
     census = tb.table_census(rows)
@@ -157,7 +122,6 @@ def _verify_tight_table(args, n: int, results: dict) -> bool:
             verdict = esc.check_tight_universal(a, n, criterion, args.bound)
             if not verdict.is_tight:
                 tight_fail.append((a, str(verdict)))
-    ok = report.equal and not tight_fail
     print(f"table t{n}: census {census}, set-equal with escalation: {report.equal}, "
           f"tight failures: {len(tight_fail)}")
     if report.only_in_table:
@@ -171,7 +135,7 @@ def _verify_tight_table(args, n: int, results: dict) -> bool:
         "only_in_trace": [list(a) for a in report.only_in_trace],
         "tight_failures": [[list(a), why] for a, why in tight_fail],
     }
-    return ok
+    return report.equal and not tight_fail
 
 
 def _verify_families(args, results: dict) -> bool:
@@ -195,7 +159,6 @@ def _verify_families(args, results: dict) -> bool:
 
 
 def _verify_lemmas(args, results: dict) -> bool:
-    ok = True
     fixtures = load_fixtures(args.fixtures)
     prec_fail, bad_fail = [], []
     for name, inst in sorted(fixtures.prec.items()):
@@ -213,7 +176,6 @@ def _verify_lemmas(args, results: dict) -> bool:
         if not good:
             bad_fail.append(name)
         print(f"  {'ok' if good else 'FAIL'} stable-vector {name}: {note}")
-    ok &= not prec_fail and not bad_fail
 
     # each suite runs at its own fixed bound; --bound does not reach them
     bounds = {"congruence": 10_000, "jones": 10_000, "counting": 2000,
@@ -225,51 +187,42 @@ def _verify_lemmas(args, results: dict) -> bool:
             lemma_fail[lemma.name] = bad[:10]
         print(f"  {'ok' if not bad else 'FAIL'} congruence {lemma.name} "
               f"({lemma.description})")
-    jones_bad = lm.jones_counterexamples(bounds["jones"])
-    print(f"  {'ok' if not jones_bad else 'FAIL'} prime-to-3 strengthening")
-    count_bad = lm.counting_counterexamples(bounds["counting"])
-    print(f"  {'ok' if not count_bad else 'FAIL'} scaled representation counts")
-    pair_bad = lm.pair_2233_counterexamples(bounds["pair_2233"])
-    print(f"  {'ok' if not pair_bad else 'FAIL'} (2,2,3,3) coverage")
-    fam_bad = lm.family_2233t_counterexamples(bound=bounds["family_2233t"])
-    print(f"  {'ok' if not fam_bad else 'FAIL'} (2,2,3,3,t) coverage")
-    ok &= not lemma_fail and not jones_bad and not count_bad and not pair_bad and not fam_bad
-    results["lemmas"] = {
-        "prec_failures": prec_fail,
-        "stable_vector_failures": bad_fail,
-        "congruence_failures": lemma_fail,
-        "jones_failures": jones_bad[:10],
-        "counting_failures": count_bad[:10],
-        "pair_2233_failures": pair_bad[:10],
-        "family_2233t_failures": [list(p) for p in fam_bad[:10]],
-    }
+    failures = {"prec_failures": prec_fail, "stable_vector_failures": bad_fail,
+                "congruence_failures": lemma_fail}
+    for key, label, scan in (
+        ("jones", "prime-to-3 strengthening", lm.jones_counterexamples),
+        ("counting", "scaled representation counts", lm.counting_counterexamples),
+        ("pair_2233", "(2,2,3,3) coverage", lm.pair_2233_counterexamples),
+        ("family_2233t", "(2,2,3,3,t) coverage", lm.family_2233t_counterexamples),
+    ):
+        bad = scan(bound=bounds[key])
+        print(f"  {'ok' if not bad else 'FAIL'} {label}")
+        failures[f"{key}_failures"] = bad[:10]
+    ok = not any(failures.values())
+    results["lemmas"] = failures
     results["lemma_bounds"] = bounds
     print(f"lemma suite: {'all pass' if ok else 'FAILURES'}")
     return ok
 
 
-def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
+# `verify all` runs every suite in this order; `families` names thm5
+_SUITES = {
+    "z-table": _verify_z_table,
+    **{f"t{n}": partial(_verify_tight_table, n=n) for n in (2, 3, 4)},
+    "thm5": _verify_families,
+    "lemmas": _verify_lemmas,
+}
+
+
+def cmd_verify(args) -> tuple[int, dict, dict]:
     target = args.target
+    names = _SUITES if target == "all" else [{"families": "thm5"}.get(target, target)]
     results: dict = {}
     ok = True
-    if target in ("z-table", "all"):
-        ok &= _verify_z_table(args, results)
-    if target in ("t2", "all"):
-        ok &= _verify_tight_table(args, 2, results)
-    if target in ("t3", "all"):
-        ok &= _verify_tight_table(args, 3, results)
-    if target in ("t4", "all"):
-        ok &= _verify_tight_table(args, 4, results)
-    if target in ("thm5", "families", "all"):
-        ok &= _verify_families(args, results)
-    if target in ("lemmas", "all"):
-        ok &= _verify_lemmas(args, results)
-    status = "pass" if ok else "fail"
-    print(f"verify {target}: {status.upper()}")
-    bound = None if target == "lemmas" else args.bound  # no lemma suite reads --bound
-    _emit(args, f"verify {target}", {"target": target}, results, status, bound, t0)
-    return 0 if ok else 1
+    for name in names:
+        ok &= _SUITES[name](args, results)
+    print(f"verify {target}: {'PASS' if ok else 'FAIL'}")
+    return (0 if ok else 1), {"target": target}, results
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,59 +231,54 @@ def build_parser() -> argparse.ArgumentParser:
         description="Representation and tight universality of octagonal forms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, coeffs=False, n=False):
-        if coeffs:
-            p.add_argument("--coeffs", required=True,
+    for name, fn, text in (
+        ("sieve", cmd_sieve, "values of a form up to a bound"),
+        ("psi", cmd_psi, "smallest value >= n a form misses"),
+        ("check", cmd_check, "tight universality of one form"),
+        ("escalate", cmd_escalate, "run the full escalation for a floor n"),
+        ("criterion", cmd_criterion, "criterion set for a floor n"),
+        ("verify", cmd_verify, "re-check the bundled classification data"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(fn=fn)
+        if name in ("sieve", "psi", "check"):
+            p.add_argument("--coeffs", type=_coeffs, required=True,
                            help="comma-separated coefficients, non-decreasing")
-        if n:
+        if name in ("psi", "check", "escalate", "criterion"):
             p.add_argument("--n", type=int, required=True, help="floor of the target range")
+        if name == "verify":
+            p.add_argument("target", choices=[*_SUITES, "families", "all"])
+            p.add_argument("--data-dir", help="directory with table data files (default: bundled)")
+            p.add_argument("--fixtures", help="lattice fixture file (default: bundled)")
         p.add_argument("--bound", type=int, default=esc.DEFAULT_BOUND,
                        help="certification bound (default %(default)s)")
         p.add_argument("--out", help="write a JSON report here")
-
-    p = sub.add_parser("sieve", help="values of a form up to a bound")
-    common(p, coeffs=True)
-    p.set_defaults(fn=cmd_sieve)
-
-    p = sub.add_parser("psi", help="smallest value >= n a form misses")
-    common(p, coeffs=True, n=True)
-    p.set_defaults(fn=cmd_psi)
-
-    p = sub.add_parser("check", help="tight universality of one form")
-    common(p, coeffs=True, n=True)
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("escalate", help="run the full escalation for a floor n")
-    common(p, n=True)
-    p.set_defaults(fn=cmd_escalate)
-
-    p = sub.add_parser("criterion", help="criterion set for a floor n")
-    common(p, n=True)
-    p.set_defaults(fn=cmd_criterion)
-
-    p = sub.add_parser("verify", help="re-check the bundled classification data")
-    p.add_argument("target", choices=VERIFY_TARGETS)
-    common(p)
-    p.add_argument("--data-dir", help="directory with table data files (default: bundled)")
-    p.add_argument("--fixtures", help="lattice fixture file (default: bundled)")
-    p.set_defaults(fn=cmd_verify)
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(e.code or 0)
+    t0 = time.perf_counter()
     try:
-        return args.fn(args)
-    except SystemExit as e:
-        print(e, file=sys.stderr)
-        return USAGE_ERROR
-    except (ResourceBudgetError, esc.EscalationDepthError, FileNotFoundError, ValueError) as e:
+        code, inputs, results = args.fn(args)
+        if args.out:
+            target = getattr(args, "target", None)
+            report = {
+                "schema": 1,
+                "command": f"{args.command} {target}" if target else args.command,
+                "inputs": inputs,
+                "results": results,
+                "status": "pass" if code == 0 else "fail",
+                "bound_used": None if target == "lemmas" else args.bound,  # no lemma suite reads it
+                "elapsed_ms": int((time.perf_counter() - t0) * 1000),
+            }
+            Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+        return code
+    except (ResourceBudgetError, esc.EscalationDepthError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
 

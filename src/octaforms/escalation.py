@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 from .polygonal import (
     RepresentationSieve,
+    _insert_sorted,
     _is_proper_subsequence,
     build_sieve,
     coeff_vector,
-    insert_sorted,
 )
 
 __all__ = [
@@ -155,7 +155,7 @@ def escalation_children(a, psi_value: int, n: int) -> set[tuple[int, ...]]:
     a = coeff_vector(a)
     if psi_value < n:
         raise ValueError("psi_value must be >= n")
-    return {insert_sorted(a, g) for g in _new_coefficients(psi_value, n)}
+    return {_insert_sorted(a, g) for g in _new_coefficients(psi_value, n)}
 
 
 def run_escalation(
@@ -207,7 +207,7 @@ def run_escalation(
         for a in A:
             parent = sieves.pop(a)
             for g in _new_coefficients(psis[a].value, n):
-                child = insert_sorted(a, g)
+                child = _insert_sorted(a, g)
                 if child not in found:
                     sieve = parent.extend(g)
                     found[child] = _truant(sieve, n)

@@ -11,6 +11,7 @@ b*y^2 with y prime to 3 into 3*b*P8(x) + b.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd, isqrt
 
@@ -91,12 +92,14 @@ def coeff_vector(entries) -> tuple[int, ...]:
 
 def insert_sorted(a, g: int) -> tuple[int, ...]:
     """Insert a new coefficient g into a, keeping the entries sorted."""
+    return _insert_sorted(coeff_vector(a), g)
+
+
+def _insert_sorted(a: tuple[int, ...], g: int) -> tuple[int, ...]:
+    # insert_sorted for a canonical tuple, which it does not re-validate
     if g < 1:
         raise ValueError(f"coefficient must be positive: {g}")
-    a = coeff_vector(a)
-    i = 0
-    while i < len(a) and a[i] <= g:
-        i += 1
+    i = bisect_right(a, g)
     return a[:i] + (g,) + a[i:]
 
 
@@ -154,12 +157,6 @@ class RepresentationSieve:
             raise ValueError(f"value {v} outside sieve range [0, {self.bound}]")
         return bool((self.bits >> v) & 1)
 
-    def _window(self, lo: int, hi: int) -> tuple[int, int]:
-        # bits of [lo, hi] shifted down to bit 0, and the all-ones mask of that width
-        self._check_range(lo, hi)
-        mask = (1 << (hi - lo + 1)) - 1
-        return (self.bits >> lo) & mask, mask
-
     def _check_range(self, lo: int, hi: int) -> None:
         if not 0 <= lo <= hi <= self.bound:
             raise ValueError(f"range [{lo}, {hi}] outside sieve range [0, {self.bound}]")
@@ -189,13 +186,15 @@ class RepresentationSieve:
 
     def count_represented(self, lo: int, hi: int) -> int:
         """Number of represented values in [lo, hi]."""
-        return self._window(lo, hi)[0].bit_count()
+        self._check_range(lo, hi)
+        return (self.bits >> lo).bit_count() - (self.bits >> (hi + 1)).bit_count()
 
     def first_missing(self, lo: int, hi: int) -> int | None:
         """Smallest value in [lo, hi] not represented, or None."""
-        window, mask = self._window(lo, hi)
-        gaps = ~window & mask
-        return lo + (gaps & -gaps).bit_length() - 1 if gaps else None
+        self._check_range(lo, hi)
+        rest = ~(self.bits >> lo)  # negative; its lowest set bit is the first gap from lo
+        gap = lo + (rest & -rest).bit_length() - 1
+        return gap if gap <= hi else None
 
     def values(self) -> list[int]:
         """Sorted list of all represented values <= bound."""
@@ -207,7 +206,7 @@ class RepresentationSieve:
         The sumset does not depend on the order of its terms, so this is
         one fold of g's term values into bits.
         """
-        coeffs = insert_sorted(self.coeffs, g)
+        coeffs = _insert_sorted(self.coeffs, g)
         bits = fold([term_values(g, self.bound)], self.bound, self.bits)
         return RepresentationSieve(coeffs=coeffs, bound=self.bound, bits=bits)
 

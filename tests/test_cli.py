@@ -143,3 +143,84 @@ def test_verify_lemmas_reports_the_bounds_it_used(tmp_path, capsys):
 def test_missing_data_paths_are_usage_errors(tmp_path):
     assert run(["verify", "z-table", "--data-dir", str(tmp_path / "nope")]) == 2
     assert run(["verify", "lemmas", "--fixtures", str(tmp_path / "nope.txt")]) == 2
+
+
+def test_a_data_dir_that_is_a_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "file"
+    path.write_text("")
+    assert run(["verify", "z-table", "--data-dir", str(path)]) == 2
+    assert "Not a directory" in capsys.readouterr().err
+
+
+def test_a_fixtures_path_that_is_a_directory_is_a_usage_error(tmp_path, capsys):
+    assert run(["verify", "lemmas", "--fixtures", str(tmp_path)]) == 2
+    assert "Is a directory" in capsys.readouterr().err
+
+
+def test_an_out_path_that_is_a_directory_is_a_usage_error(tmp_path, capsys):
+    assert run(["psi", "--coeffs", "2,2,3", "--n", "2", "--out", str(tmp_path)]) == 2
+    assert "Is a directory" in capsys.readouterr().err
+
+
+# Exit codes for --bound -1, 0, 1, 3, 5, 7, 8, 23, 24, 60, one digit each.
+EXIT_CODE_BOUNDS = (-1, 0, 1, 3, 5, 7, 8, 23, 24, 60)
+EXIT_CODES = {
+    "sieve --coeffs 5,6": "2222000000",
+    "sieve --coeffs 1": "2200000000",
+    "psi --coeffs 2,3,4,5 --n -1": "2222222222",
+    "psi --coeffs 2,3,4,5 --n 0": "2222222222",
+    "psi --coeffs 2,3,4,5 --n 1": "2220000000",
+    "psi --coeffs 2,3,4,5 --n 2": "2222000000",
+    "psi --coeffs 2,3,4,5 --n 3": "2222200000",
+    "check --coeffs 2,3,4,5 --n -1": "2222222222",
+    "check --coeffs 2,3,4,5 --n 0": "2222222222",
+    "check --coeffs 2,3,4,5 --n 1": "2221111111",
+    "check --coeffs 2,3,4,5 --n 2": "2222000000",
+    "check --coeffs 2,3,4,5 --n 3": "2222211111",
+    "escalate --n -1": "2222222222",
+    "escalate --n 0": "2222222222",
+    "escalate --n 1": "2220000000",
+    "escalate --n 2": "2222000000",
+    "escalate --n 3": "2222200000",
+    "criterion --n -1": "2222222222",
+    "criterion --n 0": "2222222222",
+    "criterion --n 1": "2220000000",
+    "criterion --n 2": "2222000000",
+    "criterion --n 3": "2222200000",
+    "verify z-table": "2222221110",
+    "verify t2": "2222111000",
+    "verify t3": "2222211110",
+    "verify t4": "2222221110",
+    "verify thm5": "2222222200",
+}
+
+
+def test_exit_code_grid(capsys):
+    # 270 small cases: bad floors and bounds are usage errors (2), bounds too
+    # small to certify a form or a table are verification failures (1)
+    for command, expected in EXIT_CODES.items():
+        codes = "".join(str(run([*command.split(), "--bound", str(b)])) for b in EXIT_CODE_BOUNDS)
+        assert codes == expected, command
+
+
+def test_every_report_has_the_same_keys_and_status_follows_the_exit_code(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    cases = [
+        (["sieve", "--coeffs", "2,3,4,6", "--bound", "200"], 0),
+        (["psi", "--coeffs", "2,2,3", "--n", "2", "--bound", "200"], 0),
+        (["check", "--coeffs", "2,3,4,5", "--n", "2", "--bound", "200"], 0),
+        (["check", "--coeffs", "2,2,3", "--n", "2", "--bound", "200"], 1),
+        (["escalate", "--n", "2", "--bound", "200"], 0),
+        (["criterion", "--n", "2", "--bound", "200"], 0),
+        (["verify", "z-table", "--bound", "60"], 0),
+        (["verify", "t3", "--bound", "24"], 1),
+    ]
+    for argv, code in cases:
+        out.unlink(missing_ok=True)
+        assert run([*argv, "--out", str(out)]) == code, argv
+        report = json.loads(out.read_text())
+        assert list(report) == ["schema", "command", "inputs", "results", "status",
+                                "bound_used", "elapsed_ms"], argv
+        assert report["status"] == ("pass" if code == 0 else "fail"), argv
+        assert report["bound_used"] == int(argv[-1]), argv
+        assert report["command"] == " ".join(argv[:2] if argv[0] == "verify" else argv[:1])

@@ -98,6 +98,12 @@ def test_insert_sorted():
     assert built == (2, 3, 5, 7)
     assert insert_sorted((2, 2, 3), 2) == (2, 2, 2, 3)
     assert insert_sorted((2, 3, 4), 8) == (2, 3, 4, 8)
+    with pytest.raises(ValueError, match="positive"):
+        insert_sorted((2, 3), 0)
+    with pytest.raises(ValueError, match="non-decreasing"):
+        insert_sorted((3, 2), 4)
+    with pytest.raises(ValueError, match="positive"):
+        build_sieve((2,), 50).extend(0)
 
 
 def test_is_proper_subsequence():
@@ -280,11 +286,13 @@ def test_read_outs_match_a_string_oracle_past_a_hundred_thousand_gaps():
     assert flags.count("0") > 10**5
     edge = 8 * polygonal._READ_BYTES  # bits per read-out slice
     windows = [(0, bound), (1, bound), (7, 9), (edge - 1, edge), (edge - 3, 2 * edge + 5),
-               (bound - 70, bound), (bound, bound), (12_345, 250_001)]
+               (bound - 70, bound), (bound, bound), (12_345, 250_001), (0, 1)]
     for lo, hi in windows:
         gaps = [v for v in range(lo, hi + 1) if flags[v] == "0"]
         for limit in (None, 0, 1, 100, len(gaps), len(gaps) + 1):
             assert sieve.missing_in_range(lo, hi, limit) == gaps[:limit], (lo, hi, limit)
+        assert sieve.count_represented(lo, hi) == hi - lo + 1 - len(gaps), (lo, hi)
+        assert sieve.first_missing(lo, hi) == (gaps[0] if gaps else None), (lo, hi)
     assert sieve.values() == [v for v in range(bound + 1) if flags[v] == "1"]
 
     t0 = time.perf_counter()
