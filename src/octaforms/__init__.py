@@ -3,6 +3,7 @@
 from .polygonal import (
     ResourceBudgetError,
     build_sieve,
+    build_sieves,
     coeff_vector,
     insert_sorted,
     is_proper_subsequence,
@@ -25,6 +26,8 @@ from .escalation import (
     new_tight_list,
     psi,
     run_escalation,
+    tight_verdicts,
 )
+from .tables import verify_z_rows
 
 __version__ = "0.1.0"

@@ -100,7 +100,7 @@ def _load_rows(args, table: int):
 
 def _verify_z_table(args, results: dict) -> bool:
     rows = _load_rows(args, 1)
-    reports = [tb.verify_z_row(row, args.bound) for row in rows]
+    reports = tb.verify_z_rows(rows, args.bound)
     for rep in reports:
         mark = "ok" if rep.ok else "FAIL"
         print(f"  {mark} {rep.row.prefix}: missing {list(rep.actual) or '{}'}")
@@ -116,12 +116,9 @@ def _verify_tight_table(args, results: dict, n: int) -> bool:
     census = tb.table_census(rows)
     report = tb.verify_table(rows, n, trace)
     criterion = esc.criterion_set(trace)
-    tight_fail = []
-    for row in rows:
-        for a in tb.expand_row(row):
-            verdict = esc.check_tight_universal(a, n, criterion, args.bound)
-            if not verdict.is_tight:
-                tight_fail.append((a, str(verdict)))
+    forms = [a for row in rows for a in tb.expand_row(row)]
+    verdicts = esc.tight_verdicts(forms, n, criterion, args.bound)
+    tight_fail = [(a, str(v)) for a, v in zip(forms, verdicts) if not v.is_tight]
     print(f"table t{n}: census {census}, set-equal with escalation: {report.equal}, "
           f"tight failures: {len(tight_fail)}")
     if report.only_in_table:
@@ -138,17 +135,17 @@ def _verify_tight_table(args, results: dict, n: int) -> bool:
     return report.equal and not tight_fail
 
 
+_FAMILY_FLOORS = range(5, 13)
+
+
 def _verify_families(args, results: dict) -> bool:
     rule = tb.FamilyRule()
     ok = True
     details = {}
-    for n in range(5, 13):
+    for n in _FAMILY_FLOORS:
         trace = esc.run_escalation(n, args.bound)
         criterion = esc.criterion_set(trace)
-        verdicts = [
-            esc.check_tight_universal(a, n, criterion, args.bound).is_tight
-            for a in rule.pair(n)
-        ]
+        verdicts = [v.is_tight for v in esc.tight_verdicts(rule.pair(n), n, criterion, args.bound)]
         uniq = esc.new_tight_list(trace, n + 1) == set(rule.pair(n))
         details[str(n)] = {"tight": verdicts, "unique": uniq}
         print(f"  n={n}: families tight {verdicts}, unique new forms: {uniq}")
@@ -205,22 +202,33 @@ def _verify_lemmas(args, results: dict) -> bool:
     return ok
 
 
-# `verify all` runs every suite in this order; `families` names thm5
+def _z_table_least_bound(args) -> int:
+    # each row is scanned from its first coefficient up to the bound
+    return max((row.prefix[0] for row in _load_rows(args, 1)), default=0)
+
+
+# `verify all` runs every suite in this order; `families` names thm5.  Next
+# to each suite, the least --bound it runs at: an escalation for floor n
+# needs 2n, and the lemma suites run at their own bounds (None).
 _SUITES = {
-    "z-table": _verify_z_table,
-    **{f"t{n}": partial(_verify_tight_table, n=n) for n in (2, 3, 4)},
-    "thm5": _verify_families,
-    "lemmas": _verify_lemmas,
+    "z-table": (_verify_z_table, _z_table_least_bound),
+    **{f"t{n}": (partial(_verify_tight_table, n=n), lambda args, n=n: 2 * n) for n in (2, 3, 4)},
+    "thm5": (_verify_families, lambda args: 2 * _FAMILY_FLOORS[-1]),
+    "lemmas": (_verify_lemmas, lambda args: None),
 }
 
 
 def cmd_verify(args) -> tuple[int, dict, dict]:
     target = args.target
     names = _SUITES if target == "all" else [{"families": "thm5"}.get(target, target)]
+    # a bound one suite cannot run at is a usage error before any suite prints
+    least = [b for b in (_SUITES[name][1](args) for name in names) if b is not None]
+    if least and args.bound < max(least):
+        raise ValueError(f"verify {target} needs --bound >= {max(least)}, got {args.bound}")
     results: dict = {}
     ok = True
     for name in names:
-        ok &= _SUITES[name](args, results)
+        ok &= _SUITES[name][0](args, results)
     print(f"verify {target}: {'PASS' if ok else 'FAIL'}")
     return (0 if ok else 1), {"target": target}, results
 

@@ -29,6 +29,7 @@ from .polygonal import (
     _insert_sorted,
     _is_proper_subsequence,
     build_sieve,
+    build_sieves,
     coeff_vector,
 )
 
@@ -45,6 +46,7 @@ __all__ = [
     "run_escalation",
     "criterion_set",
     "check_tight_universal",
+    "tight_verdicts",
     "new_tight_list",
     "trace_to_dict",
 ]
@@ -237,17 +239,35 @@ def check_tight_universal(
     Checks, in order: nothing below n is represented, every criterion value
     is represented, and (consistency) no gap exists in [n, bound].
     """
-    a = coeff_vector(a)
+    return tight_verdicts([a], n, criterion, bound)[0]
+
+
+def tight_verdicts(
+    forms,
+    n: int,
+    criterion: CriterionSet,
+    bound: int = DEFAULT_BOUND,
+) -> list[Verdict]:
+    """check_tight_universal for each form in turn, sieved by one prefix walk.
+
+    Forms that share a coefficient prefix with the form before them resume
+    from its sieve (polygonal.build_sieves), so list them in an order that
+    keeps shared prefixes adjacent, as the tables do.
+    """
+    sieves = build_sieves(forms, bound)
     if criterion.n != n:
         raise ValueError(f"criterion set is for n={criterion.n}, not n={n}")
-    sieve = build_sieve(a, bound)
+    return [_verdict(sieve, n, criterion) for sieve in sieves]
+
+
+def _verdict(sieve: RepresentationSieve, n: int, criterion: CriterionSet) -> Verdict:
     for v in range(1, n):
         if v in sieve:
             return Verdict("represents_below_n", v)
     for c in criterion.values:
         if c not in sieve:
             return Verdict("misses_criterion", c)
-    gap = sieve.first_missing(n, bound)
+    gap = sieve.first_missing(n, sieve.bound)
     if gap is not None:
         return Verdict("misses_in_bound", gap)
     return Verdict("tight")

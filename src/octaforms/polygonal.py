@@ -27,6 +27,7 @@ __all__ = [
     "RepresentationSieve",
     "fold",
     "build_sieve",
+    "build_sieves",
     "represents",
     "witness",
     "missing_in_range",
@@ -349,6 +350,54 @@ def build_sieve(a, bound: int) -> RepresentationSieve:
     a = coeff_vector(a)
     bits = fold((term_values(c, bound) for c in a), bound)
     return RepresentationSieve(coeffs=a, bound=bound, bits=bits)
+
+
+def build_sieves(forms, bound: int):
+    """Sieves of the forms up to bound, yielded in the order given: a prefix walk.
+
+    Every form, and the bound, is validated before the first sieve is built.
+    Form i resumes from the sieve of the longest prefix it shares with form
+    i - 1.  It folds one coefficient at a time (RepresentationSieve.extend)
+    only as far as the prefix it shares with form i + 1, keeping each of
+    those prefix sieves, and folds the rest in one fold call.  A form that
+    shares nothing with either neighbour costs one build_sieve.  So the walk
+    keeps k <= len(form) sieves, and before folding each form it checks the
+    k kept sieves plus the one it builds, (k + 1) * 8 * nw bytes, against
+    BYTE_LIMIT.
+    """
+    forms = [coeff_vector(a) for a in forms]
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
+    return _walk(forms, bound)
+
+
+def _shared_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    n = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        n += 1
+    return n
+
+
+def _walk(forms: list[tuple[int, ...]], bound: int):
+    nw = (bound + 64) // 64
+    kept: list[RepresentationSieve] = []  # kept[j]: the sieve of the form's first j + 1 coefficients
+    for i, a in enumerate(forms):
+        keep = _shared_prefix(a, forms[i + 1]) if i + 1 < len(forms) else 0
+        check_bytes((max(len(kept), keep) + 1) * 8 * nw, f"prefix walk of {a} to {bound}")
+        while len(kept) < keep:
+            g = a[len(kept)]
+            kept.append(kept[-1].extend(g) if kept else build_sieve((g,), bound))
+        p = len(kept)
+        if p == len(a):
+            yield kept[-1]
+        elif p == 0:
+            yield build_sieve(a, bound)
+        else:
+            bits = fold((term_values(c, bound) for c in a[p:]), bound, kept[-1].bits)
+            yield RepresentationSieve(coeffs=a, bound=bound, bits=bits)
+        del kept[keep:]
 
 
 def _descending_positions(a: tuple[int, ...]) -> list[int]:

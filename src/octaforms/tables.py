@@ -18,7 +18,9 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .escalation import DEFAULT_BOUND, EscalationTrace
-from .polygonal import build_sieve, coeff_vector, insert_sorted
+from .polygonal import build_sieves, coeff_vector, insert_sorted
+# unused here; perfbench/tracer.py wraps tables.build_sieve by name
+from .polygonal import build_sieve  # noqa: F401
 
 __all__ = [
     "Slot",
@@ -33,6 +35,7 @@ __all__ = [
     "table_census",
     "verify_table",
     "verify_z_row",
+    "verify_z_rows",
 ]
 
 TABLE_FILES = {1: "table1.txt", 2: "table2.txt", 3: "table3.txt", 4: "table4.txt"}
@@ -199,8 +202,17 @@ def verify_table(rows, n: int, trace: EscalationTrace) -> TableReport:
 
 def verify_z_row(row: TableRow, bound: int = DEFAULT_BOUND) -> ZReport:
     """Check that the form misses exactly Z among the values >= its first coefficient."""
-    if row.expect_kind != "Z":
+    return verify_z_rows([row], bound)[0]
+
+
+def verify_z_rows(rows, bound: int = DEFAULT_BOUND) -> list[ZReport]:
+    """verify_z_row for each row in turn, sieved by one prefix walk (polygonal.build_sieves)."""
+    rows = list(rows)
+    if any(row.expect_kind != "Z" for row in rows):
         raise ValueError("verify_z_row expects a Z row")
-    sieve = build_sieve(row.prefix, bound)
-    actual = tuple(sieve.missing_in_range(row.prefix[0], bound))
-    return ZReport(row=row, ok=actual == row.expect_z, expected=row.expect_z, actual=actual)
+    reports = []
+    for row, sieve in zip(rows, build_sieves([row.prefix for row in rows], bound)):
+        actual = tuple(sieve.missing_in_range(row.prefix[0], bound))
+        reports.append(ZReport(row=row, ok=actual == row.expect_z, expected=row.expect_z,
+                               actual=actual))
+    return reports

@@ -192,15 +192,25 @@ EXIT_CODES = {
     "verify t3": "2222211110",
     "verify t4": "2222221110",
     "verify thm5": "2222222200",
+    "verify all": "2222222210",
 }
 
 
 def test_exit_code_grid(capsys):
-    # 270 small cases: bad floors and bounds are usage errors (2), bounds too
+    # 280 small cases: bad floors and bounds are usage errors (2), bounds too
     # small to certify a form or a table are verification failures (1)
     for command, expected in EXIT_CODES.items():
         codes = "".join(str(run([*command.split(), "--bound", str(b)])) for b in EXIT_CODE_BOUNDS)
         assert codes == expected, command
+
+
+def test_verify_all_checks_its_bound_before_any_suite_prints(capsys):
+    # thm5 runs the escalation up to floor 12, so every suite waits for 24
+    for bound in (8, 23):
+        assert run(["verify", "all", "--bound", str(bound)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "needs --bound >= 24" in err
 
 
 def test_every_report_has_the_same_keys_and_status_follows_the_exit_code(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import pytest
 
 from octaforms.escalation import (
+    CriterionSet,
     EscalationDepthError,
     check_tight_universal,
     criterion_set,
@@ -10,6 +11,7 @@ from octaforms.escalation import (
     new_tight_list,
     psi,
     run_escalation,
+    tight_verdicts,
 )
 from octaforms.tables import FamilyRule
 
@@ -164,6 +166,25 @@ def test_check_tight_universal_verdicts(trace2):
     assert check_tight_universal((5, 5, 6, 7, 8, 9), 5, crit5, BOUND).is_tight
     with pytest.raises(ValueError):
         check_tight_universal((2, 3), 3, crit, BOUND)
+
+
+def test_tight_verdicts_match_the_per_form_checks(trace2):
+    # the batch resumes each form from its neighbour's prefix sieve; the
+    # per-form check folds every form from {0}
+    for trace in (trace2, run_escalation(3, BOUND)):
+        crit = criterion_set(trace)
+        for rec in trace.depths:
+            expected = [check_tight_universal(a, trace.n, crit, BOUND) for a in rec.E]
+            assert tight_verdicts(rec.E, trace.n, crit, BOUND) == expected
+    # the escalation's own candidates only ever miss a criterion value
+    forms = [(1, 1, 3, 3), (2, 2, 3), (2, 2, 3, 4), (2, 3, 4, 5), (2, 4)]
+    crit = CriterionSet(n=2, values=(2, 3, 4))
+    verdicts = tight_verdicts(forms, 2, crit, BOUND)
+    assert verdicts == [check_tight_universal(a, 2, crit, BOUND) for a in forms]
+    assert [str(v) for v in verdicts] == [
+        "represents_below_n(1)", "misses_in_bound(6)", "tight", "tight", "misses_criterion(3)"]
+    with pytest.raises(ValueError):
+        tight_verdicts(forms, 3, crit, BOUND)
 
 
 def test_determinism(trace2):

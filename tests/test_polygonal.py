@@ -3,6 +3,7 @@
 import hashlib
 import random
 import time
+import tracemalloc
 from itertools import permutations, product
 from unittest import mock
 
@@ -15,6 +16,7 @@ from octaforms import lattice, polygonal
 from octaforms.polygonal import (
     ResourceBudgetError,
     build_sieve,
+    build_sieves,
     coeff_vector,
     fold,
     insert_sorted,
@@ -194,6 +196,54 @@ def test_extend_is_the_sieve_of_the_inserted_form(bound, a):
         for g in order[1:]:
             sieve = sieve.extend(g)
         assert sieve == build_sieve(sorted(a), bound)
+
+
+@st.composite
+def form_walks(draw):
+    # each form keeps some prefix of the one before it (all of it, or none)
+    # and appends a sorted tail, so neighbours share prefixes, repeat, are
+    # prefixes of each other in either order, or are unrelated
+    forms: list[tuple[int, ...]] = []
+    for _ in range(draw(st.integers(0, 6))):
+        prev = forms[-1] if forms else ()
+        keep = draw(st.integers(0, len(prev)))
+        tail = draw(st.lists(st.integers(prev[keep - 1] if keep else 1, 70),
+                             min_size=0 if keep else 1, max_size=3))
+        forms.append(prev[:keep] + tuple(sorted(tail)))
+    return forms
+
+
+@settings(max_examples=80, deadline=None)
+@given(bound=st.sampled_from([0, 62, 63, 64, 127, 128, 191, 400, 4095]), forms=form_walks())
+@example(bound=128, forms=[])
+@example(bound=191, forms=[(2, 3), (2, 3), (2, 3, 4), (2, 3, 4, 4), (2, 3), (5,), (1, 1, 2)])
+@example(bound=4095, forms=[(1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3), (1, 2), (1, 2, 3, 4, 5)])
+def test_the_prefix_walk_gives_each_forms_own_sieve(bound, forms):
+    assert [s.bits for s in build_sieves(forms, bound)] == [build_sieve(a, bound).bits for a in forms]
+    assert [s.coeffs for s in build_sieves(forms, bound)] == forms
+
+
+def test_the_prefix_walk_validates_every_form_before_the_first_sieve():
+    good = [(1, 2), (1, 2, 3)]
+    with mock.patch.object(polygonal, "fold", side_effect=AssertionError("folded")):
+        for bad in [(3, 2)], [(0, 1)], [()], [(1, "x")]:
+            with pytest.raises(ValueError):
+                next(build_sieves(good + bad + good, 100))
+        with pytest.raises(ValueError):
+            next(build_sieves(good, -1))
+
+
+def test_the_prefix_walk_checks_its_kept_sieves_before_allocating():
+    # a 2**30 sieve is 128 MiB: the two kept prefix sieves of (1, 2) and
+    # the one being built are 384 MiB together, over the 256 MiB limit
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceBudgetError):
+            next(build_sieves([(1, 2, 3), (1, 2, 4)], 2**30))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_sieve_bits_at_a_million_are_pinned():

@@ -15,6 +15,7 @@ from octaforms.tables import (
     table_census,
     verify_table,
     verify_z_row,
+    verify_z_rows,
 )
 
 BOUND = 50_000
@@ -118,6 +119,11 @@ def test_verify_z_rows():
         assert row.expect_z == z
         report = verify_z_row(row, 5000)
         assert report.ok, report
+    # one prefix walk over the table gives each row's own report
+    table = load_table(1)
+    assert verify_z_rows(table, 5000) == [verify_z_row(row, 5000) for row in table]
+    with pytest.raises(ValueError):
+        verify_z_rows(table, 7)  # (8, 9, ...) is scanned from 8
 
 
 def test_family_rule():
