@@ -10,7 +10,6 @@ depth 6 and leaves 57 new tight forms and a ten-element criterion set.
 from octaforms import (
     check_tight_universal,
     criterion_set,
-    new_tight_list,
     psi,
     run_escalation,
 )
@@ -20,9 +19,8 @@ print("depth |  E |  U | NU |  A")
 for rec in trace.depths:
     print(f"{rec.k:5d} | {len(rec.E):2d} | {len(rec.U):2d} | {len(rec.NU):2d} | {len(rec.A):2d}")
 
-print("\ntruants at depth 3:",
-      {a: rec.value for a, rec in trace.depth(3).psi.items()})
-print("first universal members (depth 4):", sorted(new_tight_list(trace, 4)))
+print("\ntruants at depth 3:", trace.depth(3).psi)
+print("first universal members (depth 4):", sorted(trace.depth(4).NU))
 print("still-active vectors at depth 5:", list(trace.depth(5).A))
 
 crit = criterion_set(trace)
@@ -33,7 +31,10 @@ print("total new tight forms:", sum(len(r.NU) for r in trace.depths))
 for coeffs in ((2, 3, 4, 5), (2, 2, 3), (1, 1, 3, 3)):
     print(f"  {coeffs}: {check_tight_universal(coeffs, 2, crit, 50_000)}")
 
-# The truant of a universal form is only ever 'none up to the bound';
+# A universal form has no truant up to the bound (psi is None);
 # raising the bound keeps the certificate honest.
-print("\npsi of (2,2,3,4) at two bounds:",
-      psi((2, 2, 3, 4), 2, 50_000), "/", psi((2, 2, 3, 4), 2, 100_000))
+shown = []
+for bound in (50_000, 100_000):
+    truant = psi((2, 2, 3, 4), 2, bound)
+    shown.append(f"none up to {bound}" if truant is None else str(truant))
+print("\npsi of (2,2,3,4) at two bounds:", " / ".join(shown))

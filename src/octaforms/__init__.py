@@ -18,12 +18,9 @@ from .escalation import (
     CriterionSet,
     EscalationDepthError,
     EscalationTrace,
-    PsiResult,
     Verdict,
     check_tight_universal,
     criterion_set,
-    escalation_children,
-    new_tight_list,
     psi,
     run_escalation,
     tight_verdicts,

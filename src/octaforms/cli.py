@@ -57,12 +57,12 @@ def cmd_sieve(args) -> tuple[int, dict, dict]:
 
 def cmd_psi(args) -> tuple[int, dict, dict]:
     coeffs = args.coeffs
-    r = esc.psi(coeffs, args.n, args.bound)
-    if r.is_finite:
-        print(f"psi{coeffs} = {r.value} for floor n={args.n}")
+    truant = esc.psi(coeffs, args.n, args.bound)
+    if truant is not None:
+        print(f"psi{coeffs} = {truant} for floor n={args.n}")
     else:
         print(f"psi{coeffs}: no gap in [{args.n}, {args.bound}] (universal at this bound)")
-    return 0, {"coeffs": list(coeffs), "n": args.n}, {"psi": r.value}
+    return 0, {"coeffs": list(coeffs), "n": args.n}, {"psi": truant}
 
 
 def cmd_check(args) -> tuple[int, dict, dict]:
@@ -139,14 +139,14 @@ _FAMILY_FLOORS = range(5, 13)
 
 
 def _verify_families(args, results: dict) -> bool:
-    rule = tb.FamilyRule()
     ok = True
     details = {}
     for n in _FAMILY_FLOORS:
         trace = esc.run_escalation(n, args.bound)
         criterion = esc.criterion_set(trace)
-        verdicts = [v.is_tight for v in esc.tight_verdicts(rule.pair(n), n, criterion, args.bound)]
-        uniq = esc.new_tight_list(trace, n + 1) == set(rule.pair(n))
+        pair = tb.family_pair(n)
+        verdicts = [v.is_tight for v in esc.tight_verdicts(pair, n, criterion, args.bound)]
+        uniq = set(trace.depth(n + 1).NU) == set(pair)
         details[str(n)] = {"tight": verdicts, "unique": uniq}
         print(f"  n={n}: families tight {verdicts}, unique new forms: {uniq}")
         ok &= all(verdicts) and uniq

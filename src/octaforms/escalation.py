@@ -36,18 +36,15 @@ from .polygonal import (
 __all__ = [
     "DEFAULT_BOUND",
     "EscalationDepthError",
-    "PsiResult",
     "DepthRecord",
     "EscalationTrace",
     "CriterionSet",
     "Verdict",
     "psi",
-    "escalation_children",
     "run_escalation",
     "criterion_set",
     "check_tight_universal",
     "tight_verdicts",
-    "new_tight_list",
     "trace_to_dict",
 ]
 
@@ -59,36 +56,19 @@ class EscalationDepthError(Exception):
 
 
 @dataclass(frozen=True)
-class PsiResult:
-    """Truant of a form: smallest integer >= n it misses, up to a bound.
-
-    value is that integer, or None when every integer in [n, bound] is
-    represented (the form is universal as far as the bound certifies).
-    """
-
-    value: int | None
-    bound: int
-
-    @property
-    def is_finite(self) -> bool:
-        return self.value is not None
-
-    def __str__(self) -> str:
-        if self.value is None:
-            return f"none up to {self.bound}"
-        return str(self.value)
-
-
-@dataclass(frozen=True)
 class DepthRecord:
-    """One level of the escalation: candidates E, universal U, new NU, active A."""
+    """One level of the escalation: candidates E, universal U, new NU, active A.
+
+    psi maps each candidate to its truant, None when it has no gap up to the
+    trace's bound.
+    """
 
     k: int
     E: tuple[tuple[int, ...], ...]
     U: tuple[tuple[int, ...], ...]
     NU: tuple[tuple[int, ...], ...]
     A: tuple[tuple[int, ...], ...]
-    psi: dict[tuple[int, ...], PsiResult]
+    psi: dict[tuple[int, ...], int | None]
 
 
 @dataclass(frozen=True)
@@ -129,35 +109,24 @@ class Verdict:
         return f"{self.kind}({self.value})"
 
 
-def psi(a, n: int, bound: int = DEFAULT_BOUND) -> PsiResult:
-    """Truant of the form a relative to floor n, scanned up to bound."""
+def psi(a, n: int, bound: int = DEFAULT_BOUND) -> int | None:
+    """Truant of the form a for floor n: the smallest integer >= n it misses.
+
+    None when every integer in [n, bound] is represented (the form is
+    universal as far as the bound certifies).
+    """
     a = coeff_vector(a)
     if n < 1:
         raise ValueError("n must be >= 1")
     if bound < 2 * n:
         raise ValueError("bound must be >= 2n")
-    return _truant(build_sieve(a, bound), n)
-
-
-def _truant(sieve: RepresentationSieve, n: int) -> PsiResult:
-    return PsiResult(value=sieve.first_missing(n, sieve.bound), bound=sieve.bound)
+    return build_sieve(a, bound).first_missing(n, bound)
 
 
 def _new_coefficients(psi_value: int, n: int) -> list[int]:
-    # n..psi_value-n and psi_value itself, ascending
+    # n..psi_value-n and psi_value itself, ascending; when psi_value < 2n
+    # that collapses to psi_value alone
     return list(range(n, psi_value - n + 1)) + [psi_value]
-
-
-def escalation_children(a, psi_value: int, n: int) -> set[tuple[int, ...]]:
-    """Extensions of a by one coefficient, as dictated by its truant.
-
-    The admissible new coefficients are n..psi_value-n together with
-    psi_value itself; when psi_value < 2n that collapses to psi_value alone.
-    """
-    a = coeff_vector(a)
-    if psi_value < n:
-        raise ValueError("psi_value must be >= n")
-    return {_insert_sorted(a, g) for g in _new_coefficients(psi_value, n)}
 
 
 def run_escalation(
@@ -182,14 +151,14 @@ def run_escalation(
     depths: list[DepthRecord] = []
     universal_so_far: set[tuple[int, ...]] = set()
     root = build_sieve((n,), bound)
-    found = {root.coeffs: _truant(root, n)}  # the candidates E and their truants
+    found = {root.coeffs: root.first_missing(n, bound)}  # the candidates E and their truants
     sieves = {root.coeffs: root}  # the active candidates' sieves
     k = 1
     while True:
         members = sorted(found)
         psis = {a: found[a] for a in members}
-        U = [a for a in members if not psis[a].is_finite]
-        A = [a for a in members if psis[a].is_finite]
+        U = [a for a in members if psis[a] is None]
+        A = [a for a in members if psis[a] is not None]
         NU = [
             a
             for a in U
@@ -208,12 +177,12 @@ def run_escalation(
         found, children = {}, {}
         for a in A:
             parent = sieves.pop(a)
-            for g in _new_coefficients(psis[a].value, n):
+            for g in _new_coefficients(psis[a], n):
                 child = _insert_sorted(a, g)
                 if child not in found:
                     sieve = parent.extend(g)
-                    found[child] = _truant(sieve, n)
-                    if found[child].is_finite:
+                    found[child] = sieve.first_missing(n, bound)
+                    if found[child] is not None:
                         children[child] = sieve
         sieves = children
         k += 1
@@ -224,7 +193,7 @@ def criterion_set(trace: EscalationTrace) -> CriterionSet:
     values = {trace.n}
     for rec in trace.depths:
         for a in rec.A:
-            values.add(rec.psi[a].value)
+            values.add(rec.psi[a])
     return CriterionSet(n=trace.n, values=tuple(sorted(values)))
 
 
@@ -273,11 +242,6 @@ def _verdict(sieve: RepresentationSieve, n: int, criterion: CriterionSet) -> Ver
     return Verdict("tight")
 
 
-def new_tight_list(trace: EscalationTrace, k: int) -> set[tuple[int, ...]]:
-    """The new tight universal vectors of length k found by the trace."""
-    return set(trace.depth(k).NU)
-
-
 def trace_to_dict(trace: EscalationTrace) -> dict:
     """JSON-ready form of a trace (integers and nulls only)."""
     return {
@@ -291,7 +255,7 @@ def trace_to_dict(trace: EscalationTrace) -> dict:
                 "U": [list(a) for a in rec.U],
                 "NU": [list(a) for a in rec.NU],
                 "A": [list(a) for a in rec.A],
-                "psi": {",".join(map(str, a)): r.value for a, r in rec.psi.items()},
+                "psi": {",".join(map(str, a)): v for a, v in rec.psi.items()},
             }
             for rec in trace.depths
         ],

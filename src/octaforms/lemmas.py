@@ -173,22 +173,21 @@ def counting_counterexamples(bound: int = 2000) -> list[int]:
 
 def pair_2233_counterexamples(bound: int = 10_000) -> list[int]:
     """Values the form (2,2,3,3) must take: all u != 1 mod 4 except 11 and 14."""
-    sieve = build_sieve((2, 2, 3, 3), bound)
-    return [
-        u
-        for u in range(1, bound + 1)
-        if u % 4 != 1 and u not in (11, 14) and u not in sieve
-    ]
+    gaps = build_sieve((2, 2, 3, 3), bound).missing_in_range(0, bound)  # 0 is never a gap
+    return [u for u in gaps if u % 4 != 1 and u not in (11, 14)]
 
 
 def family_2233t_counterexamples(
     ts=(1, 2, 3, 5, 6, 7, 9, 10), bound: int = 2000
 ) -> list[tuple[int, int]]:
     """(t, u) pairs with u >= t + 15 missed by (2,2,3,3,t); t must avoid multiples of 4."""
-    bad = []
+    ts = tuple(ts)
     for t in ts:
         if t % 4 == 0:
             raise ValueError(f"t divisible by 4 is outside the family: {t}")
+    bad = []
+    for t in ts:
         sieve = build_sieve(insert_sorted((2, 2, 3, 3), t), bound)
-        bad.extend((t, u) for u in range(t + 15, bound + 1) if u not in sieve)
+        if t + 15 <= bound:
+            bad.extend((t, u) for u in sieve.missing_in_range(t + 15, bound))
     return bad

@@ -27,7 +27,7 @@ __all__ = [
     "TableRow",
     "TableReport",
     "ZReport",
-    "FamilyRule",
+    "family_pair",
     "parse_table",
     "load_table",
     "bundled_table_path",
@@ -83,25 +83,16 @@ class ZReport:
     actual: tuple[int, ...]
 
 
-class FamilyRule:
-    """The two coefficient families that stay tight for every floor n >= N_MIN.
+def family_pair(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The two forms that stay tight for every floor n >= 5, both of length n+1.
 
-    doubled(n) repeats the floor and runs to 2n-1; run(n) is the straight
-    run from n to 2n.  Both have length n+1.
+    doubled repeats the floor and runs to 2n-1; run is the straight run
+    from n to 2n.  Returns (doubled, run).
     """
-
-    N_MIN = 5
-
-    def doubled(self, n: int) -> tuple[int, ...]:
-        return (n,) + self.run(n)[:-1]
-
-    def run(self, n: int) -> tuple[int, ...]:
-        if n < self.N_MIN:
-            raise ValueError(f"family defined for n >= {self.N_MIN}")
-        return tuple(range(n, 2 * n + 1))
-
-    def pair(self, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return (self.doubled(n), self.run(n))
+    if n < 5:
+        raise ValueError("family defined for n >= 5")
+    run = tuple(range(n, 2 * n + 1))
+    return (n,) + run[:-1], run
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:

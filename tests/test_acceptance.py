@@ -15,7 +15,6 @@ import pytest
 from octaforms.escalation import (
     check_tight_universal,
     criterion_set,
-    new_tight_list,
     run_escalation,
     trace_to_dict,
 )
@@ -36,7 +35,7 @@ from octaforms.lemmas import (
     pair_2233_counterexamples,
 )
 from octaforms.polygonal import build_sieve, represents
-from octaforms.tables import FamilyRule, expand_row, load_table, table_census, verify_table
+from octaforms.tables import expand_row, family_pair, load_table, table_census, verify_table
 
 BOUND = 50_000
 
@@ -93,8 +92,8 @@ def test_criterion_1_escalation_floor2(traces):
                    (9, 3, 3, 6), (52, 49, 39, 3), (30, 30, 15, 0)]
     ok &= set(tr.depth(4).U) == {(2, 2, 3, 4), (2, 3, 4, 5), (2, 3, 4, 8)}
     d3, d4 = tr.depth(3), tr.depth(4)
-    ok &= sorted(d3.psi[a].value for a in d3.A) == [6, 8]
-    ok &= sorted(d4.psi[a].value for a in d4.A) == [8, 9, 11, 12, 14, 18]
+    ok &= sorted(d3.psi[a] for a in d3.A) == [6, 8]
+    ok &= sorted(d4.psi[a] for a in d4.A) == [8, 9, 11, 12, 14, 18]
     ok &= elapsed < 60
     report(1, "full escalation for floor 2 reproduces all depth data", ok,
            f"{elapsed:.2f}s")
@@ -146,13 +145,12 @@ def test_criterion_4_exception_table():
 
 
 def test_criterion_5_families(traces):
-    rule = FamilyRule()
     ok = True
     for n in range(5, 13):
         crit = criterion_set(traces[n])
-        for a in rule.pair(n):
+        for a in family_pair(n):
             ok &= check_tight_universal(a, n, crit, BOUND).is_tight
-        ok &= new_tight_list(traces[n], n + 1) == set(rule.pair(n))
+        ok &= set(traces[n].depth(n + 1).NU) == set(family_pair(n))
     report(5, "the two families are tight and the unique new forms for n=5..12", ok)
 
 

@@ -35,6 +35,10 @@ def test_sieve_and_psi(capsys, tmp_path):
     assert run(["psi", "--coeffs", "2,2,3", "--n", "2", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["results"]["psi"] == 6
+    capsys.readouterr()
+    assert run(["psi", "--coeffs", "2,2,3,4", "--n", "2", "--out", str(out)]) == 0
+    assert "no gap in [2, 50000]" in capsys.readouterr().out
+    assert json.loads(out.read_text())["results"]["psi"] is None
 
 
 def test_check_exit_codes(tmp_path):

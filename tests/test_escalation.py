@@ -7,13 +7,12 @@ from octaforms.escalation import (
     EscalationDepthError,
     check_tight_universal,
     criterion_set,
-    escalation_children,
-    new_tight_list,
     psi,
     run_escalation,
     tight_verdicts,
 )
-from octaforms.tables import FamilyRule
+from octaforms.polygonal import insert_sorted
+from octaforms.tables import family_pair
 
 BOUND = 50_000
 
@@ -24,11 +23,11 @@ def trace2():
 
 
 def test_psi_examples():
-    assert psi((2, 2, 3), 2).value == 6
-    assert psi((2, 3, 4), 2).value == 8
-    assert psi((2, 3, 3, 4), 2).value == 11
-    r = psi((2, 2, 3, 4), 2, BOUND)
-    assert not r.is_finite and r.bound == BOUND
+    assert psi((2, 2, 3), 2) == 6
+    assert psi((2, 3, 4), 2) == 8
+    assert psi((2, 3, 3, 4), 2) == 11
+    assert psi((5,), 5) == 6
+    assert psi((2, 2, 3, 4), 2, BOUND) is None
 
 
 def test_psi_validation():
@@ -38,19 +37,19 @@ def test_psi_validation():
         psi((2,), 3, 4)
 
 
-def test_escalation_children_examples():
-    kids = escalation_children((2, 2, 3), 6, 2)
-    assert kids == {(2, 2, 2, 3), (2, 2, 3, 3), (2, 2, 3, 4), (2, 2, 3, 6)}
-    assert len(escalation_children((2, 3, 4), 8, 2)) == 6
-    # a truant below 2n admits exactly one extension
-    assert psi((5,), 5).value == 6
-    assert escalation_children((5,), 6, 5) == {(5, 6)}
-
-
-def test_children_collapse_whenever_truant_is_small():
-    for n in range(2, 9):
-        for psi_value in range(n, 2 * n):
-            assert len(escalation_children((n,), psi_value, n)) == 1
+def test_child_rule_holds_at_every_depth():
+    # depth k+1's candidates are the active vectors of depth k, each with one
+    # coefficient g inserted: n <= g <= psi - n, or g = psi
+    for n in range(1, 6):
+        trace = run_escalation(n, BOUND)
+        for k in range(1, trace.terminated_at):
+            rec = trace.depth(k)
+            expected = {
+                insert_sorted(a, g)
+                for a in rec.A
+                for g in [*range(n, rec.psi[a] - n + 1), rec.psi[a]]
+            }
+            assert set(trace.depth(k + 1).E) == expected, (n, k)
 
 
 def test_escalation_depth2_counts(trace2):
@@ -70,11 +69,11 @@ def test_escalation_depth2_members(trace2):
     assert set(trace2.depth(4).U) == {(2, 2, 3, 4), (2, 3, 4, 5), (2, 3, 4, 8)}
     assert set(trace2.depth(5).A) == {(2, 2, 2, 3, 3), (2, 2, 3, 3, 3), (2, 2, 3, 3, 5)}
     d5 = trace2.depth(5)
-    assert [d5.psi[a].value for a in ((2, 2, 2, 3, 3), (2, 2, 3, 3, 3), (2, 2, 3, 3, 5))] == [11, 14, 14]
+    assert [d5.psi[a] for a in ((2, 2, 2, 3, 3), (2, 2, 3, 3, 3), (2, 2, 3, 3, 5))] == [11, 14, 14]
     d3 = trace2.depth(3)
-    assert {a: d3.psi[a].value for a in d3.E} == {(2, 2, 3): 6, (2, 3, 4): 8}
+    assert {a: d3.psi[a] for a in d3.E} == {(2, 2, 3): 6, (2, 3, 4): 8}
     d4 = trace2.depth(4)
-    assert {a: d4.psi[a].value for a in d4.A} == {
+    assert {a: d4.psi[a] for a in d4.A} == {
         (2, 2, 2, 3): 8,
         (2, 2, 3, 3): 9,
         (2, 2, 3, 6): 14,
@@ -123,11 +122,11 @@ def test_floor5_terminates_at_depth_6():
     assert rec.U == rec.E and rec.A == ()
 
 
-def test_new_tight_list(trace2):
-    assert new_tight_list(trace2, 4) == {(2, 2, 3, 4), (2, 3, 4, 5), (2, 3, 4, 8)}
-    assert new_tight_list(trace2, 3) == set()
+def test_new_forms_by_depth(trace2):
+    assert set(trace2.depth(4).NU) == {(2, 2, 3, 4), (2, 3, 4, 5), (2, 3, 4, 8)}
+    assert trace2.depth(3).NU == ()
     tr9 = run_escalation(9, BOUND)
-    assert new_tight_list(tr9, 10) == {
+    assert set(tr9.depth(10).NU) == {
         (9,) + tuple(range(9, 18)),
         tuple(range(9, 19)),
     }
@@ -141,7 +140,7 @@ def test_new_forms_have_no_universal_proper_part(trace2):
         for a in rec.NU:
             subs = {c for r in range(1, len(a)) for c in combinations(a, r)}
             for b in subs:
-                assert psi(b, 2, 2000).is_finite or psi(b, 2, BOUND).is_finite, (a, b)
+                assert psi(b, 2, 2000) is not None or psi(b, 2, BOUND) is not None, (a, b)
 
 
 def test_criterion_matches_direct_universality(trace2):
@@ -152,7 +151,7 @@ def test_criterion_matches_direct_universality(trace2):
         for rec in trace.depths:
             for a in rec.E:
                 verdict = check_tight_universal(a, trace.n, crit, BOUND)
-                assert verdict.is_tight == (not rec.psi[a].is_finite), (a, verdict)
+                assert verdict.is_tight == (rec.psi[a] is None), (a, verdict)
 
 
 def test_check_tight_universal_verdicts(trace2):
@@ -192,14 +191,16 @@ def test_determinism(trace2):
     assert again == trace2
 
 
-@pytest.mark.parametrize("n", [30, 60])
+@pytest.mark.parametrize("n", range(5, 101))
 def test_large_floors_find_exactly_the_two_families(n):
-    # the minimality test is polynomial in the form length, so floors far
-    # beyond the tabulated ones terminate quickly
+    # Theorem 5: for n >= 5 the only new forms are the two families, both at
+    # depth n + 1, where the escalation ends.  The minimality test is
+    # polynomial in the form length, so floors far beyond the tabulated ones
+    # terminate quickly.
     trace = run_escalation(n, BOUND)
     assert trace.terminated_at == n + 1
-    assert new_tight_list(trace, n + 1) == set(FamilyRule().pair(n))
-    assert sum(len(rec.NU) for rec in trace.depths) == 2
+    new = [(rec.k, a) for rec in trace.depths for a in rec.NU]
+    assert sorted(new) == sorted((n + 1, a) for a in family_pair(n))
 
 
 def test_depth_limit_is_enforced():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from octaforms import lemmas
 from octaforms.lemmas import (
     CONGRUENCE_LEMMAS,
     congruence_counterexamples,
@@ -54,7 +55,14 @@ def test_pair_2233():
     assert not represents((2, 2, 3, 3), 14)
 
 
-def test_family_2233t():
+def test_family_2233t(monkeypatch):
     assert family_2233t_counterexamples(ts=(1, 2, 3, 5), bound=600) == []
+    assert family_2233t_counterexamples(ts=(5,), bound=19) == []  # t + 15 > bound
     with pytest.raises(ValueError):
         family_2233t_counterexamples(ts=(4,), bound=100)
+    # every t is checked before the first sieve is built
+    built = []
+    monkeypatch.setattr(lemmas, "build_sieve", lambda *args: built.append(args))
+    with pytest.raises(ValueError):
+        family_2233t_counterexamples(ts=(1, 4), bound=100)
+    assert built == []

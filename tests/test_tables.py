@@ -7,9 +7,9 @@ import pytest
 
 from octaforms.escalation import run_escalation
 from octaforms.tables import (
-    FamilyRule,
     Slot,
     expand_row,
+    family_pair,
     load_table,
     parse_table,
     table_census,
@@ -104,7 +104,7 @@ def test_listed_forms_are_minimal(table, n):
                 if b in seen:
                     continue
                 seen.add(b)
-                assert psi(b, n, 2000).is_finite or psi(b, n, BOUND).is_finite, (a, b)
+                assert psi(b, n, 2000) is not None or psi(b, n, BOUND) is not None, (a, b)
 
 
 def test_verify_z_rows():
@@ -127,15 +127,13 @@ def test_verify_z_rows():
 
 
 def test_family_rule():
-    rule = FamilyRule()
-    assert rule.doubled(5) == (5, 5, 6, 7, 8, 9)
-    assert rule.run(5) == (5, 6, 7, 8, 9, 10)
+    assert family_pair(5) == ((5, 5, 6, 7, 8, 9), (5, 6, 7, 8, 9, 10))
     for n in range(5, 13):
-        g, h = rule.pair(n)
+        g, h = family_pair(n)
         assert len(g) == len(h) == n + 1
         assert g == tuple(sorted(g)) and h == tuple(sorted(h))
     with pytest.raises(ValueError):
-        rule.doubled(4)
+        family_pair(4)
 
 
 def test_data_file_checksums():
