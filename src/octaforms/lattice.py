@@ -1,7 +1,12 @@
 """Integer quadratic lattices: representation, similitudes, and transfer.
 
 Everything here is exact integer arithmetic; numpy is used only to batch
-loops whose entries stay far inside int64.  The central objects are
+loops whose entries stay far inside int64, in small blocks whose bytes are
+checked before they are allocated: an ellipsoid sweep takes at most 2^12
+grid points (but never less than one row), the residue scan one plane of
+d^2, the similitude pairing 2^14 pair x column entries, and the counting
+sweep x2 rows of about twice as many points as it has counts.  The
+central objects are
 positive definite Gram matrices, the sets of integral similitude matrices
 between two lattices, and two "transfer" checks that push representations
 of an arithmetic progression from one lattice to another:
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from math import gcd, isqrt, lcm
 
 import numpy as np
@@ -57,6 +63,9 @@ __all__ = [
 # Lattice points one ellipsoid scan may visit; dense arrays are held to
 # polygonal.BYTE_LIMIT.  There is no per-call override.
 POINT_BUDGET = 10**8
+# block sizes, in grid points and in pair x third-column entries
+_BLOCK_POINTS = 1 << 12
+_BLOCK_PAIRS = 1 << 14
 
 
 class ConditionFailed(Exception):
@@ -243,7 +252,12 @@ def _vector_batches_exact(m, v: int, b1: int, b2: int):
 
 
 def _vector_batches(M: GramMatrix, v: int):
-    """Yield per-x1 arrays of solutions of Q_M(x) = v (dimension 3 only)."""
+    """Yield non-empty arrays of the solutions of Q_M(x) = v (dimension 3 only).
+
+    Concatenated, the rows run x1 ascending; within one x1 come the
+    solutions on the + root of the quadratic in x3, x2 ascending, then
+    those on the - root.
+    """
     if M.dim != 3:
         raise ValueError("vector enumeration requires a ternary lattice")
     if v < 0:
@@ -259,44 +273,36 @@ def _vector_batches(M: GramMatrix, v: int):
     if not _disc_fits_int64(m, v, b1, b2):
         yield from _vector_batches_exact(m, v, b1, b2)
         return
-    # one x1 row peaks at about eight row-sized int64 arrays (e, f, disc, r and their temporaries)
-    check_bytes(9 * 8 * (2 * b2 + 1), f"ellipsoid rows of {2 * b2 + 1} points")
+    # a block of whole x1 rows, never less than one, sweeps one (x1, x2) grid
+    width = 2 * b2 + 1
+    rows = max(1, _BLOCK_POINTS // width)
+    # it peaks at about eight grid-sized int64 arrays (e, disc, r, both roots and temporaries)
+    check_bytes(9 * 8 * rows * width, f"ellipsoid rows of {rows} x {width} points")
     a33 = m[2][2]
     x2 = np.arange(-b2, b2 + 1, dtype=np.int64)
-    for x1 in range(-b1, b1 + 1):
+    for lo in range(-b1, b1 + 1, rows):
+        x1 = np.arange(lo, min(lo + rows, b1 + 1), dtype=np.int64)[:, None]
         e = m[0][2] * x1 + m[1][2] * x2
-        f = m[0][0] * x1 * x1 + 2 * m[0][1] * x1 * x2 + m[1][1] * x2 * x2 - v
-        disc = e * e - a33 * f
-        ok = disc >= 0
-        if not ok.any():
-            continue
+        disc = e * e - a33 * ((m[0][0] * x1 + 2 * m[0][1] * x2) * x1 + m[1][1] * x2 * x2 - v)
         # below 2^62 float64 sqrt of a square n^2 is n exactly, and a non-square fails r*r == disc
         r = np.sqrt(disc.clip(min=0)).astype(np.int64)
-        ok &= r * r == disc
-        rows = []
-        for sign in (1, -1):
-            num = -e + sign * r
-            good = ok & (num % a33 == 0)
-            if sign == -1:
-                good &= r != 0
-            if good.any():
-                xs2 = x2[good]
-                xs3 = num[good] // a33
-                batch = np.empty((xs2.size, 3), dtype=np.int64)
-                batch[:, 0] = x1
-                batch[:, 1] = xs2
-                batch[:, 2] = xs3
-                rows.append(batch)
-        if rows:
-            yield np.concatenate(rows)
+        ok = r * r == disc
+        # axis 1 is the sign of the root, so nonzero() walks x1, then the sign, then x2
+        num = np.stack((r - e, -r - e), axis=1)
+        good = (num % a33 == 0) & ok[:, None]
+        good[:, 1] &= r != 0
+        i, sign, j = np.nonzero(good)
+        if i.size:
+            batch = np.empty((i.size, 3), dtype=np.int64)
+            batch[:, 0] = x1[i, 0]
+            batch[:, 1] = x2[j]
+            batch[:, 2] = num[i, sign, j] // a33
+            yield batch
 
 
 @lru_cache(maxsize=4096)
 def _vectors_cached(M: GramMatrix, v: int) -> np.ndarray:
-    batches = list(_vector_batches(M, v))
-    if not batches:
-        return np.empty((0, 3), dtype=np.int64)
-    return np.concatenate(batches)
+    return np.concatenate([np.empty((0, 3), dtype=np.int64), *_vector_batches(M, v)])
 
 
 def lattice_vectors(M: GramMatrix, v: int) -> np.ndarray:
@@ -306,10 +312,7 @@ def lattice_vectors(M: GramMatrix, v: int) -> np.ndarray:
 
 def represents_lattice(M: GramMatrix, v: int) -> bool:
     """True iff the ternary lattice M represents v."""
-    for batch in _vector_batches(M, v):
-        if batch.size:
-            return True
-    return False
+    return next(_vector_batches(M, v), None) is not None
 
 
 def count_representations(M: GramMatrix, v: int) -> int:
@@ -320,8 +323,8 @@ def count_representations(M: GramMatrix, v: int) -> int:
 def lattice_counts_up_to(M: GramMatrix, bound: int) -> np.ndarray:
     """int64 array r where r[v] counts the x with Q_M(x) = v, v = 0..bound.
 
-    One sweep of the ellipsoid box for every value at once; M represents v
-    iff r[v] > 0.
+    One sweep of the half box x1 >= 0 for every value at once; M represents
+    v iff r[v] > 0.
     """
     if M.dim != 3:
         raise ValueError("bulk enumeration requires a ternary lattice")
@@ -335,16 +338,31 @@ def lattice_counts_up_to(M: GramMatrix, bound: int) -> np.ndarray:
         raise ResourceBudgetError("bulk scan bound too large for exact int64 batches")
     # the counts and one slice's bincount, both of length bound + 1
     check_bytes(2 * 8 * (bound + 1), f"counts to {bound}")
-    # tail, cross, the last slice's q and two partial sums of the next one
+    # a block of x2 rows holds at most one slice, bounded by five slice-sized
+    # int64 arrays
     check_bytes(5 * 8 * (2 * b2 + 1) * (2 * b3 + 1), f"box slices of {2 * b2 + 1} x {2 * b3 + 1}")
     counts = np.zeros(bound + 1, dtype=np.int64)
     x2 = np.arange(-b2, b2 + 1, dtype=np.int64)[:, None]
-    x3 = np.arange(-b3, b3 + 1, dtype=np.int64)[None, :]
-    tail = m[1][1] * x2 * x2 + 2 * m[1][2] * x2 * x3 + m[2][2] * x3 * x3
-    cross = 2 * (m[0][1] * x2 + m[0][2] * x3)
-    for x1 in range(-b1, b1 + 1):
-        q = m[0][0] * x1 * x1 + cross * x1 + tail
-        counts += np.bincount(q[(q >= 0) & (q <= bound)], minlength=bound + 1)
+    x3 = np.arange(-b3, b3 + 1, dtype=np.int64)
+    m33x3 = m[2][2] * x3
+    # blocks of x2 rows with about twice as many points as there are counts,
+    # so a block's bincount costs less than its sweep, in one reused buffer
+    rows = max(1, max(_BLOCK_POINTS, 2 * bound + 2) // x3.size)
+    buf = np.empty((min(rows, x2.size), x3.size), dtype=np.int64)
+    # Q(-x) = Q(x), and the slice at -x1 is the slice at x1 turned over: sweep
+    # x1 >= 0 and count each x1 > 0 slice twice
+    for x1 in range(b1 + 1):
+        lin = 2 * (m[0][2] * x1 + m[1][2] * x2)
+        const = (m[0][0] * x1 + 2 * m[0][1] * x2) * x1 + m[1][1] * x2 * x2
+        for lo in range(0, x2.size, rows):
+            q = buf[: x2.size - lo]
+            np.add(lin[lo : lo + rows], m33x3, out=q)
+            q *= x3
+            q += const[lo : lo + rows]  # >= 0: M is positive definite
+            hist = np.bincount(q[q <= bound], minlength=bound + 1)
+            counts += hist
+            if x1:
+                counts += hist
     return counts
 
 
@@ -398,11 +416,17 @@ def _residue_array(N: GramMatrix, d: int, a: int) -> np.ndarray:
     # at the heaviest consumer's peak with every residue in the class:
     # residues' set of tuples, 167.8 d^3 bytes at d = 108 (the block walk: 91)
     check_bytes(168 * d**3, f"residue cube of size {d}^3")
-    x, y, z = np.ogrid[:d, :d, :d]
     # entries reduced mod d keep q far inside int64 whatever N's size
     (n11, n12, n13), (_, n22, n23), (_, _, n33) = ([e % d for e in row] for row in N.rows)
-    q = n11 * x * x + n22 * y * y + n33 * z * z + 2 * (n12 * x * y + n13 * x * z + n23 * y * z)
-    return np.argwhere(q % d == a)
+    y, z = np.ogrid[:d, :d]
+    # one x-plane at a time: q = n11 x^2 + x * lin + rest, so the flat indices
+    # x*d^2 + y*d + z come out ascending and the d^3 cube is never laid out
+    lin = 2 * (n12 * y + n13 * z) % d
+    rest = (n22 * y * y + n33 * z * z + 2 * n23 * y * z) % d
+    flat = np.concatenate(
+        [x * d * d + np.flatnonzero((n11 * x * x + x * lin + rest) % d == a) for x in range(d)]
+    )
+    return np.column_stack(np.unravel_index(flat, (d, d, d)))
 
 
 def residues(N: GramMatrix, d: int, a: int) -> set[tuple[int, int, int]]:
@@ -411,11 +435,11 @@ def residues(N: GramMatrix, d: int, a: int) -> set[tuple[int, int, int]]:
         raise ValueError("residue scan requires a ternary lattice")
     if not 0 <= a < d:
         raise ValueError("need 0 <= a < d")
-    return {tuple(int(e) for e in row) for row in _residue_array(N, d, a)}
+    return set(map(tuple, _residue_array(N, d, a).tolist()))
 
 
 def _iter_similitudes(M: GramMatrix, N: GramMatrix, d: int):
-    """Yield all T (3x3 int64 arrays) with t(T) M T = d^2 N, column by column."""
+    """Yield stacks (k, 3, 3) of all T with t(T) M T = d^2 N, column by column."""
     t = d * d
     C1, C2, C3 = (lattice_vectors(M, t * N.rows[j][j]) for j in range(3))
     if min(len(C1), len(C2), len(C3)) == 0:
@@ -430,12 +454,14 @@ def _iter_similitudes(M: GramMatrix, N: GramMatrix, d: int):
     if pairs.size == 0:
         return
     MC3 = Marr @ C3.T
-    t13 = t * N.rows[0][2]
-    t23 = t * N.rows[1][2]
-    for i, j in pairs:
-        ks = np.flatnonzero((C1[i] @ MC3 == t13) & (C2[j] @ MC3 == t23))
-        for k in ks:
-            yield np.column_stack((C1[i], C2[j], C3[k]))
+    # a block of (i, j) pairs tests every third column at once, never less than one pair
+    step = max(1, _BLOCK_PAIRS // len(C3))
+    # two int64 products and three masks: 19 bytes an entry
+    check_bytes(19 * step * len(C3), f"third columns of {step} x {len(C3)} similitude pairs")
+    for lo in range(0, len(pairs), step):
+        i, j = pairs[lo : lo + step].T
+        p, k = np.nonzero((C1[i] @ MC3 == t * N.rows[0][2]) & (C2[j] @ MC3 == t * N.rows[1][2]))
+        yield np.stack((C1[i[p]], C2[j[p]], C3[k]), axis=2)
 
 
 def transfer_matrices(M: GramMatrix, N: GramMatrix, d: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -448,8 +474,7 @@ def transfer_matrices(M: GramMatrix, N: GramMatrix, d: int) -> list[tuple[tuple[
         raise ValueError("similitudes require ternary lattices")
     if d < 1:
         raise ValueError("d must be >= 1")
-    out = {tuple(tuple(int(e) for e in row) for row in T) for T in _iter_similitudes(M, N, d)}
-    return sorted(out)
+    return sorted({tuple(map(tuple, T)) for Ts in _iter_similitudes(M, N, d) for T in Ts.tolist()})
 
 
 def check_prec(M: GramMatrix, N: GramMatrix, d: int, a: int) -> bool:
@@ -465,14 +490,20 @@ def check_prec(M: GramMatrix, N: GramMatrix, d: int, a: int) -> bool:
 
 
 def _covered_mask(M: GramMatrix, N: GramMatrix, d: int, R: np.ndarray) -> np.ndarray:
-    # which rows of R some similitude sends to 0 mod d; stops once all are
-    covered = np.zeros(R.shape[0], dtype=bool)
-    if R.shape[0] == 0:
-        return covered  # nothing to cover, so no similitude is needed
-    for T in _iter_similitudes(M, N, d):
-        covered |= ((T @ R.T) % d == 0).all(axis=0)
-        if covered.all():
-            break
+    # which rows of R some similitude sends to 0 mod d; each T is tested only
+    # against the rows still open, and the scan stops once none are (at once
+    # when R is empty: then no similitude is needed)
+    covered = np.zeros(len(R), dtype=bool)
+    open_rows, Rt = np.arange(len(R)), R.T
+    for T in chain.from_iterable(_iter_similitudes(M, N, d)) if len(R) else ():
+        images = T @ Rt
+        images %= d
+        hit = ~images.any(axis=0)
+        if hit.any():
+            covered[open_rows[hit]] = True
+            open_rows, Rt = open_rows[~hit], Rt[:, ~hit]
+            if open_rows.size == 0:
+                break
     return covered
 
 
@@ -525,6 +556,17 @@ def _fixed_line(T, d: int) -> tuple[int, int, int]:
     raise NoEigenvector("the fixed space is not a line")
 
 
+def _column_subgroup(Td: np.ndarray, d: int) -> np.ndarray:
+    # the subgroup {T s (mod d)} of H_d^3 as a (3, k) array in flat-index
+    # order: the closure of {0} under each column of Td and its multiples
+    cube = (d, d, d)
+    H = np.zeros((3, 1), dtype=np.int64)
+    for c in Td.T:
+        sums = (H[:, :, None] + np.outer(c, np.arange(d))[:, None, :]) % d
+        H = np.array(np.unravel_index(np.unique(np.ravel_multi_index(sums.reshape(3, -1), cube)), cube))
+    return H
+
+
 def check_bad_partition(inst: TransferInstance) -> list[int]:
     """Verify a stable-vector transfer instance; return the excluded classes.
 
@@ -568,7 +610,6 @@ def check_bad_partition(inst: TransferInstance) -> list[int]:
 
     covered_bits = np.zeros(d**3, dtype=bool)
     covered_bits[np.ravel_multi_index(R[covered].T, cube)] = True
-    x, y, z = np.ogrid[:d, :d, :d]
     excluded: list[int] = []
     for bi, (B, T) in enumerate(zip(blocks, inst.transforms), start=1):
         Tm = tuple(tuple(int(e) for e in row) for row in T)
@@ -584,9 +625,8 @@ def check_bad_partition(inst: TransferInstance) -> list[int]:
         allowed[np.ravel_multi_index(B.T, cube)] = True
         # residues reachable from x = v + d*s under x -> (1/d) T x are
         # (1/d) T v + T s (mod d); the shifts T s (mod d) are one subgroup of
-        # H_d^3, the same for every v, so reduce them once
-        s = np.ravel_multi_index([(r[0] * x + r[1] * y + r[2] * z) % d for r in Ta % d], cube)
-        shifts = np.array(np.unravel_index(np.unique(s), cube))
+        # H_d^3, the same for every v, so build it once
+        shifts = _column_subgroup(Ta % d, d)
         for v in B:
             img = Ta @ v
             if (img % d).any():

@@ -162,28 +162,13 @@ class RepresentationSieve:
         if not 0 <= lo <= hi <= self.bound:
             raise ValueError(f"range [{lo}, {hi}] outside sieve range [0, {self.bound}]")
 
-    def _scan(self, lo: int, hi: int, missing: bool, limit: int | None = None) -> list[int]:
-        # The values in [lo, hi] that are represented (or missing), ascending;
-        # at most limit of them.  The bytes are unpacked one fixed slice at a
-        # time, so the cost is linear in the bound and a limit ends it early.
-        self._check_range(lo, hi)
-        buf = np.frombuffer(self.bits.to_bytes((self.bound + 8) // 8, "little"), dtype=np.uint8)
-        out: list[int] = []
-        for i in range(lo // 8, hi // 8 + 1, _READ_BYTES):
-            if limit is not None and len(out) >= limit:
-                break
-            chunk = buf[i : min(i + _READ_BYTES, hi // 8 + 1)]
-            pos = np.flatnonzero(np.unpackbits(~chunk if missing else chunk, bitorder="little"))
-            pos += 8 * i
-            out.extend(pos[(pos >= lo) & (pos <= hi)].tolist())
-        return out[:limit]
-
     def missing_in_range(self, lo: int, hi: int, limit: int | None = None) -> list[int]:
         """Sorted list of the values in [lo, hi] NOT represented.
 
         With limit, stops after that many gaps (cheap peek at huge ranges).
         """
-        return self._scan(lo, hi, missing=True, limit=limit)
+        self._check_range(lo, hi)
+        return _bit_scan(self.bits, self.bound, lo, hi, missing=True, limit=limit)
 
     def count_represented(self, lo: int, hi: int) -> int:
         """Number of represented values in [lo, hi]."""
@@ -199,7 +184,7 @@ class RepresentationSieve:
 
     def values(self) -> list[int]:
         """Sorted list of all represented values <= bound."""
-        return self._scan(0, self.bound, missing=False)
+        return _bit_scan(self.bits, self.bound, 0, self.bound, missing=False)
 
     def extend(self, g: int) -> RepresentationSieve:
         """Sieve of insert_sorted(coeffs, g) at the same bound.
@@ -213,6 +198,27 @@ class RepresentationSieve:
 
 
 _READ_BYTES = 1 << 11  # read-out slice: 16,384 bits
+
+
+def _bit_scan(
+    bits: int, bound: int, lo: int, hi: int, missing: bool, limit: int | None = None
+) -> list[int]:
+    # The v in [lo, hi] whose bit is set (or clear) in bits, a bit array over
+    # [0, bound], ascending; at most limit of them.  The bytes are unpacked
+    # one fixed slice at a time, so the cost is linear in the bound and a
+    # limit ends it early.
+    buf = np.frombuffer(bits.to_bytes((bound + 8) // 8, "little"), dtype=np.uint8)
+    out: list[int] = []
+    for i in range(lo // 8, hi // 8 + 1, _READ_BYTES):
+        if limit is not None and len(out) >= limit:
+            break
+        chunk = buf[i : min(i + _READ_BYTES, hi // 8 + 1)]
+        pos = np.flatnonzero(np.unpackbits(~chunk if missing else chunk, bitorder="little"))
+        pos += 8 * i
+        out.extend(pos[(pos >= lo) & (pos <= hi)].tolist())
+    return out[:limit]
+
+
 _FULL = np.uint64(2**64 - 1)
 _GAP_CHUNK, _TERM_CHUNK = 256, 64  # one 128 KiB int64 block per gap-test step
 

@@ -32,12 +32,14 @@ from octaforms.lattice import (
     transfer_matrices,
     two_threes_params,
     two_threes_sufficient,
+    _column_subgroup,
     _covered_mask,
     _disc_fits_int64,
     _range_bounds,
     _residue_array,
     _vector_batches,
     _vector_batches_exact,
+    _vectors_cached,
 )
 from octaforms.polygonal import (
     BYTE_LIMIT,
@@ -137,6 +139,35 @@ def test_bulk_counts_agree_with_per_value_counts(m):
     top = 40
     counts = lattice_counts_up_to(m, top).tolist()
     assert counts == [count_representations(m, v) for v in range(top + 1)]
+
+
+def _box_counts(m, top):
+    # every point of the full box, x1 < 0 included, evaluated at once
+    axes = [np.arange(-b, b + 1) for b in _range_bounds(m, top)]
+    x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    q = np.einsum("ni,ij,nj->n", x, m.as_array(), x)
+    return np.bincount(q[q <= top], minlength=top + 1).tolist()
+
+
+def test_half_box_counts_match_the_full_box():
+    # the sweep takes x1 >= 0 and doubles each x1 > 0 slice: cross terms
+    # m12, m13 != 0 and both parities of b1 must not matter, nor a slice
+    # split into several blocks of x2 rows
+    grams = [
+        GramMatrix([[4, 2, 1], [2, 3, 1], [1, 1, 2]]),
+        GramMatrix([[2, -1, 1], [-1, 4, 1], [1, 1, 5]]),
+        GramMatrix([[7, 3, -2], [3, 9, 4], [-2, 4, 11]]),
+        D((1, 1, 1)),
+    ]
+    parities = set()
+    for m in grams:
+        for top in (0, 1, 2, 40, 41, 300, 1200):
+            b1, b2, b3 = _range_bounds(m, top)
+            parities.add(b1 % 2)
+            assert lattice_counts_up_to(m, top).tolist() == _box_counts(m, top), (m, top)
+    assert parities == {0, 1}
+    # <1,1,1> at 1200: 69 x 69 slices, so blocks of 59 x2 rows, then 10
+    assert _range_bounds(grams[3], 1200) == [34, 34, 34]
 
 
 @settings(max_examples=200, deadline=None)
@@ -275,6 +306,62 @@ def test_int64_batches_match_exact_fallback(m, w, near_switch):
     assert all(m.value(x) == v for x in fast)
 
 
+def _per_row_batches(M, v):
+    # one x1 row at a time: the reference order for the blocked sweep
+    if v == 0:
+        yield np.zeros((1, 3), dtype=np.int64)
+        return
+    m = M.rows
+    b1, b2, _ = _range_bounds(M, v)
+    a33 = m[2][2]
+    x2 = np.arange(-b2, b2 + 1, dtype=np.int64)
+    for x1 in range(-b1, b1 + 1):
+        e = m[0][2] * x1 + m[1][2] * x2
+        f = m[0][0] * x1 * x1 + 2 * m[0][1] * x1 * x2 + m[1][1] * x2 * x2 - v
+        disc = e * e - a33 * f
+        ok = disc >= 0
+        if not ok.any():
+            continue
+        r = np.sqrt(disc.clip(min=0)).astype(np.int64)
+        ok &= r * r == disc
+        rows = []
+        for sign in (1, -1):
+            num = -e + sign * r
+            good = ok & (num % a33 == 0)
+            if sign == -1:
+                good &= r != 0
+            if good.any():
+                rows.append(np.column_stack((np.full(good.sum(), x1), x2[good], num[good] // a33)))
+        if rows:
+            yield np.concatenate(rows)
+
+
+def _rows_in_order(batches):
+    return [tuple(int(e) for e in row) for batch in batches for row in batch]
+
+
+@pytest.mark.parametrize("m, v", [
+    (D((1, 1, 1)), 0),
+    # 89 points a row, 4096 // 89 = 46 rows a block: 89 rows take two blocks
+    (D((1, 1, 1)), 2000),
+    (D((1, 1, 1)), 12345),
+    # 6325 points a row: every block is one row
+    (D((10**6, 1, 1)), 10**7),
+    (GramMatrix([[2, -1, 1], [-1, 4, 1], [1, 1, 5]]), 5000),
+    (GramMatrix([[9, 3, 0], [3, 15, 6], [0, 6, 18]]), 81 * 27),
+])
+def test_blocked_vector_batches_keep_the_per_row_order(m, v):
+    expected = _rows_in_order(_per_row_batches(m, v))
+    assert _rows_in_order(_vector_batches(m, v)) == expected
+    assert count_representations(m, v) == len(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ternary_grams(), st.integers(0, 6000))
+def test_blocked_vector_batches_match_the_per_row_scan(m, v):
+    assert _rows_in_order(_vector_batches(m, v)) == _rows_in_order(_per_row_batches(m, v))
+
+
 def test_huge_entries_fall_back_to_exact_arithmetic():
     # discriminants beyond int64 switch to plain-int batches, same answers
     scale = 10**14
@@ -357,6 +444,74 @@ def test_residues_examples():
         (x, y, z) for x in range(5) for y in range(5) for z in range(5)
         if (big * x * x + y * y + z * z) % 5 == 1
     }
+
+
+@settings(max_examples=25, deadline=None)
+@given(ternary_grams(), st.integers(1, 30))
+def test_residue_array_is_the_lexicographic_cube_scan(m, d):
+    by_class = [[] for _ in range(d)]
+    for x in range(d):
+        for y in range(d):
+            for z in range(d):
+                by_class[m.value((x, y, z)) % d].append([x, y, z])
+    for a in range(d):
+        assert _residue_array(m, d, a).tolist() == by_class[a], a
+
+
+def test_covered_mask_is_the_union_over_transfer_matrices():
+    fixtures = load_fixtures()
+    insts = list(fixtures.prec.values()) + list(fixtures.bad.values())
+    assert len(insts) == 29
+    for inst in insts:
+        R = _residue_array(inst.N, inst.d, inst.a)
+        union = np.zeros(len(R), dtype=bool)
+        for T in transfer_matrices(inst.M, inst.N, inst.d):
+            union |= ((np.array(T) @ R.T) % inst.d == 0).all(axis=0)
+        assert np.array_equal(_covered_mask(inst.M, inst.N, inst.d, R), union), inst.name
+    # the stable-vector instances stay partly uncovered, so every similitude is tried
+    assert not any(
+        _covered_mask(i.M, i.N, i.d, _residue_array(i.N, i.d, i.a)).all()
+        for i in fixtures.bad.values()
+    )
+
+
+def _cube_subgroup(Td, d):
+    # the shifts T s (mod d) over every s in H_d^3, reduced from the d^3 cube
+    x, y, z = np.ogrid[:d, :d, :d]
+    s = np.ravel_multi_index([(r[0] * x + r[1] * y + r[2] * z) % d for r in Td], (d, d, d))
+    return np.unique(s)
+
+
+def test_column_subgroup_is_the_cube_of_shifts():
+    def flat(Td, d):
+        return np.ravel_multi_index(_column_subgroup(Td, d), (d, d, d))
+
+    sizes = []
+    for _, inst in sorted(load_fixtures().bad.items()):
+        for T in inst.transforms:
+            Td = np.array(T) % inst.d
+            sizes.append(flat(Td, inst.d).size)
+            assert np.array_equal(flat(Td, inst.d), _cube_subgroup(Td, inst.d))
+    assert sizes == [9, 9, 8, 3, 24]
+    rng = np.random.default_rng(7)
+    for d in (1, 2, 4, 6, 9, 12, 16):
+        for _ in range(20):
+            Td = rng.integers(0, d, size=(3, 3))
+            assert np.array_equal(flat(Td, d), _cube_subgroup(Td, d)), (d, Td)
+
+
+def test_check_prec_peak_memory_is_pinned():
+    # d = 48, cold vector cache: 1.26 MiB measured; laying out the d^3 cube
+    # and testing every similitude against every residue took 2.6 MiB
+    inst = load_fixtures().prec["356-n1-a38"]
+    _vectors_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        assert check_prec(inst.M, inst.N, inst.d, inst.a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
 
 
 def test_transfer_matrices_small():
