@@ -6,8 +6,8 @@ resource errors.  With --out, a JSON report (schema 1, integer payloads
 only) is written alongside the human-readable output.
 
 Each cmd_* prints its human-readable lines and returns (exit code, inputs,
-results); run() alone times the command, writes the report and maps
-errors to exit code 2.
+results); run() alone times the command, writes the report and maps usage
+and resource errors to exit code 2; any other error is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -29,6 +29,10 @@ from .polygonal import ResourceBudgetError, build_sieve, coeff_vector
 USAGE_ERROR = 2
 
 
+class UsageError(Exception):
+    """Arguments, a table file or a fixture file a command cannot run on."""
+
+
 def _coeffs(text: str) -> tuple[int, ...]:
     # argparse type for --coeffs: a bad value is a usage error with its reason
     try:
@@ -37,8 +41,17 @@ def _coeffs(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(str(e))
 
 
+def _floor(args) -> int:
+    # --n and --bound as the escalation checks them
+    if args.n < 1 or args.bound < 2 * args.n:
+        raise UsageError(f"need n >= 1 and bound >= 2n, got n={args.n}, bound={args.bound}")
+    return args.n
+
+
 def cmd_sieve(args) -> tuple[int, dict, dict]:
     coeffs = args.coeffs
+    if args.bound < coeffs[0]:
+        raise UsageError(f"bound must be >= the first coefficient {coeffs[0]}")
     sieve = build_sieve(coeffs, args.bound)
     lo = coeffs[0]
     missing_count = (args.bound - lo + 1) - sieve.count_represented(lo, args.bound)
@@ -57,7 +70,7 @@ def cmd_sieve(args) -> tuple[int, dict, dict]:
 
 def cmd_psi(args) -> tuple[int, dict, dict]:
     coeffs = args.coeffs
-    truant = esc.psi(coeffs, args.n, args.bound)
+    truant = esc.psi(coeffs, _floor(args), args.bound)
     if truant is not None:
         print(f"psi{coeffs} = {truant} for floor n={args.n}")
     else:
@@ -67,7 +80,7 @@ def cmd_psi(args) -> tuple[int, dict, dict]:
 
 def cmd_check(args) -> tuple[int, dict, dict]:
     coeffs = args.coeffs
-    trace = esc.run_escalation(args.n, args.bound)
+    trace = esc.run_escalation(_floor(args), args.bound)
     criterion = esc.criterion_set(trace)
     verdict = esc.check_tight_universal(coeffs, args.n, criterion, args.bound)
     print(f"form {coeffs}, floor n={args.n}: {verdict}")
@@ -76,7 +89,7 @@ def cmd_check(args) -> tuple[int, dict, dict]:
 
 
 def cmd_escalate(args) -> tuple[int, dict, dict]:
-    trace = esc.run_escalation(args.n, args.bound)
+    trace = esc.run_escalation(_floor(args), args.bound)
     for rec in trace.depths:
         print(f"depth {rec.k}: |E|={len(rec.E)} |U|={len(rec.U)} "
               f"|NU|={len(rec.NU)} |A|={len(rec.A)}")
@@ -88,14 +101,22 @@ def cmd_escalate(args) -> tuple[int, dict, dict]:
 
 
 def cmd_criterion(args) -> tuple[int, dict, dict]:
-    trace = esc.run_escalation(args.n, args.bound)
+    trace = esc.run_escalation(_floor(args), args.bound)
     crit = esc.criterion_set(trace)
     print(f"criterion set for n={args.n}: {list(crit.values)}")
     return 0, {"n": args.n}, {"criterion": list(crit.values)}
 
 
+def _parse(load, source):
+    try:
+        return load(source)
+    except ValueError as e:  # a table or fixture file that does not parse or decode
+        raise UsageError(str(e)) from None
+
+
 def _load_rows(args, table: int):
-    return tb.load_table(Path(args.data_dir) / tb.TABLE_FILES[table] if args.data_dir else table)
+    return _parse(tb.load_table,
+                  Path(args.data_dir) / tb.TABLE_FILES[table] if args.data_dir else table)
 
 
 def _verify_z_table(args, results: dict) -> bool:
@@ -156,7 +177,7 @@ def _verify_families(args, results: dict) -> bool:
 
 
 def _verify_lemmas(args, results: dict) -> bool:
-    fixtures = load_fixtures(args.fixtures)
+    fixtures = _parse(load_fixtures, args.fixtures)
     prec_fail, bad_fail = [], []
     for name, inst in sorted(fixtures.prec.items()):
         good = check_prec(inst.M, inst.N, inst.d, inst.a)
@@ -224,7 +245,7 @@ def cmd_verify(args) -> tuple[int, dict, dict]:
     # a bound one suite cannot run at is a usage error before any suite prints
     least = [b for b in (_SUITES[name][1](args) for name in names) if b is not None]
     if least and args.bound < max(least):
-        raise ValueError(f"verify {target} needs --bound >= {max(least)}, got {args.bound}")
+        raise UsageError(f"verify {target} needs --bound >= {max(least)}, got {args.bound}")
     results: dict = {}
     ok = True
     for name in names:
@@ -286,7 +307,7 @@ def run(argv=None) -> int:
             }
             Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
         return code
-    except (ResourceBudgetError, esc.EscalationDepthError, OSError, ValueError) as e:
+    except (UsageError, ResourceBudgetError, esc.EscalationDepthError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
 

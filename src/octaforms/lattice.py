@@ -97,13 +97,14 @@ def _det(m) -> int:
     )
 
 
+@dataclass(frozen=True, repr=False, slots=True)
 class GramMatrix:
     """Symmetric positive definite integer Gram matrix."""
 
-    __slots__ = ("rows",)
+    rows: tuple[tuple[int, ...], ...]
 
-    def __init__(self, rows):
-        rows = tuple(tuple(int(e) for e in row) for row in rows)
+    def __post_init__(self):
+        rows = tuple(tuple(int(e) for e in row) for row in self.rows)
         n = len(rows)
         if n < 1 or any(len(row) != n for row in rows):
             raise ValueError("Gram matrix must be square")
@@ -116,9 +117,6 @@ class GramMatrix:
             if _det(minor) <= 0:
                 raise ValueError("Gram matrix not positive definite")
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, *_):
-        raise AttributeError("GramMatrix is immutable")
 
     @classmethod
     def diagonal(cls, entries) -> "GramMatrix":
@@ -142,10 +140,7 @@ class GramMatrix:
 
     def value(self, v) -> int:
         """The quadratic value t(v) M v."""
-        v = tuple(int(e) for e in v)
-        if len(v) != self.dim:
-            raise ValueError(f"vector length {len(v)} != dimension {self.dim}")
-        return sum(self.rows[i][j] * v[i] * v[j] for i in range(self.dim) for j in range(self.dim))
+        return self.bilinear(v, v)
 
     def bilinear(self, u, v) -> int:
         """The bilinear value t(u) M v."""
@@ -157,12 +152,6 @@ class GramMatrix:
 
     def as_array(self) -> np.ndarray:
         return np.array(self.rows, dtype=np.int64)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GramMatrix) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
 
     def __repr__(self) -> str:
         if self.is_diagonal:
@@ -205,6 +194,10 @@ class TransferInstance:
     transforms: tuple[tuple[tuple[int, ...], ...], ...] = ()
     blocks: tuple[tuple[tuple[int, ...], ...], ...] | None = None
     excluded: tuple[int, ...] | None = None  # expected square classes, if recorded
+
+    def __post_init__(self):
+        if self.M.dim != 3 or self.N.dim != 3 or not 0 <= self.a < self.d:
+            raise ValueError("a transfer needs ternary M and N and 0 <= a < d")
 
 
 def _range_bounds(M: GramMatrix, v: int) -> list[int]:
@@ -677,26 +670,21 @@ def two_threes_sufficient(a: int, b: int, u: int, w: int) -> bool:
 
 
 def jones_strengthen(v: int) -> tuple[int, int] | None:
-    """Solution (x, y) of x^2 + 2y^2 = v with xy coprime to 3, if one exists.
+    """The first solution (x, y), x ascending, of x^2 + 2y^2 = v with xy coprime to 3.
 
-    Requires v divisible by 3 and the equation solvable at all (checked by
-    enumeration); returns None when solutions exist but every one has a
-    coordinate divisible by 3, which would contradict the strengthening.
+    Requires v a positive multiple of 3 and the equation solvable at all;
+    returns None when every solution has a coordinate divisible by 3, which
+    would contradict the strengthening.
     """
     if v % 3 != 0 or v <= 0:
         raise ValueError(f"v must be a positive multiple of 3: {v}")
-    solutions = []
+    solvable = False
     for x in range(isqrt(v) + 1):
-        rest = v - x * x
-        if rest % 2 != 0:
-            continue
-        y2 = rest // 2
-        y = isqrt(y2)
-        if y * y == y2:
-            solutions.append((x, y))
-    if not solutions:
-        raise ValueError(f"x^2 + 2y^2 = {v} has no integer solution")
-    for x, y in solutions:
-        if x % 3 != 0 and y % 3 != 0:
-            return (x, y)
-    return None
+        y = isqrt((v - x * x) // 2)
+        if x * x + 2 * y * y == v:
+            if x % 3 and y % 3:
+                return (x, y)
+            solvable = True
+    if solvable:
+        return None
+    raise ValueError(f"x^2 + 2y^2 = {v} has no integer solution")

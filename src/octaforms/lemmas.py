@@ -2,11 +2,9 @@
 
 Each entry pairs a diagonal form with the congruence conditions under
 which every qualifying value is representable with all coordinates
-coprime to 3.  The checks scan a whole range at once: these lemmas through
-the packed sum-set sieve, and the scaled-count identity r(9v) > r(v) for
-sums of three squares through one ellipsoid box sweep that counts every
-value up to 9 times the bound.  So a full 10^4 sweep is cheap; any
-counterexamples are returned, never swallowed.
+coprime to 3.  Every check scans a whole range at once: it reads the bits
+of packed sum-set folds (polygonal.fold) once, so a full 10^4 sweep is
+cheap; any counterexamples are returned, never swallowed.
 """
 
 from __future__ import annotations
@@ -15,10 +13,10 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Callable
 
-from .lattice import GramMatrix, coprime3_values_up_to, jones_strengthen, lattice_counts_up_to
+from .lattice import coprime3_values_up_to
 # unused here; perfbench/tracer.py wraps lemmas.count_representations by name
 from .lattice import count_representations  # noqa: F401
-from .polygonal import _bit_scan, build_sieve, insert_sorted
+from .polygonal import _bit_scan, build_sieve, fold
 
 __all__ = [
     "CongruenceLemma",
@@ -147,48 +145,52 @@ CONGRUENCE_LEMMAS: tuple[CongruenceLemma, ...] = (
 )
 
 
-def congruence_counterexamples(lemma: CongruenceLemma, bound: int = 10_000) -> list[int]:
+def congruence_counterexamples(lemma: CongruenceLemma, bound: int) -> list[int]:
     """All qualifying values <= bound NOT coprime-to-3 representable (expected none)."""
     mask = coprime3_values_up_to(lemma.diag, bound)
     # the clear bits are read once, in fixed byte slices: linear in the bound
     return [v for v in _bit_scan(mask, bound, 1, bound, missing=True) if lemma.qualifies(v)]
 
 
-def jones_counterexamples(bound: int = 10_000) -> list[int]:
+def jones_counterexamples(bound: int) -> list[int]:
     """Multiples of 3 where x^2 + 2y^2 = v is solvable but never prime to 3."""
-    bad = []
-    for v in range(3, bound + 1, 3):
-        try:
-            if jones_strengthen(v) is None:
-                bad.append(v)
-        except ValueError:
-            continue  # equation unsolvable; nothing to strengthen
-    return bad
+    squares = [x * x for x in range(isqrt(bound) + 1)]
+    solvable = fold((squares, [2 * s for s in squares]), bound)  # zeros included
+    bad = solvable & ~coprime3_values_up_to((1, 2), bound)
+    return [v for v in _bit_scan(bad, bound, 1, bound, missing=False) if v % 3 == 0]
 
 
-def counting_counterexamples(bound: int = 2000) -> list[int]:
-    """v <= bound where scaling by 9 fails to add sum-of-three-squares vectors."""
-    r = lattice_counts_up_to(GramMatrix.diagonal((1, 1, 1)), 9 * bound)
-    return [v for v in range(1, bound + 1) if not excluded_4a_8b7(9 * v) and r[9 * v] <= r[v]]
+def counting_counterexamples(bound: int) -> list[int]:
+    """v <= bound where scaling by 9 fails to add sum-of-three-squares vectors.
+
+    x -> 3x maps the vectors of norm v one-to-one onto the vectors of norm
+    9v that are 0 mod 3, so r(9v) > r(v) iff 9v = a^2 + b^2 + c^2 with some
+    coordinate prime to 3, by symmetry a: one fold of the three square sets.
+    """
+    top = 9 * bound
+    squares = [x * x for x in range(isqrt(top) + 1)]
+    bits = fold(([s for x, s in enumerate(squares) if x % 3], squares, squares), top)
+    gaps = _bit_scan(bits, top, 9, top, missing=True)
+    return [g // 9 for g in gaps if g % 9 == 0 and not excluded_4a_8b7(g)]
 
 
-def pair_2233_counterexamples(bound: int = 10_000) -> list[int]:
+def pair_2233_counterexamples(bound: int) -> list[int]:
     """Values the form (2,2,3,3) must take: all u != 1 mod 4 except 11 and 14."""
     gaps = build_sieve((2, 2, 3, 3), bound).missing_in_range(0, bound)  # 0 is never a gap
     return [u for u in gaps if u % 4 != 1 and u not in (11, 14)]
 
 
 def family_2233t_counterexamples(
-    ts=(1, 2, 3, 5, 6, 7, 9, 10), bound: int = 2000
+    bound: int, ts=(1, 2, 3, 5, 6, 7, 9, 10)
 ) -> list[tuple[int, int]]:
     """(t, u) pairs with u >= t + 15 missed by (2,2,3,3,t); t must avoid multiples of 4."""
     ts = tuple(ts)
     for t in ts:
-        if t % 4 == 0:
-            raise ValueError(f"t divisible by 4 is outside the family: {t}")
+        if t < 1 or t % 4 == 0:
+            raise ValueError(f"t outside the family (positive, not divisible by 4): {t}")
+    base = build_sieve((2, 2, 3, 3), bound)
     bad = []
     for t in ts:
-        sieve = build_sieve(insert_sorted((2, 2, 3, 3), t), bound)
         if t + 15 <= bound:
-            bad.extend((t, u) for u in sieve.missing_in_range(t + 15, bound))
+            bad.extend((t, u) for u in base.extend(t).missing_in_range(t + 15, bound))
     return bad

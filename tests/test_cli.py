@@ -1,7 +1,11 @@
 """Command line behavior: verbs, exit codes, and JSON reports."""
 
+import hashlib
 import json
 
+import pytest
+
+from octaforms import escalation
 from octaforms.cli import run
 
 
@@ -142,6 +146,49 @@ def test_verify_lemmas_reports_the_bounds_it_used(tmp_path, capsys):
         "pair_2233": 10_000, "family_2233t": 2000,
     }
     assert not any(report["results"]["lemmas"].values())
+
+
+def test_malformed_data_files_are_usage_errors(tmp_path, capsys):
+    from octaforms.fixtures import bundled_fixture_path
+    from octaforms.tables import TABLE_FILES
+
+    table = tmp_path / TABLE_FILES[2]
+    fixtures = tmp_path / "fx.txt"
+    cases = [
+        (table, b"prefix=2,3 expect=tight\n", "line 1: invalid literal"),
+        (table, b"\xff", "can't decode"),
+        (fixtures, bundled_fixture_path().read_bytes().replace(b"a = 0", b"a = 4", 1),
+         "ternary M and N and 0 <= a < d"),
+    ]
+    for path, data, message in cases:
+        path.write_bytes(data)
+        target = "t2" if path == table else "lemmas"
+        assert run(["verify", target, "--data-dir", str(tmp_path),
+                    "--fixtures", str(fixtures)]) == 2, message
+        assert message in capsys.readouterr().err
+
+
+def test_a_value_error_inside_a_verb_is_not_a_usage_error(monkeypatch):
+    def broken(*args):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(escalation, "run_escalation", broken)
+    with pytest.raises(ValueError, match="internal"):
+        run(["escalate", "--n", "2"])
+
+
+def test_verify_all_output_is_pinned(tmp_path, capsys):
+    # sha256 of the stdout and of the --out report without elapsed_ms, keys sorted
+    out = tmp_path / "all.json"
+    assert run(["verify", "all", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    del report["elapsed_ms"]
+    digests = [hashlib.sha256(text.encode()).hexdigest()
+               for text in (capsys.readouterr().out, json.dumps(report, sort_keys=True))]
+    assert digests == [
+        "eb0ae310ba29413b4855ebc2ba79c667f3ee6eb72f918c65dc6df101abda327a",
+        "9ab1aa7169c2aca1b4ab204fce1d1b31dd239a567e09d84a43619fd0cd046a7d",
+    ]
 
 
 def test_missing_data_paths_are_usage_errors(tmp_path):

@@ -81,6 +81,18 @@ def test_gram_matrix_validation():
     assert m.det == 5 and not m.is_diagonal
 
 
+def test_gram_matrix_is_a_frozen_value():
+    m = GramMatrix([[2, 1], [1, 3]])
+    assert m.rows == ((2, 1), (1, 3)) and m != m.rows
+    assert m == GramMatrix(((2, 1), (1, 3))) and hash(m) == hash(GramMatrix(m.rows))
+    with pytest.raises(AttributeError):
+        m.rows = ((1, 0), (0, 1))
+    assert repr(m) == "GramMatrix([[2, 1], [1, 3]])"
+    assert repr(D((1, 2))) == "GramMatrix.diagonal([1, 2])"
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        m.value((1, 2, 3))
+
+
 def test_gram_value_examples():
     assert D((1, 1, 1)).value((1, 2, 2)) == 9
     assert GramMatrix([[1, 0, 0], [0, 4, 1], [0, 1, 7]]).value((1, 1, 0)) == 5

@@ -6,7 +6,10 @@ from dataclasses import replace
 import pytest
 
 from octaforms import lemmas
-from octaforms.lattice import coprime3_values_up_to
+from octaforms.lattice import (
+    GramMatrix, coprime3_values_up_to, jones_strengthen, lattice_counts_up_to
+)
+from octaforms.polygonal import fold
 from octaforms.lemmas import (
     CONGRUENCE_LEMMAS,
     congruence_counterexamples,
@@ -58,6 +61,55 @@ def test_jones_strengthening_range():
 
 def test_counting_identity_range():
     assert counting_counterexamples(500) == []
+    assert counting_counterexamples(6000) == []
+
+
+def _recorded(monkeypatch, name):
+    # the results of every call the scans make to lemmas.<name>
+    seen, original = [], getattr(lemmas, name)
+
+    def record(*args):
+        seen.append(original(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(lemmas, name, record)
+    return seen
+
+
+def test_jones_scan_reads_both_folds_pointwise(monkeypatch):
+    folds = _recorded(monkeypatch, "fold")
+    masks = _recorded(monkeypatch, "coprime3_values_up_to")
+    assert jones_counterexamples(3000) == []
+    (solvable,), (strong,) = folds, masks
+    brute = {x * x + 2 * y * y for x in range(55) for y in range(39)}
+    for v in range(3, 3001, 3):
+        assert bool(solvable >> v & 1) == (v in brute), v
+        if v in brute:
+            assert bool(strong >> v & 1) == (jones_strengthen(v) is not None), v
+        else:
+            assert not strong >> v & 1
+            with pytest.raises(ValueError):
+                jones_strengthen(v)
+
+
+def test_counting_scan_reads_the_fold_pointwise(monkeypatch):
+    # 9v is in the fold iff r(9v) > r(v), excluded values 4^a(8b+7) included
+    folds = _recorded(monkeypatch, "fold")
+    assert counting_counterexamples(3000) == []
+    (bits,) = folds
+    r = lattice_counts_up_to(GramMatrix.diagonal((1, 1, 1)), 9 * 3000)
+    assert all(bool(bits >> 9 * v & 1) == (r[9 * v] > r[v]) for v in range(3001))
+
+
+def test_scans_report_a_planted_gap(monkeypatch):
+    # 9 = 1 + 2*2^2 is prime to 3; 45 = 9*5 is a gap, 63 = 9*7 is excluded,
+    # and 46 is no multiple of 9
+    monkeypatch.setattr(lemmas, "coprime3_values_up_to",
+                        lambda diag, bound: coprime3_values_up_to(diag, bound) & ~(1 << 9))
+    assert jones_counterexamples(3000) == [9]
+    monkeypatch.setattr(lemmas, "fold",
+                        lambda lists, bound: fold(lists, bound) & ~(1 << 45 | 1 << 46 | 1 << 63))
+    assert counting_counterexamples(3000) == [5]
 
 
 def test_counting_peak_memory_is_pinned():
