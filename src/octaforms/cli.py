@@ -23,7 +23,7 @@ from . import escalation as esc
 from . import lemmas as lm
 from . import tables as tb
 from .fixtures import load_fixtures
-from .lattice import ConditionFailed, NoEigenvector, check_bad_partition, check_prec
+from .lattice import ConditionFailed, check_bad_partition, check_prec
 from .polygonal import ResourceBudgetError, build_sieve, coeff_vector
 
 USAGE_ERROR = 2
@@ -115,12 +115,17 @@ def _parse(load, source):
 
 
 def _load_rows(args, table: int):
-    return _parse(tb.load_table,
+    rows = _parse(tb.load_table,
                   Path(args.data_dir) / tb.TABLE_FILES[table] if args.data_dir else table)
+    want = ("Z", None) if table == 1 else ("tight", table)
+    for row in rows:
+        if (row.expect_kind, row.expect_n) != want:
+            raise UsageError(f"{tb.TABLE_FILES[table]}: row {row.prefix} does not expect "
+                             f"{'Z' if table == 1 else f'tight:{table}'}")
+    return rows
 
 
-def _verify_z_table(args, results: dict) -> bool:
-    rows = _load_rows(args, 1)
+def _verify_z_table(args, rows, results: dict) -> bool:
     reports = tb.verify_z_rows(rows, args.bound)
     for rep in reports:
         mark = "ok" if rep.ok else "FAIL"
@@ -131,8 +136,7 @@ def _verify_z_table(args, results: dict) -> bool:
     return not failures
 
 
-def _verify_tight_table(args, results: dict, n: int) -> bool:
-    rows = _load_rows(args, n)
+def _verify_tight_table(args, rows, results: dict, n: int) -> bool:
     trace = esc.run_escalation(n, args.bound)
     census = tb.table_census(rows)
     report = tb.verify_table(rows, n, trace)
@@ -159,7 +163,7 @@ def _verify_tight_table(args, results: dict, n: int) -> bool:
 _FAMILY_FLOORS = range(5, 13)
 
 
-def _verify_families(args, results: dict) -> bool:
+def _verify_families(args, _, results: dict) -> bool:
     ok = True
     details = {}
     for n in _FAMILY_FLOORS:
@@ -176,8 +180,7 @@ def _verify_families(args, results: dict) -> bool:
     return ok
 
 
-def _verify_lemmas(args, results: dict) -> bool:
-    fixtures = _parse(load_fixtures, args.fixtures)
+def _verify_lemmas(args, fixtures, results: dict) -> bool:
     prec_fail, bad_fail = [], []
     for name, inst in sorted(fixtures.prec.items()):
         good = check_prec(inst.M, inst.N, inst.d, inst.a)
@@ -189,7 +192,7 @@ def _verify_lemmas(args, results: dict) -> bool:
             excluded = check_bad_partition(inst)
             good = inst.excluded is None or tuple(excluded) == inst.excluded
             note = f"excluded classes {excluded}"
-        except (ConditionFailed, NoEigenvector, ValueError) as e:
+        except (ConditionFailed, ValueError) as e:
             good, note = False, str(e)
         if not good:
             bad_fail.append(name)
@@ -223,33 +226,37 @@ def _verify_lemmas(args, results: dict) -> bool:
     return ok
 
 
-def _z_table_least_bound(args) -> int:
+def _load_z_rows(args):
+    rows = _load_rows(args, 1)
     # each row is scanned from its first coefficient up to the bound
-    return max((row.prefix[0] for row in _load_rows(args, 1)), default=0)
+    return rows, max((row.prefix[0] for row in rows), default=0)
 
 
-# `verify all` runs every suite in this order; `families` names thm5.  Next
-# to each suite, the least --bound it runs at: an escalation for floor n
-# needs 2n, and the lemma suites run at their own bounds (None).
+# `verify all` runs every suite in this order; `families` names thm5.  Each
+# suite has a loader, which reads its input once and returns it with the
+# least --bound the suite runs at (an escalation for floor n needs 2n; the
+# lemma suites run at their own bounds: None), and a runner that takes it.
 _SUITES = {
-    "z-table": (_verify_z_table, _z_table_least_bound),
-    **{f"t{n}": (partial(_verify_tight_table, n=n), lambda args, n=n: 2 * n) for n in (2, 3, 4)},
-    "thm5": (_verify_families, lambda args: 2 * _FAMILY_FLOORS[-1]),
-    "lemmas": (_verify_lemmas, lambda args: None),
+    "z-table": (_load_z_rows, _verify_z_table),
+    **{f"t{n}": (lambda args, n=n: (_load_rows(args, n), 2 * n),
+                 partial(_verify_tight_table, n=n)) for n in (2, 3, 4)},
+    "thm5": (lambda args: (None, 2 * _FAMILY_FLOORS[-1]), _verify_families),
+    "lemmas": (lambda args: (_parse(load_fixtures, args.fixtures), None), _verify_lemmas),
 }
 
 
 def cmd_verify(args) -> tuple[int, dict, dict]:
     target = args.target
     names = _SUITES if target == "all" else [{"families": "thm5"}.get(target, target)]
-    # a bound one suite cannot run at is a usage error before any suite prints
-    least = [b for b in (_SUITES[name][1](args) for name in names) if b is not None]
+    # every input is read and checked, and so is the bound, before any suite prints
+    loaded = {name: _SUITES[name][0](args) for name in names}
+    least = [b for _, b in loaded.values() if b is not None]
     if least and args.bound < max(least):
         raise UsageError(f"verify {target} needs --bound >= {max(least)}, got {args.bound}")
     results: dict = {}
     ok = True
     for name in names:
-        ok &= _SUITES[name][0](args, results)
+        ok &= _SUITES[name][1](args, loaded[name][0], results)
     print(f"verify {target}: {'PASS' if ok else 'FAIL'}")
     return (0 if ok else 1), {"target": target}, results
 

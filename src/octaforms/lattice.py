@@ -43,7 +43,6 @@ __all__ = [
     "GenusFixture",
     "TransferInstance",
     "ConditionFailed",
-    "NoEigenvector",
     "lattice_vectors",
     "represents_lattice",
     "count_representations",
@@ -81,10 +80,6 @@ class ConditionFailed(Exception):
         if detail:
             msg += f": {detail}"
         super().__init__(msg)
-
-
-class NoEigenvector(Exception):
-    """A self-similitude has no rational fixed line; the instance is malformed."""
 
 
 def _det(m) -> int:
@@ -254,9 +249,6 @@ def _vector_batches(M: GramMatrix, v: int):
     if M.dim != 3:
         raise ValueError("vector enumeration requires a ternary lattice")
     if v < 0:
-        return
-    if v == 0:
-        yield np.zeros((1, 3), dtype=np.int64)
         return
     m = M.rows
     b1, b2, _ = _range_bounds(M, v)
@@ -500,20 +492,6 @@ def _covered_mask(M: GramMatrix, N: GramMatrix, d: int, R: np.ndarray) -> np.nda
     return covered
 
 
-def _matrix_power_is_identity(T, d: int) -> bool:
-    # finite order in GL_3(Q) forces order 1, 2, 3, 4 or 6
-    P = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
-    for k in range(1, 7):
-        P = [
-            [sum(P[i][l] * T[l][j] for l in range(3)) for j in range(3)]
-            for i in range(3)
-        ]
-        scale = d**k
-        if all(P[i][j] == (scale if i == j else 0) for i in range(3) for j in range(3)):
-            return True
-    return False
-
-
 def _cross(u, v):
     return (
         u[1] * v[2] - u[2] * v[1],
@@ -522,31 +500,18 @@ def _cross(u, v):
     )
 
 
-def _primitive(w):
-    g = gcd(gcd(abs(w[0]), abs(w[1])), abs(w[2]))
-    if g == 0:
-        return None
-    w = tuple(e // g for e in w)
-    for e in w:
-        if e != 0:
-            return w if e > 0 else tuple(-x for x in w)
-    return None
-
-
 def _fixed_line(T, d: int) -> tuple[int, int, int]:
-    """Primitive integer w with (1/d) T w = det((1/d)T) w, deterministic sign."""
-    detT = _det(T)
-    if abs(detT) != d**3:
-        raise NoEigenvector(f"determinant {detT} is not +-d^3")
-    lam = detT // (d**3)
+    """Primitive integer w with (1/d) T w = det((1/d)T) w, first nonzero entry positive.
+
+    T must be a self-similitude of N of infinite order (see
+    check_bad_partition): then det((1/d)T) is a simple eigenvalue, so
+    T - det(T)/d^2 I has rank 2 and two of its rows cross to w.
+    """
+    lam = _det(T) // d**3
     A = [[T[i][j] - (lam * d if i == j else 0) for j in range(3)] for i in range(3)]
-    if _det(A) != 0:
-        raise NoEigenvector("eigenvalue has no rational line")
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        w = _primitive(_cross(A[i], A[j]))
-        if w is not None:
-            return w
-    raise NoEigenvector("the fixed space is not a line")
+    w = next(w for w in (_cross(A[0], A[1]), _cross(A[0], A[2]), _cross(A[1], A[2])) if any(w))
+    g = gcd(*w) if next(e for e in w if e) > 0 else -gcd(*w)
+    return tuple(e // g for e in w)
 
 
 def _column_subgroup(Td: np.ndarray, d: int) -> np.ndarray:
@@ -570,10 +535,17 @@ def check_bad_partition(inst: TransferInstance) -> list[int]:
     block or becomes covered.  On success, values of N in the progression
     transfer to M except along each T's fixed line, whose square class
     t(w) N w is returned per block.
+
+    Condition (i) is read off T's trace, exactly.  Once t(T) N T = d^2 N
+    holds with N positive definite, S = (1/d) T is orthogonal for N: its
+    eigenvalues are lam = det S = +-1 and e^(+-i theta), and
+    tr S = lam + 2 cos theta makes 2 cos theta rational.  S has finite order
+    iff e^(i theta) is a root of unity, iff 2 cos theta is an integer (a
+    rational algebraic integer is one; an integer in [-2, 2] gives theta of
+    order 1, 2, 3, 4 or 6), iff d divides tr T.  Of infinite order, theta is
+    not 0 or pi, so lam is a simple eigenvalue and the fixed line exists.
     """
     M, N, d, a = inst.M, inst.N, inst.d, inst.a
-    if not 0 <= a < d:
-        raise ValueError("need 0 <= a < d")
     if not inst.transforms:
         raise ValueError("instance carries no transform matrices")
     # a residue is a row of R or its flat index x*d^2 + y*d + z in H_d^3
@@ -612,7 +584,7 @@ def check_bad_partition(inst: TransferInstance) -> list[int]:
                for i in range(3) for j in range(3)):
             raise ValueError(f"transform {bi} is not a self-similitude of ratio d^2")
         Ta = np.array(Tm, dtype=np.int64)
-        if _matrix_power_is_identity(Tm, d):
+        if sum(Tm[i][i] for i in range(3)) % d == 0:
             raise ConditionFailed("i", bi, detail="(1/d) T has finite order")
         allowed = covered_bits.copy()
         allowed[np.ravel_multi_index(B.T, cube)] = True

@@ -168,6 +168,62 @@ def test_malformed_data_files_are_usage_errors(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def _copy_data(tmp_path):
+    from octaforms.fixtures import bundled_fixture_path
+    from octaforms.tables import TABLE_FILES, bundled_table_path
+
+    for t, name in TABLE_FILES.items():
+        tmp_path.joinpath(name).write_text(bundled_table_path(t).read_text())
+    tmp_path.joinpath("fx.txt").write_text(bundled_fixture_path().read_text())
+    return ["--data-dir", str(tmp_path), "--fixtures", str(tmp_path / "fx.txt")]
+
+
+def test_a_table_row_of_the_wrong_kind_is_a_usage_error(tmp_path, capsys):
+    data = _copy_data(tmp_path)
+    t2 = tmp_path / "table2.txt"
+    cases = [
+        (t2, "expect=tight:2", "expect=tight:3", "t2", "row (2, 2, 3, 4) does not expect tight:2"),
+        (t2, "expect=tight:2", "expect=Z:", "t2", "does not expect tight:2"),
+        (tmp_path / "table1.txt", "expect=Z:8,11", "expect=tight:1", "z-table", "does not expect Z"),
+    ]
+    for path, old, new, target, message in cases:
+        text = path.read_text()
+        path.write_text(text.replace(old, new, 1))
+        assert run(["verify", target, *data]) == 2, new
+        out, err = capsys.readouterr()
+        assert out == "" and message in err, err
+        path.write_text(text)
+
+
+def test_verify_all_reads_every_input_before_any_suite_prints(tmp_path, capsys):
+    data = _copy_data(tmp_path)
+    report = tmp_path / "all.json"
+    for name, old, new in (("table3.txt", "expect=", "expect"), ("fx.txt", "a = 0", "a = 4")):
+        path = tmp_path / name
+        text = path.read_text()
+        path.write_text(text.replace(old, new, 1))
+        assert run(["verify", "all", *data, "--out", str(report)]) == 2, name
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: "), (name, err)
+        assert not report.exists()
+        path.write_text(text)
+
+
+def test_verify_all_reads_each_table_once(monkeypatch, capsys):
+    from octaforms import tables
+
+    calls = []
+
+    def counted(source):
+        calls.append(source)
+        return load_table(source)
+
+    load_table = tables.load_table
+    monkeypatch.setattr(tables, "load_table", counted)
+    assert run(["verify", "all"]) == 0
+    assert calls == [1, 2, 3, 4]
+
+
 def test_a_value_error_inside_a_verb_is_not_a_usage_error(monkeypatch):
     def broken(*args):
         raise ValueError("internal")

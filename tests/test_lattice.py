@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 import tracemalloc
 from dataclasses import replace
@@ -16,7 +17,6 @@ from octaforms.lattice import (
     ConditionFailed,
     GenusFixture,
     GramMatrix,
-    NoEigenvector,
     TransferInstance,
     check_bad_partition,
     check_prec,
@@ -35,6 +35,7 @@ from octaforms.lattice import (
     _column_subgroup,
     _covered_mask,
     _disc_fits_int64,
+    _fixed_line,
     _range_bounds,
     _residue_array,
     _vector_batches,
@@ -702,21 +703,43 @@ def test_check_bad_partition_rejects_non_similitude():
 
 
 def test_eigenvector_error_paths():
-    # a self-similitude whose fixed line is irrational does not exist for
-    # ratio d^2 with det +-d^3; feeding inconsistent data must raise
+    # _fixed_line raises nothing: every T that reaches it has a fixed line
+    # (see test_finite_order_is_read_off_the_trace)
     inst = TransferInstance(
         "test", MOD9, D((6, 12, 27)), 9, 3, transforms=(((3, 0, -18), (0, 9, 0), (4, 0, 3)),)
     )
     assert check_bad_partition(inst) == [12]  # sanity: the good path still works
-    from octaforms.lattice import _fixed_line
 
-    with pytest.raises(NoEigenvector):
-        _fixed_line(((2, 0, 0), (0, 2, 0), (0, 0, 2)), 9)
-    # 9 I fixes all of Q^3 and the shear a plane: neither has a fixed line
-    with pytest.raises(NoEigenvector):
-        _fixed_line(((9, 0, 0), (0, 9, 0), (0, 0, 9)), 9)
-    with pytest.raises(NoEigenvector):
-        _fixed_line(((9, 9, 0), (0, 9, 0), (0, 0, 9)), 9)
+
+def _power_oracle(T, d):
+    # T^k = d^k I for some k <= 12, by exact matrix powers
+    P = T
+    for k in range(1, 13):
+        if P == [[d**k if i == j else 0 for j in range(3)] for i in range(3)]:
+            return True
+        P = [[sum(P[i][m] * T[m][j] for m in range(3)) for j in range(3)] for i in range(3)]
+    return False
+
+
+def test_finite_order_is_read_off_the_trace():
+    # every self-similitude of ratio d^2 of each stable-vector fixture's N:
+    # condition (i)'s test, d | tr T, agrees with the power oracle, and each T
+    # of infinite order has a primitive fixed line with a positive lead entry
+    seen = 0
+    for _, inst in sorted(load_fixtures().bad.items()):
+        d = inst.d
+        for T in transfer_matrices(inst.N, inst.N, d):
+            T = [list(row) for row in T]
+            finite = _power_oracle(T, d)
+            assert (sum(T[i][i] for i in range(3)) % d == 0) == finite, T
+            seen += 1
+            if finite:
+                continue
+            w = _fixed_line(T, d)
+            lam = round(np.linalg.det(np.array(T, dtype=float))) // d**3
+            assert [sum(T[i][j] * w[j] for j in range(3)) for i in range(3)] == [lam * d * e for e in w]
+            assert math.gcd(*w) == 1 and next(e for e in w if e) > 0, (T, w)
+    assert seen == 824
 
 
 def test_scaled_prime_squares_reach_the_mod9_lattice():
