@@ -34,8 +34,9 @@ cube = GramMatrix.diagonal((1, 1, 1))
 print("\nsums of three squares: 9 has", count_representations(cube, 9),
       "representations, 7 has", count_representations(cube, 7))
 
-# Residue vectors split a lattice's values into progressions.
-print("odd-value residues of the cube mod 2:", sorted(residues(cube, 2, 1)))
+# Residue vectors split a lattice's values into progressions; residues
+# returns them as int64 rows in lexicographic order.
+print("odd-value residues of the cube mod 2:", residues(cube, 2, 1).tolist())
 
 # A similitude of ratio d^2 pushes values of N into M when it kills the
 # residues; the bundled fixtures record every instance used by the tables.

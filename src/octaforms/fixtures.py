@@ -57,8 +57,6 @@ def load_fixtures(path=None) -> FixtureSet:
         nonlocal kind, name, fields, classes
         try:
             if kind == "genus":
-                if not classes:
-                    raise ValueError("genus block without classes")
                 genera[name] = GenusFixture(name=name, classes=tuple(classes))
             else:
                 M = GramMatrix(_parse_matrix(fields.pop("M")[0]))
@@ -83,14 +81,10 @@ def load_fixtures(path=None) -> FixtureSet:
                     name=name, M=M, N=N, d=d, a=a,
                     transforms=transforms, blocks=blocks, excluded=excluded,
                 )
-                if kind == "prec":
-                    if transforms or blocks:
-                        raise ValueError("prec blocks take no T or P lines")
-                    prec[name] = inst
-                else:
-                    if not transforms:
-                        raise ValueError("bad blocks need at least one T line")
-                    bad[name] = inst
+                # P lines need their T lines, which TransferInstance checks
+                if bool(transforms) != (kind == "bad"):
+                    raise ValueError("prec blocks take no T line, bad blocks at least one")
+                (bad if kind == "bad" else prec)[name] = inst
         except (KeyError, ValueError, IndexError) as e:
             raise ValueError(f"fixture block {name!r} (ended line {lineno}): {e}") from None
         kind = name = None
@@ -120,9 +114,12 @@ def load_fixtures(path=None) -> FixtureSet:
             classes.append(GramMatrix(_parse_matrix(line[len("class "):])))
         else:
             key, sep, val = line.partition("=")
+            key = key.strip()
             if not sep:
                 raise ValueError(f"line {lineno}: expected key = value")
-            fields.setdefault(key.strip(), []).append(val.strip())
+            if key in fields and key not in ("T", "P"):
+                raise ValueError(f"line {lineno}: repeated field {key!r}")
+            fields.setdefault(key, []).append(val.strip())
     if kind is not None:
         raise ValueError(f"unterminated {kind} block {name!r}")
     return FixtureSet(genera=genera, prec=prec, bad=bad)

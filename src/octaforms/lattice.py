@@ -65,6 +65,8 @@ POINT_BUDGET = 10**8
 # block sizes, in grid points and in pair x third-column entries
 _BLOCK_POINTS = 1 << 12
 _BLOCK_PAIRS = 1 << 14
+# bytes a residue of H_d^3 may cost residues' heaviest consumer, _covered_mask (91)
+_CUBE_BYTES = 96
 
 
 class ConditionFailed(Exception):
@@ -168,17 +170,15 @@ class GenusFixture:
         if len(dets) != 1:
             raise ValueError(f"genus classes disagree on determinant: {sorted(dets)}")
 
-    def represents(self, v: int) -> bool:
-        """Genus membership at desk scale: some listed class represents v."""
-        return any(represents_lattice(c, v) for c in self.classes)
-
 
 @dataclass(frozen=True)
 class TransferInstance:
     """One transfer check: lattices M, N, depth d, progression class a.
 
     transforms (with optional matching partition blocks) configure the
-    stable-vector check; plain progression transfer needs neither.
+    stable-vector check; plain progression transfer needs neither.  Each T is
+    a 3x3 integer matrix with one block of residues in H_d^3 and one excluded
+    class; without blocks, the one T's block is every uncovered residue.
     """
 
     name: str
@@ -191,8 +191,21 @@ class TransferInstance:
     excluded: tuple[int, ...] | None = None  # expected square classes, if recorded
 
     def __post_init__(self):
-        if self.M.dim != 3 or self.N.dim != 3 or not 0 <= self.a < self.d:
+        d, n = self.d, len(self.transforms)
+        if self.M.dim != 3 or self.N.dim != 3 or not 0 <= self.a < d:
             raise ValueError("a transfer needs ternary M and N and 0 <= a < d")
+        transforms = tuple(tuple(tuple(map(int, row)) for row in T) for T in self.transforms)
+        if any(len(T) != 3 or any(len(row) != 3 for row in T) for T in transforms):
+            raise ValueError("every transform must be a 3x3 integer matrix")
+        object.__setattr__(self, "transforms", transforms)
+        if self.blocks is not None and not all(
+            len(B) and all(len(v) == 3 and 0 <= min(v) and max(v) < d for v in B) for B in self.blocks
+        ):
+            raise ValueError(f"block residues must be three integers in [0, {d})")
+        if (n > 1) if self.blocks is None else (len(self.blocks) != n):
+            raise ValueError("need exactly one transform per block (at most one without blocks)")
+        if self.excluded is not None and len(self.excluded) != n:
+            raise ValueError("need exactly one excluded class per block")
 
 
 def _range_bounds(M: GramMatrix, v: int) -> list[int]:
@@ -396,11 +409,13 @@ def octagonal_via_lattice(a, u: int) -> bool:
     return bool((coprime3_values_up_to(a, v) >> v) & 1)
 
 
-def _residue_array(N: GramMatrix, d: int, a: int) -> np.ndarray:
-    # rows v of H_d^3 with Q_N(v) = a (mod d), in lexicographic order.  Counted
-    # at the heaviest consumer's peak with every residue in the class:
-    # residues' set of tuples, 167.8 d^3 bytes at d = 108 (the block walk: 91)
-    check_bytes(168 * d**3, f"residue cube of size {d}^3")
+def residues(N: GramMatrix, d: int, a: int) -> np.ndarray:
+    """The v in H_d^3 with Q_N(v) = a (mod d), as (k, 3) int64 rows in lexicographic order."""
+    if N.dim != 3:
+        raise ValueError("residue scan requires a ternary lattice")
+    if not 0 <= a < d:
+        raise ValueError("need 0 <= a < d")
+    check_bytes(_CUBE_BYTES * d**3, f"residue cube of size {d}^3")
     # entries reduced mod d keep q far inside int64 whatever N's size
     (n11, n12, n13), (_, n22, n23), (_, _, n33) = ([e % d for e in row] for row in N.rows)
     y, z = np.ogrid[:d, :d]
@@ -412,15 +427,6 @@ def _residue_array(N: GramMatrix, d: int, a: int) -> np.ndarray:
         [x * d * d + np.flatnonzero((n11 * x * x + x * lin + rest) % d == a) for x in range(d)]
     )
     return np.column_stack(np.unravel_index(flat, (d, d, d)))
-
-
-def residues(N: GramMatrix, d: int, a: int) -> set[tuple[int, int, int]]:
-    """Residue vectors v in H_d^3 whose value under N is a mod d."""
-    if N.dim != 3:
-        raise ValueError("residue scan requires a ternary lattice")
-    if not 0 <= a < d:
-        raise ValueError("need 0 <= a < d")
-    return set(map(tuple, _residue_array(N, d, a).tolist()))
 
 
 def _iter_similitudes(M: GramMatrix, N: GramMatrix, d: int):
@@ -469,9 +475,7 @@ def check_prec(M: GramMatrix, N: GramMatrix, d: int, a: int) -> bool:
     (mod d) for some similitude T of ratio d^2 from M to N.  True lets
     representations of d u + a by N transfer to M.
     """
-    if not 0 <= a < d:
-        raise ValueError("need 0 <= a < d")
-    return bool(_covered_mask(M, N, d, _residue_array(N, d, a)).all())
+    return bool(_covered_mask(M, N, d, residues(N, d, a)).all())
 
 
 def _covered_mask(M: GramMatrix, N: GramMatrix, d: int, R: np.ndarray) -> np.ndarray:
@@ -484,6 +488,7 @@ def _covered_mask(M: GramMatrix, N: GramMatrix, d: int, R: np.ndarray) -> np.nda
         images = T @ Rt
         images %= d
         hit = ~images.any(axis=0)
+        del images  # freed before the open rows are compacted: see _CUBE_BYTES
         if hit.any():
             covered[open_rows[hit]] = True
             open_rows, Rt = open_rows[~hit], Rt[:, ~hit]
@@ -521,7 +526,10 @@ def _column_subgroup(Td: np.ndarray, d: int) -> np.ndarray:
     H = np.zeros((3, 1), dtype=np.int64)
     for c in Td.T:
         sums = (H[:, :, None] + np.outer(c, np.arange(d))[:, None, :]) % d
-        H = np.array(np.unravel_index(np.unique(np.ravel_multi_index(sums.reshape(3, -1), cube)), cube))
+        # a mark over H_d^3, not np.unique, which imports numpy.ma (0.5 MiB) on first use
+        mark = np.zeros(d**3, dtype=bool)
+        mark[np.ravel_multi_index(sums.reshape(3, -1), cube)] = True
+        H = np.array(np.unravel_index(np.flatnonzero(mark), cube))
     return H
 
 
@@ -550,41 +558,32 @@ def check_bad_partition(inst: TransferInstance) -> list[int]:
         raise ValueError("instance carries no transform matrices")
     # a residue is a row of R or its flat index x*d^2 + y*d + z in H_d^3
     cube = (d, d, d)
-    R = _residue_array(N, d, a)
+    R = residues(N, d, a)
     covered = _covered_mask(M, N, d, R)
     rest = R[~covered]
-    uncovered = np.ravel_multi_index(rest.T, cube)  # increasing, as R is sorted
-
-    if inst.blocks is not None:
-        try:
-            blocks = [np.array(block, dtype=np.int64, ndmin=2) for block in inst.blocks]
-            listed = np.concatenate([np.ravel_multi_index(B.T, cube) for B in blocks])
-        except (ValueError, OverflowError):
-            raise ValueError(f"block residues must be three integers in [0, {d})") from None
+    if inst.blocks is None:
+        blocks = [rest]
+    else:
+        blocks = [np.array(B, dtype=np.int64) for B in inst.blocks]
+        listed = np.concatenate([np.ravel_multi_index(B.T, cube) for B in blocks])
+        uncovered = np.ravel_multi_index(rest.T, cube)  # increasing, as R is sorted
         if not np.array_equal(np.sort(listed), uncovered):
             raise ValueError(
                 f"blocks do not partition the uncovered residue set "
                 f"({uncovered.size} uncovered, blocks cover {np.unique(listed).size})"
             )
-    else:
-        if len(inst.transforms) != 1:
-            raise ValueError("implicit single block requires exactly one transform")
-        blocks = [rest]
-    if len(blocks) != len(inst.transforms):
-        raise ValueError("need exactly one transform per block")
 
     covered_bits = np.zeros(d**3, dtype=bool)
     covered_bits[np.ravel_multi_index(R[covered].T, cube)] = True
     excluded: list[int] = []
     for bi, (B, T) in enumerate(zip(blocks, inst.transforms), start=1):
-        Tm = tuple(tuple(int(e) for e in row) for row in T)
         # self-similitude sanity, t(T) N T = d^2 N, in exact ints before any int64 array
-        cols = tuple(zip(*Tm))
+        cols = tuple(zip(*T))
         if any(N.bilinear(cols[i], cols[j]) != d * d * N.rows[i][j]
                for i in range(3) for j in range(3)):
             raise ValueError(f"transform {bi} is not a self-similitude of ratio d^2")
-        Ta = np.array(Tm, dtype=np.int64)
-        if sum(Tm[i][i] for i in range(3)) % d == 0:
+        Ta = np.array(T, dtype=np.int64)
+        if sum(T[i][i] for i in range(3)) % d == 0:
             raise ConditionFailed("i", bi, detail="(1/d) T has finite order")
         allowed = covered_bits.copy()
         allowed[np.ravel_multi_index(B.T, cube)] = True
@@ -605,7 +604,7 @@ def check_bad_partition(inst: TransferInstance) -> list[int]:
                 raise ConditionFailed(
                     "ii", bi, witness=tuple(v.tolist()), detail=f"residue {first} escapes the block"
                 )
-        w = _fixed_line(Tm, d)
+        w = _fixed_line(T, d)
         excluded.append(N.value(w))
     return excluded
 

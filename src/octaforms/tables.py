@@ -48,8 +48,8 @@ class Slot:
     excluded: frozenset[int]
 
     def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty slot range {self.lo}..{self.hi}")
+        if not 1 <= self.lo <= self.hi:
+            raise ValueError(f"slot range {self.lo}..{self.hi} is empty or not positive")
         if not self.excluded <= set(range(self.lo, self.hi + 1)):
             raise ValueError("slot exclusions outside the range")
 

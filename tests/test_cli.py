@@ -209,6 +209,26 @@ def test_verify_all_reads_every_input_before_any_suite_prints(tmp_path, capsys):
         path.write_text(text)
 
 
+@pytest.mark.parametrize("name, old, new", [
+    ("table2.txt", "slot=5..8!7", "slot=0..8!7"),
+    ("fx.txt", "d = 9\n", "d = 9\nd = 5\n"),
+    ("fx.txt", "\nP = ", "\nP = 0 1 0\nP = "),
+    ("fx.txt", "P = 0 1 0 ;", "P = 0 1 30 ;"),
+    ("fx.txt", "T = 3 0 -18 / 0 9 0 / 4 0 3", "T = 3 0 / 0 9"),
+    ("fx.txt", "excluded = 3\n", "excluded = 3 5\n"),
+], ids=["slot 0", "repeated field", "P without T", "P residue 30", "2x2 T", "two excluded"])
+def test_malformed_data_input_exits_2_before_printing(tmp_path, capsys, name, old, new):
+    data = _copy_data(tmp_path)
+    path, report = tmp_path / name, tmp_path / "all.json"
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+    assert run(["verify", "all", *data, "--out", str(report)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: "), err
+    assert not report.exists()
+
+
 def test_verify_all_reads_each_table_once(monkeypatch, capsys):
     from octaforms import tables
 

@@ -105,10 +105,22 @@ def test_parse_errors(tmp_path):
     cases = {
         "unterminated": "prec x\nM = 1 0 0 / 0 1 0 / 0 0 1\n",
         "bad header": "what x\nend\n",
+        "empty genus": "genus g\nend\n",
         "missing field": "prec x\nM = 1 0 0 / 0 1 0 / 0 0 1\nd = 2\na = 0\nend\n",
         "prec with T": (
             "prec x\nM = 1 0 0 / 0 1 0 / 0 0 1\nN = 1 0 0 / 0 1 0 / 0 0 1\n"
             "d = 2\na = 0\nT = 2 0 0 / 0 2 0 / 0 0 2\nend\n"
+        ),
+        "prec with P": (
+            "prec x\nM = 1 0 0 / 0 1 0 / 0 0 1\nN = 1 0 0 / 0 1 0 / 0 0 1\n"
+            "d = 2\na = 0\nP = 0 0 1\nend\n"
+        ),
+        "bad without T": (
+            "bad x\nM = 1 0 0 / 0 1 0 / 0 0 1\nN = 1 0 0 / 0 1 0 / 0 0 1\nd = 2\na = 0\nend\n"
+        ),
+        "repeated field": (
+            "prec x\nM = 1 0 0 / 0 1 0 / 0 0 1\nN = 1 0 0 / 0 1 0 / 0 0 1\n"
+            "d = 9\nd = 5\na = 0\nend\n"
         ),
         "unknown genus": (
             "prec x\ngenus = nope\nM = 1 0 0 / 0 1 0 / 0 0 1\n"

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -32,12 +33,12 @@ from octaforms.lattice import (
     transfer_matrices,
     two_threes_params,
     two_threes_sufficient,
+    _CUBE_BYTES,
     _column_subgroup,
     _covered_mask,
     _disc_fits_int64,
     _fixed_line,
     _range_bounds,
-    _residue_array,
     _vector_batches,
     _vector_batches_exact,
     _vectors_cached,
@@ -248,23 +249,58 @@ def test_vector_row_guard_fires_before_allocating():
 
 
 def test_residue_cube_guard_fires_before_allocating():
-    # counted at 168 bytes a residue: with every residue in the class,
-    # tracemalloc measured residues' set of tuples at 167.8 d^3 bytes (d = 108)
-    # and check_bad_partition at 91 d^3 (d = 50 and 100); 117 is the first
-    # d refused, so 117^3 residues are never laid out
-    assert 168 * 116**3 <= BYTE_LIMIT < 168 * 117**3
+    # counted at 96 bytes a residue (checked against measured peaks below):
+    # 141 is the first d refused, so 141^3 residues are never laid out
+    assert _CUBE_BYTES == 96
+    assert _CUBE_BYTES * 140**3 <= BYTE_LIMIT < _CUBE_BYTES * 141**3
     identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    inst = TransferInstance("big", D((1, 1, 1)), D((1, 1, 1)), 117, 1, (identity,))
+    inst = TransferInstance("big", D((1, 1, 1)), D((1, 1, 1)), 141, 1, (identity,))
     tracemalloc.start()
     try:
         with pytest.raises(ResourceBudgetError, match="residue cube"):
-            residues(D((1, 1, 1)), 117, 1)
+            residues(D((1, 1, 1)), 141, 1)
+        with pytest.raises(ResourceBudgetError, match="residue cube"):
+            check_prec(D((1, 1, 1)), D((1, 1, 1)), 141, 1)
         with pytest.raises(ResourceBudgetError, match="residue cube"):
             check_bad_partition(inst)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# self-similitudes of <d, d, d> of ratio d^2 and infinite order: d times a
+# rational rotation (trace 2/3 and 11/7) whose denominator divides d
+_ROTATIONS = {
+    36: ((24, 12, -24), (24, -24, 12), (12, 24, 24)),
+    49: ((21, -42, 14), (42, 14, -21), (14, 21, 42)),
+}
+
+
+@pytest.mark.parametrize("d", sorted(_ROTATIONS))
+def test_residue_cube_constant_bounds_the_measured_peaks(d):
+    # with every residue in the class (N = <d, d, d>, a = 0), each consumer's
+    # tracemalloc peak stays within the bytes the guard counts.  M = <1, d, d^2>
+    # has similitudes that cover part of the class, the heaviest case for
+    # check_prec's open-row walk; M = <7, 7, 7> has none (7 does not divide
+    # d^3, nor is 49^3 / 7 a sum of three squares), so every residue is left
+    # for check_bad_partition's block walk
+    N = D((d, d, d))
+    inst = TransferInstance("cube", D((7, 7, 7)), N, d, 0, (_ROTATIONS[d],))
+    runs = {
+        "residues": lambda: len(residues(N, d, 0)) == d**3,
+        "check_prec": lambda: not check_prec(D((1, d, d * d)), N, d, 0),
+        "check_bad_partition": lambda: pytest.raises(ConditionFailed, check_bad_partition, inst),
+    }
+    for name, run in runs.items():
+        tracemalloc.start()
+        try:
+            assert run(), name
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= _CUBE_BYTES * d**3, (name, peak / d**3)
+        assert peak >= 40 * d**3, (name, peak / d**3)  # the cube's rows were built
 
 
 def test_similitude_pairing_guard_fires_before_allocating():
@@ -447,16 +483,22 @@ def test_correspondence_random_sample():
 def test_residues_examples():
     cube = D((1, 1, 1))
     odd = residues(cube, 2, 1)
-    assert odd == {(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)}
+    assert odd.dtype == np.int64 and odd.shape == (4, 3)
+    assert odd.tolist() == [[0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 1]]
     even = residues(cube, 2, 0)
-    assert even == {(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)}
+    assert even.tolist() == [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]]
     assert len(residues(D((2, 3, 4)), 3, 1)) <= 27
     # an entry past int64 / 4: the residues follow from the entries mod d
     big = 2**62 + 1
-    assert residues(D((big, 1, 1)), 5, 1) == {
-        (x, y, z) for x in range(5) for y in range(5) for z in range(5)
+    assert residues(D((big, 1, 1)), 5, 1).tolist() == [
+        [x, y, z] for x in range(5) for y in range(5) for z in range(5)
         if (big * x * x + y * y + z * z) % 5 == 1
-    }
+    ]
+    for a in (-1, 5):
+        with pytest.raises(ValueError, match="0 <= a < d"):
+            residues(cube, 5, a)
+        with pytest.raises(ValueError, match="0 <= a < d"):
+            check_prec(cube, cube, 5, a)
 
 
 @settings(max_examples=25, deadline=None)
@@ -468,7 +510,7 @@ def test_residue_array_is_the_lexicographic_cube_scan(m, d):
             for z in range(d):
                 by_class[m.value((x, y, z)) % d].append([x, y, z])
     for a in range(d):
-        assert _residue_array(m, d, a).tolist() == by_class[a], a
+        assert residues(m, d, a).tolist() == by_class[a], a
 
 
 def test_covered_mask_is_the_union_over_transfer_matrices():
@@ -476,14 +518,14 @@ def test_covered_mask_is_the_union_over_transfer_matrices():
     insts = list(fixtures.prec.values()) + list(fixtures.bad.values())
     assert len(insts) == 29
     for inst in insts:
-        R = _residue_array(inst.N, inst.d, inst.a)
+        R = residues(inst.N, inst.d, inst.a)
         union = np.zeros(len(R), dtype=bool)
         for T in transfer_matrices(inst.M, inst.N, inst.d):
             union |= ((np.array(T) @ R.T) % inst.d == 0).all(axis=0)
         assert np.array_equal(_covered_mask(inst.M, inst.N, inst.d, R), union), inst.name
     # the stable-vector instances stay partly uncovered, so every similitude is tried
     assert not any(
-        _covered_mask(i.M, i.N, i.d, _residue_array(i.N, i.d, i.a)).all()
+        _covered_mask(i.M, i.N, i.d, residues(i.N, i.d, i.a)).all()
         for i in fixtures.bad.values()
     )
 
@@ -617,6 +659,30 @@ def test_check_bad_partition_explicit_block():
         check_bad_partition(replace(inst, blocks=(block + block[:1],)))
 
 
+def test_transfer_instance_checks_its_shape():
+    # the fixture grammar's structural rules hold wherever an instance is built
+    block = ((0, 1, 0), (0, 1, 3))
+    base = TransferInstance("test", MOD9, D((6, 12, 27)), 9, 3, transforms=(T_FIRST,),
+                            blocks=(block,), excluded=(12,))
+    cases = {
+        "3x3 integer matrix": dict(transforms=(((3, 0), (0, 9)),)),
+        "one transform per block": dict(transforms=(T_FIRST, T_FIRST)),
+        "[0, 9)": dict(blocks=(((0, 1, 30),),)),
+        "per block": dict(excluded=(12, 3)),
+    }
+    for message, change in cases.items():
+        with pytest.raises(ValueError, match=re.escape(message)):
+            replace(base, **change)
+    # a P block needs its T; without blocks there is at most one T
+    for change in (dict(transforms=()), dict(blocks=None, transforms=(T_FIRST, T_FIRST)),
+                   dict(blocks=((),)), dict(excluded=())):
+        with pytest.raises(ValueError):
+            replace(base, **change)
+    # transforms are normalised to tuples of exact ints
+    listed = replace(base, transforms=[np.array(T_FIRST)])
+    assert listed == base and isinstance(listed.transforms[0][0][0], int)
+
+
 def test_check_bad_partition_rejects_finite_order():
     scaled_identity = tuple(tuple(9 if i == j else 0 for j in range(3)) for i in range(3))
     inst = stable_instance(D((6, 12, 27)), scaled_identity)
@@ -681,12 +747,14 @@ def test_check_bad_partition_reports_the_first_escape():
     # the lexicographically smallest one.  Pinned from the tuple-set walk.
     outcomes = []
     for _, inst in sorted(load_fixtures().bad.items()):
-        R = _residue_array(inst.N, inst.d, inst.a)
+        R = residues(inst.N, inst.d, inst.a)
         rest = [tuple(v.tolist()) for v in R[~_covered_mask(inst.M, inst.N, inst.d, R)]]
-        two = replace(inst, transforms=inst.transforms * 2)
         splits = [(rest[i + 1:] + rest[:i], rest[i:i + 1]) for i in range(4)]
         splits.append((rest[0::2], rest[1::2]))
-        outcomes += [_outcome(replace(two, blocks=tuple(map(tuple, b)))) for b in splits]
+        outcomes += [
+            _outcome(replace(inst, transforms=inst.transforms * 2, blocks=b, excluded=None))
+            for b in splits
+        ]
     assert outcomes[0] == [
         "ii", 1, [0, 1, 3],
         "condition (ii) fails for block 1 at (0, 1, 3): residue (0, 1, 0) escapes the block",
@@ -777,7 +845,7 @@ def test_genus_fixture_invariants():
     # class 2 mod 3 values land in this genus (desk scale)
     for v in range(1, 500):
         if v % 12 in (5, 8):
-            assert g.represents(v), v
+            assert any(represents_lattice(c, v) for c in g.classes), v
 
 
 def test_two_threes_params():

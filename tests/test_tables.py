@@ -43,6 +43,8 @@ def test_parse_grammar():
 def test_parse_rejects_malformed_lines():
     for bad in (
         "prefix=2,2 slot=9..5 expect=tight:2",   # empty range
+        "prefix=2,2 slot=0..8!7 expect=tight:2",  # a zero coefficient
+        "prefix=2,2 slot=-1..8 expect=tight:2",   # a negative one
         "prefix=2,2 slot=5..9!12 expect=tight:2",  # exclusion outside range
         "prefix=2,2 expect=什么:1",
         "prefix=3,2 expect=Z:",                   # unsorted prefix
