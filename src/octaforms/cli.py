@@ -107,20 +107,20 @@ def cmd_criterion(args) -> tuple[int, dict, dict]:
     return 0, {"n": args.n}, {"criterion": list(crit.values)}
 
 
-def _parse(load, source):
+def _parse(load, source, file):
     try:
         return load(source)
     except ValueError as e:  # a table or fixture file that does not parse or decode
-        raise UsageError(str(e)) from None
+        raise UsageError(f"{file}: {e}") from None
 
 
 def _load_rows(args, table: int):
-    rows = _parse(tb.load_table,
-                  Path(args.data_dir) / tb.TABLE_FILES[table] if args.data_dir else table)
+    name = tb.TABLE_FILES[table]
+    rows = _parse(tb.load_table, Path(args.data_dir) / name if args.data_dir else table, name)
     want = ("Z", None) if table == 1 else ("tight", table)
     for row in rows:
         if (row.expect_kind, row.expect_n) != want:
-            raise UsageError(f"{tb.TABLE_FILES[table]}: row {row.prefix} does not expect "
+            raise UsageError(f"{name}: row {row.prefix} does not expect "
                              f"{'Z' if table == 1 else f'tight:{table}'}")
     return rows
 
@@ -232,6 +232,11 @@ def _load_z_rows(args):
     return rows, max((row.prefix[0] for row in rows), default=0)
 
 
+def _load_fixtures(args):
+    path = args.fixtures
+    return _parse(load_fixtures, path, path or "lattice_fixtures.txt"), None
+
+
 # `verify all` runs every suite in this order; `families` names thm5.  Each
 # suite has a loader, which reads its input once and returns it with the
 # least --bound the suite runs at (an escalation for floor n needs 2n; the
@@ -241,7 +246,7 @@ _SUITES = {
     **{f"t{n}": (lambda args, n=n: (_load_rows(args, n), 2 * n),
                  partial(_verify_tight_table, n=n)) for n in (2, 3, 4)},
     "thm5": (lambda args: (None, 2 * _FAMILY_FLOORS[-1]), _verify_families),
-    "lemmas": (lambda args: (_parse(load_fixtures, args.fixtures), None), _verify_lemmas),
+    "lemmas": (_load_fixtures, _verify_lemmas),
 }
 
 

@@ -111,7 +111,10 @@ def load_fixtures(path=None) -> FixtureSet:
         if kind == "genus":
             if not line.startswith("class "):
                 raise ValueError(f"line {lineno}: genus blocks hold class lines")
-            classes.append(GramMatrix(_parse_matrix(line[len("class "):])))
+            try:
+                classes.append(GramMatrix(_parse_matrix(line[len("class "):])))
+            except ValueError as e:
+                raise ValueError(f"line {lineno}: genus {name!r}: {e}") from None
         else:
             key, sep, val = line.partition("=")
             key = key.strip()

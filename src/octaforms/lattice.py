@@ -1,15 +1,18 @@
-"""Integer quadratic lattices: representation, similitudes, and transfer.
+"""Ternary integer quadratic lattices: representation, similitudes, and transfer.
 
 Everything here is exact integer arithmetic; numpy is used only to batch
 loops whose entries stay far inside int64, in small blocks whose bytes are
 checked before they are allocated: an ellipsoid sweep takes at most 2^12
 grid points (but never less than one row), the residue scan one plane of
 d^2, the similitude pairing 2^14 pair x column entries, and the counting
-sweep x2 rows of about twice as many points as it has counts.  The
-central objects are
-positive definite Gram matrices, the sets of integral similitude matrices
-between two lattices, and two "transfer" checks that push representations
-of an arithmetic progression from one lattice to another:
+sweep x2 rows of about twice as many points as it has counts.
+
+Every lattice here is ternary, by type: GramMatrix refuses any Gram matrix
+that is not 3x3, so no kernel checks the dimension again.  The central
+objects are positive definite Gram matrices, the sets of integral
+similitude matrices between two lattices, and two "transfer" checks that
+push representations of an arithmetic progression from one lattice to
+another:
 
 * progression transfer: every residue vector of N in the class a (mod d)
   maps into M under some similitude of ratio d^2 (an emptiness check);
@@ -67,6 +70,8 @@ _BLOCK_POINTS = 1 << 12
 _BLOCK_PAIRS = 1 << 14
 # bytes a residue of H_d^3 may cost residues' heaviest consumer, _covered_mask (91)
 _CUBE_BYTES = 96
+# the (i, j), i < j, of a 3x3 matrix
+_OFF_DIAGONAL = ((0, 1), (0, 2), (1, 2))
 
 
 class ConditionFailed(Exception):
@@ -85,34 +90,28 @@ class ConditionFailed(Exception):
 
 
 def _det(m) -> int:
-    # Laplace expansion along the first row; dimensions here never exceed 4.
-    if len(m) == 1:
-        return m[0][0]
-    return sum(
-        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1 :] for row in m[1:]])
-        for j in range(len(m))
-    )
+    # a 3x3 determinant, expanded along the first row
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 @dataclass(frozen=True, repr=False, slots=True)
 class GramMatrix:
-    """Symmetric positive definite integer Gram matrix."""
+    """Symmetric positive definite 3x3 integer Gram matrix: a ternary lattice."""
 
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         rows = tuple(tuple(int(e) for e in row) for row in self.rows)
-        n = len(rows)
-        if n < 1 or any(len(row) != n for row in rows):
-            raise ValueError("Gram matrix must be square")
-        for i in range(n):
-            for j in range(n):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError(f"Gram matrix not symmetric at ({i},{j})")
-        for k in range(1, n + 1):
-            minor = [row[:k] for row in rows[:k]]
-            if _det(minor) <= 0:
-                raise ValueError("Gram matrix not positive definite")
+        if len(rows) != 3 or any(len(row) != 3 for row in rows):
+            raise ValueError("Gram matrix must be 3x3")
+        for i, j in _OFF_DIAGONAL:
+            if rows[i][j] != rows[j][i]:
+                raise ValueError(f"Gram matrix not symmetric at ({i},{j})")
+        # the three leading principal minors
+        (a, b, _), (_, e, _), _ = rows
+        if a <= 0 or a * e - b * b <= 0 or _det(rows) <= 0:
+            raise ValueError("Gram matrix not positive definite")
         object.__setattr__(self, "rows", rows)
 
     @classmethod
@@ -122,18 +121,12 @@ class GramMatrix:
         return cls(tuple(tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n)))
 
     @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    @property
     def det(self) -> int:
         return _det(self.rows)
 
     @property
     def is_diagonal(self) -> bool:
-        return all(
-            self.rows[i][j] == 0 for i in range(self.dim) for j in range(self.dim) if i != j
-        )
+        return not any(self.rows[i][j] for i, j in _OFF_DIAGONAL)
 
     def value(self, v) -> int:
         """The quadratic value t(v) M v."""
@@ -143,16 +136,16 @@ class GramMatrix:
         """The bilinear value t(u) M v."""
         u = tuple(int(e) for e in u)
         v = tuple(int(e) for e in v)
-        if len(u) != self.dim or len(v) != self.dim:
+        if len(u) != 3 or len(v) != 3:
             raise ValueError("vector length mismatch")
-        return sum(self.rows[i][j] * u[i] * v[j] for i in range(self.dim) for j in range(self.dim))
+        return sum(self.rows[i][j] * u[i] * v[j] for i in range(3) for j in range(3))
 
     def as_array(self) -> np.ndarray:
         return np.array(self.rows, dtype=np.int64)
 
     def __repr__(self) -> str:
         if self.is_diagonal:
-            return f"GramMatrix.diagonal({[self.rows[i][i] for i in range(self.dim)]})"
+            return f"GramMatrix.diagonal({[self.rows[i][i] for i in range(3)]})"
         return f"GramMatrix({list(map(list, self.rows))})"
 
 
@@ -192,8 +185,8 @@ class TransferInstance:
 
     def __post_init__(self):
         d, n = self.d, len(self.transforms)
-        if self.M.dim != 3 or self.N.dim != 3 or not 0 <= self.a < d:
-            raise ValueError("a transfer needs ternary M and N and 0 <= a < d")
+        if not 0 <= self.a < d:
+            raise ValueError("a transfer needs 0 <= a < d")
         transforms = tuple(tuple(tuple(map(int, row)) for row in T) for T in self.transforms)
         if any(len(T) != 3 or any(len(row) != 3 for row in T) for T in transforms):
             raise ValueError("every transform must be a 3x3 integer matrix")
@@ -209,19 +202,11 @@ class TransferInstance:
 
 
 def _range_bounds(M: GramMatrix, v: int) -> list[int]:
-    # |x_i| <= sqrt(v * (M^-1)_ii); exact via adjugate over determinant.
+    # |x_i| <= sqrt(v * (M^-1)_ii); exact via the adjugate's diagonal over the determinant
+    (a, b, c), (_, e, f), (_, _, k) = M.rows
     det = M.det
-    bounds = []
-    for i in range(M.dim):
-        minor = [
-            [M.rows[r][c] for c in range(M.dim) if c != i]
-            for r in range(M.dim)
-            if r != i
-        ]
-        adj = _det(minor)
-        # the largest b with b*b*det <= v*adj: b*b is an integer, so the floor loses nothing
-        bounds.append(isqrt(v * adj // det))
-    return bounds
+    # the largest b with b*b*det <= v*adj: b*b is an integer, so the floor loses nothing
+    return [isqrt(v * adj // det) for adj in (e * k - f * f, a * k - c * c, a * e - b * b)]
 
 
 def _disc_fits_int64(m, v: int, b1: int, b2: int) -> bool:
@@ -253,14 +238,12 @@ def _vector_batches_exact(m, v: int, b1: int, b2: int):
 
 
 def _vector_batches(M: GramMatrix, v: int):
-    """Yield non-empty arrays of the solutions of Q_M(x) = v (dimension 3 only).
+    """Yield non-empty arrays of the solutions of Q_M(x) = v.
 
     Concatenated, the rows run x1 ascending; within one x1 come the
     solutions on the + root of the quadratic in x3, x2 ascending, then
     those on the - root.
     """
-    if M.dim != 3:
-        raise ValueError("vector enumeration requires a ternary lattice")
     if v < 0:
         return
     m = M.rows
@@ -324,8 +307,6 @@ def lattice_counts_up_to(M: GramMatrix, bound: int) -> np.ndarray:
     One sweep of the half box x1 >= 0 for every value at once; M represents
     v iff r[v] > 0.
     """
-    if M.dim != 3:
-        raise ValueError("bulk enumeration requires a ternary lattice")
     if bound < 0:
         raise ValueError("bound must be >= 0")
     m = M.rows
@@ -411,8 +392,6 @@ def octagonal_via_lattice(a, u: int) -> bool:
 
 def residues(N: GramMatrix, d: int, a: int) -> np.ndarray:
     """The v in H_d^3 with Q_N(v) = a (mod d), as (k, 3) int64 rows in lexicographic order."""
-    if N.dim != 3:
-        raise ValueError("residue scan requires a ternary lattice")
     if not 0 <= a < d:
         raise ValueError("need 0 <= a < d")
     check_bytes(_CUBE_BYTES * d**3, f"residue cube of size {d}^3")
@@ -461,8 +440,6 @@ def transfer_matrices(M: GramMatrix, N: GramMatrix, d: int) -> list[tuple[tuple[
     Finite because each column lies on an ellipsoid of M.  Returned sorted
     as nested tuples (deterministic).
     """
-    if M.dim != 3 or N.dim != 3:
-        raise ValueError("similitudes require ternary lattices")
     if d < 1:
         raise ValueError("d must be >= 1")
     return sorted({tuple(map(tuple, T)) for Ts in _iter_similitudes(M, N, d) for T in Ts.tolist()})

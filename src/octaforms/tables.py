@@ -117,6 +117,9 @@ def parse_table(text: str) -> list[TableRow]:
                 raise ValueError(f"line {lineno}: duplicate field {key!r}")
             fields[key] = val
         try:
+            for key in ("prefix", "expect"):
+                if key not in fields:
+                    raise ValueError(f"missing field {key!r}")
             prefix = coeff_vector(_parse_ints(fields.pop("prefix")))
             slot = None
             if "slot" in fields:

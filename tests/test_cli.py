@@ -155,10 +155,10 @@ def test_malformed_data_files_are_usage_errors(tmp_path, capsys):
     table = tmp_path / TABLE_FILES[2]
     fixtures = tmp_path / "fx.txt"
     cases = [
-        (table, b"prefix=2,3 expect=tight\n", "line 1: invalid literal"),
-        (table, b"\xff", "can't decode"),
+        (table, b"prefix=2,3 expect=tight\n", "table2.txt: line 1: invalid literal"),
+        (table, b"\xff", "table2.txt: 'utf-8' codec can't decode"),
         (fixtures, bundled_fixture_path().read_bytes().replace(b"a = 0", b"a = 4", 1),
-         "ternary M and N and 0 <= a < d"),
+         "a transfer needs 0 <= a < d"),
     ]
     for path, data, message in cases:
         path.write_bytes(data)
@@ -209,15 +209,24 @@ def test_verify_all_reads_every_input_before_any_suite_prints(tmp_path, capsys):
         path.write_text(text)
 
 
-@pytest.mark.parametrize("name, old, new", [
-    ("table2.txt", "slot=5..8!7", "slot=0..8!7"),
-    ("fx.txt", "d = 9\n", "d = 9\nd = 5\n"),
-    ("fx.txt", "\nP = ", "\nP = 0 1 0\nP = "),
-    ("fx.txt", "P = 0 1 0 ;", "P = 0 1 30 ;"),
-    ("fx.txt", "T = 3 0 -18 / 0 9 0 / 4 0 3", "T = 3 0 / 0 9"),
-    ("fx.txt", "excluded = 3\n", "excluded = 3 5\n"),
-], ids=["slot 0", "repeated field", "P without T", "P residue 30", "2x2 T", "two excluded"])
-def test_malformed_data_input_exits_2_before_printing(tmp_path, capsys, name, old, new):
+@pytest.mark.parametrize("name, old, new, message", [
+    ("table2.txt", "slot=5..8!7", "slot=0..8!7",
+     "table2.txt: line 6: slot range 0..8 is empty or not positive"),
+    ("table2.txt", "prefix=2,2,3,4 ", "slot=2..5 ", "table2.txt: line 2: missing field 'prefix'"),
+    ("fx.txt", "d = 9\n", "d = 9\nd = 5\n", "repeated field 'd'"),
+    ("fx.txt", "\nP = ", "\nP = 0 1 0\nP = ", "one transform per block"),
+    ("fx.txt", "P = 0 1 0 ;", "P = 0 1 30 ;", "three integers in [0, 9)"),
+    ("fx.txt", "T = 3 0 -18 / 0 9 0 / 4 0 3", "T = 3 0 / 0 9", "3x3 integer matrix"),
+    ("fx.txt", "excluded = 3\n", "excluded = 3 5\n", "one excluded class per block"),
+    ("fx.txt", "class 1 0 0 / 0 1 0 / 0 0 1\n", "class 1 0 / 0 1\nclass 1 0 0 / 0 1 0 / 0 0 1\n",
+     "line 31: genus '1-1-1': Gram matrix must be 3x3"),
+    ("fx.txt", "class 1 0 0 / 0 1 0 / 0 0 1\n", "class 1 0 0 0 / 0 1 0 0 / 0 0 1 0 / 0 0 0 1\n",
+     "line 31: genus '1-1-1': Gram matrix must be 3x3"),
+    ("fx.txt", "class 1 0 0 / 0 1 0 / 0 0 1\n", "class 1 0 0 / 0 1 0 / 0 0 -1\n",
+     "line 31: genus '1-1-1': Gram matrix not positive definite"),
+], ids=["slot 0", "no prefix", "repeated field", "P without T", "P residue 30", "2x2 T",
+        "two excluded", "2x2 class", "4x4 class", "indefinite class"])
+def test_malformed_data_input_exits_2_before_printing(tmp_path, capsys, name, old, new, message):
     data = _copy_data(tmp_path)
     path, report = tmp_path / name, tmp_path / "all.json"
     text = path.read_text()
@@ -225,7 +234,8 @@ def test_malformed_data_input_exits_2_before_printing(tmp_path, capsys, name, ol
     path.write_text(text.replace(old, new, 1))
     assert run(["verify", "all", *data, "--out", str(report)]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: "), err
+    # the error names the file it was found in
+    assert out == "" and err.startswith("error: ") and f"{name}: " in err and message in err, err
     assert not report.exists()
 
 

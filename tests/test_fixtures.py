@@ -106,6 +106,8 @@ def test_parse_errors(tmp_path):
         "unterminated": "prec x\nM = 1 0 0 / 0 1 0 / 0 0 1\n",
         "bad header": "what x\nend\n",
         "empty genus": "genus g\nend\n",
+        "2x2 class": "genus g\nclass 1 0 / 0 1\nend\n",
+        "4x4 class": "genus g\nclass 1 0 0 0 / 0 1 0 0 / 0 0 1 0 / 0 0 0 1\nend\n",
         "missing field": "prec x\nM = 1 0 0 / 0 1 0 / 0 0 1\nd = 2\na = 0\nend\n",
         "prec with T": (
             "prec x\nM = 1 0 0 / 0 1 0 / 0 0 1\nN = 1 0 0 / 0 1 0 / 0 0 1\n"

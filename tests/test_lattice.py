@@ -73,26 +73,38 @@ def oracle_count_cube(v):
 
 
 def test_gram_matrix_validation():
-    with pytest.raises(ValueError):
-        GramMatrix([[1, 2], [3, 4]])  # not symmetric
-    with pytest.raises(ValueError):
-        GramMatrix([[1, 2], [2, 1]])  # indefinite
-    with pytest.raises(ValueError):
-        GramMatrix([[1, 0], [0, 1], [0, 0]])  # not square
-    m = GramMatrix([[2, 1], [1, 3]])
-    assert m.det == 5 and not m.is_diagonal
+    with pytest.raises(ValueError, match=re.escape("not symmetric at (1,2)")):
+        GramMatrix([[2, 1, 0], [1, 3, 1], [0, 0, 4]])
+    # not positive definite, with only the first, only the second or only the
+    # third leading minor negative
+    for diag in ((-1, -1, 1), (1, -1, -1), (1, 1, -1)):
+        with pytest.raises(ValueError, match="not positive definite"):
+            D(diag)
+    m = GramMatrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+    assert m.det == 2 * 11 - 1 * 4 and not m.is_diagonal and D((1, 2, 3)).is_diagonal
+    # ternary by construction: 1x1, 2x2 and 4x4 positive definite matrices,
+    # and ragged or not square input, are refused
+    for rows in ([[1]], [[2, 1], [1, 3]], [[int(i == j) for j in range(4)] for i in range(4)],
+                 [[1, 0, 0], [0, 1], [0, 0, 1]], [[1, 0, 0], [0, 1, 0]],
+                 [[1, 0], [0, 1], [0, 0]], []):
+        with pytest.raises(ValueError, match="must be 3x3"):
+            GramMatrix(rows)
+    for entries in ((1,), (1, 2), (1, 2, 3, 4)):
+        with pytest.raises(ValueError, match="must be 3x3"):
+            D(entries)
 
 
 def test_gram_matrix_is_a_frozen_value():
-    m = GramMatrix([[2, 1], [1, 3]])
-    assert m.rows == ((2, 1), (1, 3)) and m != m.rows
-    assert m == GramMatrix(((2, 1), (1, 3))) and hash(m) == hash(GramMatrix(m.rows))
+    m = GramMatrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+    assert m.rows == ((2, 1, 0), (1, 3, 1), (0, 1, 4)) and m != m.rows
+    assert m == GramMatrix(((2, 1, 0), (1, 3, 1), (0, 1, 4))) and hash(m) == hash(GramMatrix(m.rows))
     with pytest.raises(AttributeError):
-        m.rows = ((1, 0), (0, 1))
-    assert repr(m) == "GramMatrix([[2, 1], [1, 3]])"
-    assert repr(D((1, 2))) == "GramMatrix.diagonal([1, 2])"
-    with pytest.raises(ValueError, match="vector length mismatch"):
-        m.value((1, 2, 3))
+        m.rows = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert repr(m) == "GramMatrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]])"
+    assert repr(D((1, 2, 3))) == "GramMatrix.diagonal([1, 2, 3])"
+    for u in ((1, 2), (1, 2, 3, 4)):
+        with pytest.raises(ValueError, match="vector length mismatch"):
+            m.value(u)
 
 
 def test_gram_value_examples():
@@ -669,6 +681,7 @@ def test_transfer_instance_checks_its_shape():
         "one transform per block": dict(transforms=(T_FIRST, T_FIRST)),
         "[0, 9)": dict(blocks=(((0, 1, 30),),)),
         "per block": dict(excluded=(12, 3)),
+        "0 <= a < d": dict(a=9),
     }
     for message, change in cases.items():
         with pytest.raises(ValueError, match=re.escape(message)):

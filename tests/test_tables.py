@@ -54,6 +54,9 @@ def test_parse_rejects_malformed_lines():
     ):
         with pytest.raises(ValueError):
             parse_table(bad)
+    for bad, field in (("slot=2..5 expect=tight:2", "prefix"), ("prefix=2,2 slot=5..9", "expect")):
+        with pytest.raises(ValueError, match=f"line 2: missing field '{field}'"):
+            parse_table("# a comment\n" + bad)
 
 
 def test_expand_row_examples():
