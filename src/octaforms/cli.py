@@ -190,7 +190,7 @@ def _verify_lemmas(args, fixtures, results: dict) -> bool:
     for name, inst in sorted(fixtures.bad.items()):
         try:
             excluded = check_bad_partition(inst)
-            good = inst.excluded is None or tuple(excluded) == inst.excluded
+            good = tuple(excluded) == inst.excluded
             note = f"excluded classes {excluded}"
         except (ConditionFailed, ValueError) as e:
             good, note = False, str(e)

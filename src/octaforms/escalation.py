@@ -30,6 +30,7 @@ from .polygonal import (
     _is_proper_subsequence,
     build_sieve,
     build_sieves,
+    check_bytes,
     coeff_vector,
 )
 
@@ -129,24 +130,21 @@ def _new_coefficients(psi_value: int, n: int) -> list[int]:
     return list(range(n, psi_value - n + 1)) + [psi_value]
 
 
-def run_escalation(
-    n: int,
-    bound: int = DEFAULT_BOUND,
-    max_depth: int | None = None,
-) -> EscalationTrace:
+def run_escalation(n: int, bound: int = DEFAULT_BOUND) -> EscalationTrace:
     """Run the escalation for floor n to termination.
 
-    Deterministic in (n, bound).  The depth limit (default 3n + 10) is a
-    safety valve: termination is expected by depth n + 1 for floors >= 5
-    and within a few more levels below that, so blowing past the limit
-    means the inputs are outside anything this recursion is built for.
+    Deterministic in (n, bound).  Past depth 3n + 10, a fixed limit, it
+    raises EscalationDepthError: termination is expected by depth n + 1 for
+    floors >= 5 and within a few more levels below that.  Before each child
+    fold, the sieves it holds (the parents not yet expanded, the current
+    parent and the children kept so far) plus the one it builds are checked
+    against polygonal.BYTE_LIMIT.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if bound < 2 * n:
         raise ValueError("bound must be >= 2n")
-    if max_depth is None:
-        max_depth = 3 * n + 10
+    nw = (bound + 64) // 64
 
     depths: list[DepthRecord] = []
     universal_so_far: set[tuple[int, ...]] = set()
@@ -169,10 +167,8 @@ def run_escalation(
         )
         if not A:
             return EscalationTrace(n=n, bound=bound, depths=tuple(depths), terminated_at=k)
-        if k >= max_depth:
-            raise EscalationDepthError(
-                f"no empty active set by depth {max_depth} (n={n}, bound={bound})"
-            )
+        if k == 3 * n + 10:
+            raise EscalationDepthError(f"no empty active set by depth {k} (n={n}, bound={bound})")
         universal_so_far.update(U)
         found, children = {}, {}
         for a in A:
@@ -180,6 +176,8 @@ def run_escalation(
             for g in _new_coefficients(psis[a], n):
                 child = _insert_sorted(a, g)
                 if child not in found:
+                    held = len(sieves) + 1 + len(children)
+                    check_bytes((held + 1) * 8 * nw, f"escalation for n={n} to {bound}")
                     sieve = parent.extend(g)
                     found[child] = sieve.first_missing(n, bound)
                     if found[child] is not None:

@@ -1,8 +1,9 @@
 """Loader for the bundled lattice fixture file.
 
 See data/lattice_fixtures.txt for the grammar.  Fixtures are parsed into
-GenusFixture and TransferInstance objects; when an instance names a genus,
-its two lattices must appear among that genus's classes.
+GenusFixture and TransferInstance objects.  Every instance names a genus
+listed before it, and its two lattices must appear among that genus's
+classes; every bad block records one excluded class per T line.
 """
 
 from __future__ import annotations
@@ -26,15 +27,9 @@ def bundled_fixture_path():
     return resources.files("octaforms").joinpath("data", "lattice_fixtures.txt")
 
 
-def _parse_matrix(text: str) -> tuple[tuple[int, ...], ...]:
-    rows = []
-    for part in text.split("/"):
-        rows.append(tuple(int(tok) for tok in part.split()))
-    return tuple(rows)
-
-
-def _parse_vectors(text: str) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(tok) for tok in part.split()) for part in text.split(";"))
+def _parse_rows(text: str, sep: str) -> tuple[tuple[int, ...], ...]:
+    # a matrix's rows are separated by "/", a block's vectors by ";"
+    return tuple(tuple(int(tok) for tok in part.split()) for part in text.split(sep))
 
 
 def load_fixtures(path=None) -> FixtureSet:
@@ -59,34 +54,32 @@ def load_fixtures(path=None) -> FixtureSet:
             if kind == "genus":
                 genera[name] = GenusFixture(name=name, classes=tuple(classes))
             else:
-                M = GramMatrix(_parse_matrix(fields.pop("M")[0]))
-                N = GramMatrix(_parse_matrix(fields.pop("N")[0]))
+                M = GramMatrix(_parse_rows(fields.pop("M")[0], "/"))
+                N = GramMatrix(_parse_rows(fields.pop("N")[0], "/"))
                 d = int(fields.pop("d")[0])
                 a = int(fields.pop("a")[0])
-                genus_name = fields.pop("genus", [None])[0]
-                if genus_name is not None:
-                    if genus_name not in genera:
-                        raise ValueError(f"unknown genus {genus_name!r}")
-                    listed = set(genera[genus_name].classes)
-                    if M not in listed or N not in listed:
-                        raise ValueError(f"M or N not a class of genus {genus_name!r}")
-                transforms = tuple(_parse_matrix(t) for t in fields.pop("T", []))
-                blocks = tuple(_parse_vectors(p) for p in fields.pop("P", [])) or None
-                excluded = None
-                if "excluded" in fields:
-                    excluded = tuple(int(tok) for tok in fields.pop("excluded")[0].split())
-                if fields:
-                    raise ValueError(f"unknown fields {sorted(fields)}")
-                inst = TransferInstance(
-                    name=name, M=M, N=N, d=d, a=a,
-                    transforms=transforms, blocks=blocks, excluded=excluded,
-                )
+                genus_name = fields.pop("genus")[0]
+                if genus_name not in genera:
+                    raise ValueError(f"unknown genus {genus_name!r}")
+                listed = set(genera[genus_name].classes)
+                if M not in listed or N not in listed:
+                    raise ValueError(f"M or N not a class of genus {genus_name!r}")
+                transforms = tuple(_parse_rows(t, "/") for t in fields.pop("T", []))
                 # P lines need their T lines, which TransferInstance checks
                 if bool(transforms) != (kind == "bad"):
                     raise ValueError("prec blocks take no T line, bad blocks at least one")
-                (bad if kind == "bad" else prec)[name] = inst
+                blocks = tuple(_parse_rows(p, ";") for p in fields.pop("P", [])) or None
+                excluded = (tuple(map(int, fields.pop("excluded")[0].split()))
+                            if kind == "bad" else ())
+                if fields:
+                    raise ValueError(f"unknown fields {sorted(fields)}")
+                (bad if kind == "bad" else prec)[name] = TransferInstance(
+                    name=name, M=M, N=N, d=d, a=a,
+                    transforms=transforms, blocks=blocks, excluded=excluded,
+                )
         except (KeyError, ValueError, IndexError) as e:
-            raise ValueError(f"fixture block {name!r} (ended line {lineno}): {e}") from None
+            why = f"missing field {e}" if isinstance(e, KeyError) else e
+            raise ValueError(f"fixture block {name!r} (ended line {lineno}): {why}") from None
         kind = name = None
         fields = {}
         classes = []
@@ -112,7 +105,7 @@ def load_fixtures(path=None) -> FixtureSet:
             if not line.startswith("class "):
                 raise ValueError(f"line {lineno}: genus blocks hold class lines")
             try:
-                classes.append(GramMatrix(_parse_matrix(line[len("class "):])))
+                classes.append(GramMatrix(_parse_rows(line[len("class "):], "/")))
             except ValueError as e:
                 raise ValueError(f"line {lineno}: genus {name!r}: {e}") from None
         else:

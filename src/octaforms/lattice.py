@@ -170,8 +170,8 @@ class TransferInstance:
 
     transforms (with optional matching partition blocks) configure the
     stable-vector check; plain progression transfer needs neither.  Each T is
-    a 3x3 integer matrix with one block of residues in H_d^3 and one excluded
-    class; without blocks, the one T's block is every uncovered residue.
+    a 3x3 integer matrix with one block of residues in H_d^3 and one expected
+    excluded class; without blocks, the one T's block is every uncovered residue.
     """
 
     name: str
@@ -181,7 +181,7 @@ class TransferInstance:
     a: int
     transforms: tuple[tuple[tuple[int, ...], ...], ...] = ()
     blocks: tuple[tuple[tuple[int, ...], ...], ...] | None = None
-    excluded: tuple[int, ...] | None = None  # expected square classes, if recorded
+    excluded: tuple[int, ...] = ()  # the expected square class of each T
 
     def __post_init__(self):
         d, n = self.d, len(self.transforms)
@@ -197,7 +197,7 @@ class TransferInstance:
             raise ValueError(f"block residues must be three integers in [0, {d})")
         if (n > 1) if self.blocks is None else (len(self.blocks) != n):
             raise ValueError("need exactly one transform per block (at most one without blocks)")
-        if self.excluded is not None and len(self.excluded) != n:
+        if len(self.excluded) != n:
             raise ValueError("need exactly one excluded class per block")
 
 

@@ -25,6 +25,7 @@ __all__ = [
     "jones_counterexamples",
     "counting_counterexamples",
     "pair_2233_counterexamples",
+    "FAMILY_2233T_TS",
     "family_2233t_counterexamples",
 ]
 
@@ -180,17 +181,15 @@ def pair_2233_counterexamples(bound: int) -> list[int]:
     return [u for u in gaps if u % 4 != 1 and u not in (11, 14)]
 
 
-def family_2233t_counterexamples(
-    bound: int, ts=(1, 2, 3, 5, 6, 7, 9, 10)
-) -> list[tuple[int, int]]:
-    """(t, u) pairs with u >= t + 15 missed by (2,2,3,3,t); t must avoid multiples of 4."""
-    ts = tuple(ts)
-    for t in ts:
-        if t < 1 or t % 4 == 0:
-            raise ValueError(f"t outside the family (positive, not divisible by 4): {t}")
+# the t of the family (2,2,3,3,t) that the lemma covers: 1..10, no multiple of 4
+FAMILY_2233T_TS = (1, 2, 3, 5, 6, 7, 9, 10)
+
+
+def family_2233t_counterexamples(bound: int) -> list[tuple[int, int]]:
+    """(t, u) pairs with u >= t + 15 missed by (2,2,3,3,t), t in FAMILY_2233T_TS."""
     base = build_sieve((2, 2, 3, 3), bound)
     bad = []
-    for t in ts:
+    for t in FAMILY_2233T_TS:
         if t + 15 <= bound:
             bad.extend((t, u) for u in base.extend(t).missing_in_range(t + 15, bound))
     return bad

@@ -411,9 +411,10 @@ def _descending_positions(a: tuple[int, ...]) -> list[int]:
     return sorted(range(len(a)), key=lambda i: (-a[i], i))
 
 
-def _search(a: tuple[int, ...], v: int, want_witness: bool):
+def _search(a: tuple[int, ...], v: int) -> tuple[int, ...] | None:
+    # the witness of v (see witness), or None when a does not represent v
     if v % gcd(*a):
-        return None if want_witness else False
+        return None
     order = _descending_positions(a)
     xs: list[int] = [0] * len(a)
     dead: set[tuple[int, int]] = set()  # (depth, rem) states that cannot finish
@@ -437,10 +438,7 @@ def _search(a: tuple[int, ...], v: int, want_witness: bool):
                 return True
             x = -x if x > 0 else -x + 1
 
-    found = go(0, v)
-    if not want_witness:
-        return found
-    return tuple(xs) if found else None
+    return tuple(xs) if go(0, v) else None
 
 
 def represents(a, v: int) -> bool:
@@ -453,7 +451,7 @@ def represents(a, v: int) -> bool:
     a = coeff_vector(a)
     if v < 0:
         raise ValueError("v must be >= 0")
-    return _search(a, v, want_witness=False)
+    return _search(a, v) is not None
 
 
 def witness(a, v: int) -> tuple[int, ...] | None:
@@ -465,7 +463,7 @@ def witness(a, v: int) -> tuple[int, ...] | None:
     a = coeff_vector(a)
     if v < 0:
         raise ValueError("v must be >= 0")
-    return _search(a, v, want_witness=True)
+    return _search(a, v)
 
 
 def missing_in_range(a, lo: int, hi: int) -> list[int]:

@@ -2,10 +2,11 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 
-from octaforms import escalation
+from octaforms import escalation, polygonal
 from octaforms.cli import run
 
 
@@ -119,6 +120,17 @@ def test_verify_detects_broken_fixtures(tmp_path, capsys):
     )
     assert run(["verify", "lemmas", "--fixtures", str(path)]) == 1
     assert "FAIL stable-vector 234-n1-a3" in capsys.readouterr().out
+
+
+def test_verify_compares_the_recorded_excluded_classes(tmp_path, capsys):
+    from octaforms.fixtures import bundled_fixture_path
+
+    path = tmp_path / "fx.txt"
+    text = bundled_fixture_path().read_text()
+    assert "excluded = 12\n" in text
+    path.write_text(text.replace("excluded = 12\n", "excluded = 13\n"))
+    assert run(["verify", "lemmas", "--fixtures", str(path)]) == 1
+    assert "FAIL stable-vector 234-n1-a3: excluded classes [12]" in capsys.readouterr().out
 
 
 def test_verify_reports_a_transform_beyond_int64_as_a_failure(tmp_path, capsys):
@@ -237,6 +249,28 @@ def test_malformed_data_input_exits_2_before_printing(tmp_path, capsys, name, ol
     # the error names the file it was found in
     assert out == "" and err.startswith("error: ") and f"{name}: " in err and message in err, err
     assert not report.exists()
+
+
+@pytest.mark.parametrize("pattern", [r"genus = .*\n", r"excluded = .*\n"],
+                         ids=["no genus line", "no excluded line"])
+def test_a_fixture_file_missing_a_required_field_is_a_usage_error(tmp_path, capsys, pattern):
+    # every instance names its genus, and every stable-vector block its classes
+    from octaforms.fixtures import bundled_fixture_path
+
+    path = tmp_path / "fx.txt"
+    path.write_text(re.sub(pattern, "", bundled_fixture_path().read_text()))
+    assert run(["verify", "lemmas", "--fixtures", str(path)]) == 2
+    out, err = capsys.readouterr()
+    field = pattern.split()[0]
+    assert out == "" and f"missing field '{field}'" in err, err
+
+
+def test_escalate_past_the_byte_limit_exits_2_before_printing(monkeypatch, capsys):
+    # three sieves' bytes at bound 50,000; the run for n = 3 keeps more
+    monkeypatch.setattr(polygonal, "BYTE_LIMIT", 3 * 8 * ((50_000 + 64) // 64))
+    assert run(["escalate", "--n", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "escalation for n=3" in err, err
 
 
 def test_verify_all_reads_each_table_once(monkeypatch, capsys):

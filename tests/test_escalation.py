@@ -2,6 +2,7 @@
 
 import pytest
 
+from octaforms import escalation, polygonal
 from octaforms.escalation import (
     CriterionSet,
     EscalationDepthError,
@@ -11,7 +12,7 @@ from octaforms.escalation import (
     run_escalation,
     tight_verdicts,
 )
-from octaforms.polygonal import insert_sorted
+from octaforms.polygonal import ResourceBudgetError, insert_sorted
 from octaforms.tables import family_pair
 
 BOUND = 50_000
@@ -203,6 +204,25 @@ def test_large_floors_find_exactly_the_two_families(n):
     assert sorted(new) == sorted((n + 1, a) for a in family_pair(n))
 
 
-def test_depth_limit_is_enforced():
-    with pytest.raises(EscalationDepthError):
-        run_escalation(2, BOUND, max_depth=3)
+def test_depth_limit_is_enforced(monkeypatch):
+    # a child psi + 1 never covers its parent's truant psi, so no candidate
+    # turns universal and the run passes the fixed limit of depth 3n + 10
+    monkeypatch.setattr(escalation, "_new_coefficients", lambda psi, n: [psi + 1])
+    for n in (1, 2, 3):
+        with pytest.raises(EscalationDepthError, match=f"by depth {3 * n + 10} "):
+            run_escalation(n, BOUND)
+
+
+def test_kept_sieves_are_checked_against_the_byte_limit(monkeypatch):
+    # at this bound the run for n = 3 holds up to 13 sieves while it builds
+    # a 14th, and the run for n = 4 holds 2 while it builds a third
+    sieve = 8 * ((BOUND + 64) // 64)
+    monkeypatch.setattr(polygonal, "BYTE_LIMIT", 3 * sieve)
+    with pytest.raises(ResourceBudgetError, match="escalation for n=3"):
+        run_escalation(3, BOUND)
+    assert run_escalation(4, BOUND).terminated_at == 7
+    monkeypatch.setattr(polygonal, "BYTE_LIMIT", 14 * sieve - 1)
+    with pytest.raises(ResourceBudgetError):
+        run_escalation(3, BOUND)
+    monkeypatch.setattr(polygonal, "BYTE_LIMIT", 14 * sieve)
+    assert run_escalation(3, BOUND).terminated_at == 7

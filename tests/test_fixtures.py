@@ -1,5 +1,7 @@
 """Bundled lattice fixture file: parsing, cross-references, and checks."""
 
+import re
+
 import pytest
 
 from octaforms.fixtures import load_fixtures
@@ -101,44 +103,52 @@ def test_genus_coverage_of_qualifying_classes(fixtures):
         assert not bad, (name, bad[:5])
 
 
+GENUS = "genus g\nclass 1 0 0 / 0 1 0 / 0 0 1\nend\n"
+PAIR = "genus = g\nM = 1 0 0 / 0 1 0 / 0 0 1\nN = 1 0 0 / 0 1 0 / 0 0 1\n"
+SIMILITUDE = "T = 2 0 0 / 0 2 0 / 0 0 2\n"
+
+
 def test_parse_errors(tmp_path):
+    # every snippet but its one fault is a well-formed block
     cases = {
-        "unterminated": "prec x\nM = 1 0 0 / 0 1 0 / 0 0 1\n",
-        "bad header": "what x\nend\n",
-        "empty genus": "genus g\nend\n",
-        "2x2 class": "genus g\nclass 1 0 / 0 1\nend\n",
-        "4x4 class": "genus g\nclass 1 0 0 0 / 0 1 0 0 / 0 0 1 0 / 0 0 0 1\nend\n",
-        "missing field": "prec x\nM = 1 0 0 / 0 1 0 / 0 0 1\nd = 2\na = 0\nend\n",
-        "prec with T": (
-            "prec x\nM = 1 0 0 / 0 1 0 / 0 0 1\nN = 1 0 0 / 0 1 0 / 0 0 1\n"
-            "d = 2\na = 0\nT = 2 0 0 / 0 2 0 / 0 0 2\nend\n"
-        ),
-        "prec with P": (
-            "prec x\nM = 1 0 0 / 0 1 0 / 0 0 1\nN = 1 0 0 / 0 1 0 / 0 0 1\n"
-            "d = 2\na = 0\nP = 0 0 1\nend\n"
-        ),
-        "bad without T": (
-            "bad x\nM = 1 0 0 / 0 1 0 / 0 0 1\nN = 1 0 0 / 0 1 0 / 0 0 1\nd = 2\na = 0\nend\n"
-        ),
-        "repeated field": (
-            "prec x\nM = 1 0 0 / 0 1 0 / 0 0 1\nN = 1 0 0 / 0 1 0 / 0 0 1\n"
-            "d = 9\nd = 5\na = 0\nend\n"
-        ),
-        "unknown genus": (
-            "prec x\ngenus = nope\nM = 1 0 0 / 0 1 0 / 0 0 1\n"
-            "N = 1 0 0 / 0 1 0 / 0 0 1\nd = 2\na = 0\nend\n"
-        ),
-        "not in genus": (
-            "genus g\nclass 1 0 0 / 0 1 0 / 0 0 1\nend\n"
-            "prec x\ngenus = g\nM = 1 0 0 / 0 1 0 / 0 0 1\n"
-            "N = 2 0 0 / 0 2 0 / 0 0 2\nd = 2\na = 0\nend\n"
-        ),
+        "unterminated": (GENUS + "prec x\n" + PAIR, "unterminated prec block 'x'"),
+        "bad header": ("what x\nend\n", "unknown block kind 'what'"),
+        "empty genus": ("genus g\nend\n", "needs at least one class"),
+        "2x2 class": ("genus g\nclass 1 0 / 0 1\nend\n", "Gram matrix must be 3x3"),
+        "4x4 class": ("genus g\nclass 1 0 0 0 / 0 1 0 0 / 0 0 1 0 / 0 0 0 1\nend\n",
+                      "Gram matrix must be 3x3"),
+        "missing field": (GENUS + "prec x\ngenus = g\nM = 1 0 0 / 0 1 0 / 0 0 1\n"
+                          "d = 2\na = 0\nend\n", "missing field 'N'"),
+        "no genus": (GENUS + "prec x\n" + PAIR.replace("genus = g\n", "") + "d = 2\na = 0\nend\n",
+                     "missing field 'genus'"),
+        "prec with T": (GENUS + "prec x\n" + PAIR + "d = 2\na = 0\n" + SIMILITUDE + "end\n",
+                        "prec blocks take no T line"),
+        "prec with P": (GENUS + "prec x\n" + PAIR + "d = 2\na = 0\nP = 0 0 1\nend\n",
+                        "one transform per block"),
+        "prec with excluded": (GENUS + "prec x\n" + PAIR + "d = 2\na = 0\nexcluded = 1\nend\n",
+                               "unknown fields ['excluded']"),
+        "bad without T": (GENUS + "bad x\n" + PAIR + "d = 2\na = 0\nexcluded = 1\nend\n",
+                          "bad blocks at least one"),
+        "bad without excluded": (GENUS + "bad x\n" + PAIR + "d = 2\na = 0\n" + SIMILITUDE
+                                 + "end\n", "missing field 'excluded'"),
+        "repeated field": (GENUS + "prec x\n" + PAIR + "d = 9\nd = 5\na = 0\nend\n",
+                           "repeated field 'd'"),
+        "unknown genus": (GENUS + "prec x\n" + PAIR.replace("= g", "= nope")
+                          + "d = 2\na = 0\nend\n", "unknown genus 'nope'"),
+        "not in genus": (GENUS + "prec x\n" + PAIR.replace("N = 1 0 0 / 0 1 0 / 0 0 1",
+                                                             "N = 2 0 0 / 0 2 0 / 0 0 2")
+                         + "d = 2\na = 0\nend\n", "M or N not a class of genus 'g'"),
     }
-    for label, text in cases.items():
+    for label, (text, message) in cases.items():
         path = tmp_path / "fx.txt"
         path.write_text(text)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_fixtures(path)
+    # without a fault, the same blocks load
+    path.write_text(GENUS + "prec x\n" + PAIR + "d = 2\na = 0\nend\n"
+                    + "bad y\n" + PAIR + "d = 2\na = 0\n" + SIMILITUDE + "excluded = 1\nend\n")
+    loaded = load_fixtures(path)
+    assert loaded.prec["x"].excluded == () and loaded.bad["y"].excluded == (1,)
 
 
 def test_duplicate_names_rejected(tmp_path):

@@ -266,7 +266,7 @@ def test_residue_cube_guard_fires_before_allocating():
     assert _CUBE_BYTES == 96
     assert _CUBE_BYTES * 140**3 <= BYTE_LIMIT < _CUBE_BYTES * 141**3
     identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    inst = TransferInstance("big", D((1, 1, 1)), D((1, 1, 1)), 141, 1, (identity,))
+    inst = TransferInstance("big", D((1, 1, 1)), D((1, 1, 1)), 141, 1, (identity,), excluded=(0,))
     tracemalloc.start()
     try:
         with pytest.raises(ResourceBudgetError, match="residue cube"):
@@ -298,7 +298,7 @@ def test_residue_cube_constant_bounds_the_measured_peaks(d):
     # d^3, nor is 49^3 / 7 a sum of three squares), so every residue is left
     # for check_bad_partition's block walk
     N = D((d, d, d))
-    inst = TransferInstance("cube", D((7, 7, 7)), N, d, 0, (_ROTATIONS[d],))
+    inst = TransferInstance("cube", D((7, 7, 7)), N, d, 0, (_ROTATIONS[d],), excluded=(0,))
     runs = {
         "residues": lambda: len(residues(N, d, 0)) == d**3,
         "check_prec": lambda: not check_prec(D((1, d, d * d)), N, d, 0),
@@ -634,8 +634,10 @@ MOD9 = GramMatrix([[9, 3, 0], [3, 15, 6], [0, 6, 18]])
 
 
 def stable_instance(n_diag, transform):
+    # check_bad_partition returns the excluded classes and never reads the
+    # recorded ones, so these instances record 0, which no class can be
     return TransferInstance(
-        "test", MOD9, n_diag, 9, 3, transforms=(transform,)
+        "test", MOD9, n_diag, 9, 3, transforms=(transform,), excluded=(0,)
     )
 
 
@@ -653,12 +655,10 @@ def test_check_bad_partition_explicit_block():
         (0, v2, v3) for v2 in range(9) if v2 % 3 for v3 in (0, 3, 6)
     )
     inst = TransferInstance(
-        "test", MOD9, D((6, 12, 27)), 9, 3, transforms=(T_FIRST,), blocks=(block,)
+        "test", MOD9, D((6, 12, 27)), 9, 3, transforms=(T_FIRST,), blocks=(block,), excluded=(12,)
     )
     assert check_bad_partition(inst) == [12]
-    wrong = TransferInstance(
-        "test", MOD9, D((6, 12, 27)), 9, 3, transforms=(T_FIRST,), blocks=(block[:-1],)
-    )
+    wrong = replace(inst, blocks=(block[:-1],))
     with pytest.raises(ValueError):
         check_bad_partition(wrong)
     # every listed residue is three integers in [0, 9), listed once: (0, 7, 15)
@@ -691,6 +691,8 @@ def test_transfer_instance_checks_its_shape():
                    dict(blocks=((),)), dict(excluded=())):
         with pytest.raises(ValueError):
             replace(base, **change)
+    # plain progression transfer records no transform and no excluded class
+    assert TransferInstance("plain", MOD9, MOD9, 9, 3).excluded == ()
     # transforms are normalised to tuples of exact ints
     listed = replace(base, transforms=[np.array(T_FIRST)])
     assert listed == base and isinstance(listed.transforms[0][0][0], int)
@@ -713,7 +715,8 @@ def test_check_bad_partition_checks_the_similitude_in_exact_ints():
     cube = D((1, 1, 1))
     wraps = ((1, 2**32, 0), (-(2**32), 1, 0), (0, 0, 1))
     with pytest.raises(ValueError, match="not a self-similitude"):
-        check_bad_partition(TransferInstance("test", cube, cube, 1, 0, transforms=(wraps,)))
+        check_bad_partition(
+            TransferInstance("test", cube, cube, 1, 0, transforms=(wraps,), excluded=(0,)))
 
 
 def test_check_bad_partition_rejects_wrong_dynamics():
@@ -765,7 +768,8 @@ def test_check_bad_partition_reports_the_first_escape():
         splits = [(rest[i + 1:] + rest[:i], rest[i:i + 1]) for i in range(4)]
         splits.append((rest[0::2], rest[1::2]))
         outcomes += [
-            _outcome(replace(inst, transforms=inst.transforms * 2, blocks=b, excluded=None))
+            _outcome(replace(inst, transforms=inst.transforms * 2, blocks=b,
+                             excluded=inst.excluded * 2))
             for b in splits
         ]
     assert outcomes[0] == [
@@ -787,7 +791,8 @@ def test_eigenvector_error_paths():
     # _fixed_line raises nothing: every T that reaches it has a fixed line
     # (see test_finite_order_is_read_off_the_trace)
     inst = TransferInstance(
-        "test", MOD9, D((6, 12, 27)), 9, 3, transforms=(((3, 0, -18), (0, 9, 0), (4, 0, 3)),)
+        "test", MOD9, D((6, 12, 27)), 9, 3, transforms=(((3, 0, -18), (0, 9, 0), (4, 0, 3)),),
+        excluded=(12,),
     )
     assert check_bad_partition(inst) == [12]  # sanity: the good path still works
 

@@ -132,14 +132,7 @@ def test_pair_2233():
     assert not represents((2, 2, 3, 3), 14)
 
 
-def test_family_2233t(monkeypatch):
-    assert family_2233t_counterexamples(ts=(1, 2, 3, 5), bound=600) == []
-    assert family_2233t_counterexamples(ts=(5,), bound=19) == []  # t + 15 > bound
-    with pytest.raises(ValueError):
-        family_2233t_counterexamples(ts=(4,), bound=100)
-    # every t is checked before the first sieve is built
-    built = []
-    monkeypatch.setattr(lemmas, "build_sieve", lambda *args: built.append(args))
-    with pytest.raises(ValueError):
-        family_2233t_counterexamples(ts=(1, 4), bound=100)
-    assert built == []
+def test_family_2233t():
+    assert lemmas.FAMILY_2233T_TS == (1, 2, 3, 5, 6, 7, 9, 10)
+    assert family_2233t_counterexamples(600) == []
+    assert family_2233t_counterexamples(19) == []  # t + 15 > 19 skips t >= 5
