@@ -12,12 +12,18 @@ to the bound" stands in for it; the default bound comfortably exceeds every
 range that matters for n <= 10 and is configurable upward.
 
 A universal form is new when no universal form found at an earlier depth is
-a proper subsequence of it.  That test compares it with each earlier
-universal form in turn, so its cost is polynomial in the form length.
+a proper subsequence of it.  That test compares it with the earlier
+universal forms that hold the coefficient it added, so its cost is
+polynomial in the form length.
 
-Each child's sieve is its parent's sieve with the new coefficient folded
-in (RepresentationSieve.extend), so a depth costs one fold per candidate.
-Only the sieves of active members are kept, for their children.
+Each parent's children come from one decode of its bits
+(polygonal._extensions).  When the parent misses few values, its gap list
+is tested against each new coefficient's term values (the gap test of
+polygonal.fold): the child's truant is the smallest uncovered gap >= n,
+and a child sieve is built only when that truant exists, so a universal
+child costs one gap test and no sieve.  A parent with many gaps folds
+each child in full (RepresentationSieve.extend).  Only the sieves of
+active members are kept, for their children.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from dataclasses import dataclass
 
 from .polygonal import (
     RepresentationSieve,
+    _extensions,
     _insert_sorted,
     _is_proper_subsequence,
     build_sieve,
@@ -135,10 +142,11 @@ def run_escalation(n: int, bound: int = DEFAULT_BOUND) -> EscalationTrace:
 
     Deterministic in (n, bound).  Past depth 3n + 10, a fixed limit, it
     raises EscalationDepthError: termination is expected by depth n + 1 for
-    floors >= 5 and within a few more levels below that.  Before each child
-    fold, the sieves it holds (the parents not yet expanded, the current
-    parent and the children kept so far) plus the one it builds are checked
-    against polygonal.BYTE_LIMIT.
+    floors >= 5 and within a few more levels below that.  The sieves it
+    holds (the parents not yet expanded, the current parent with its word
+    array and the children kept so far) are checked against
+    polygonal.BYTE_LIMIT before the parent's words are decoded and again,
+    with one more, before each child sieve is built.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -146,10 +154,17 @@ def run_escalation(n: int, bound: int = DEFAULT_BOUND) -> EscalationTrace:
         raise ValueError("bound must be >= 2n")
     nw = (bound + 64) // 64
 
+    def reserve(more: int) -> None:
+        # the sieves held (the parents not yet expanded, the current parent and
+        # the children kept so far) and more sieve-sized arrays
+        held = len(sieves) + 1 + len(children)
+        check_bytes((held + more) * 8 * nw, f"escalation for n={n} to {bound}")
+
     depths: list[DepthRecord] = []
-    universal_so_far: set[tuple[int, ...]] = set()
+    universal_with: dict[int, list[tuple[int, ...]]] = {}  # earlier universal forms by coefficient
     root = build_sieve((n,), bound)
     found = {root.coeffs: root.first_missing(n, bound)}  # the candidates E and their truants
+    added = {root.coeffs: n}  # the coefficient each candidate added to its parent
     sieves = {root.coeffs: root}  # the active candidates' sieves
     k = 1
     while True:
@@ -157,10 +172,14 @@ def run_escalation(n: int, bound: int = DEFAULT_BOUND) -> EscalationTrace:
         psis = {a: found[a] for a in members}
         U = [a for a in members if psis[a] is None]
         A = [a for a in members if psis[a] is not None]
+        # A universal u that is a proper subsequence of a = parent + (g) is not
+        # one of the parent's subsequences: the parent would then represent all
+        # that u does and be universal, not active.  So u holds g, and only the
+        # earlier universal forms that hold g need testing.
         NU = [
             a
             for a in U
-            if not any(_is_proper_subsequence(u, a) for u in universal_so_far)
+            if not any(_is_proper_subsequence(u, a) for u in universal_with.get(added[a], ()))
         ]
         depths.append(
             DepthRecord(k=k, E=tuple(members), U=tuple(U), NU=tuple(NU), A=tuple(A), psi=psis)
@@ -169,19 +188,18 @@ def run_escalation(n: int, bound: int = DEFAULT_BOUND) -> EscalationTrace:
             return EscalationTrace(n=n, bound=bound, depths=tuple(depths), terminated_at=k)
         if k == 3 * n + 10:
             raise EscalationDepthError(f"no empty active set by depth {k} (n={n}, bound={bound})")
-        universal_so_far.update(U)
-        found, children = {}, {}
+        for u in U:
+            for c in set(u):
+                universal_with.setdefault(c, []).append(u)
+        found, added, children = {}, {}, {}
         for a in A:
             parent = sieves.pop(a)
-            for g in _new_coefficients(psis[a], n):
+            gs = [g for g in _new_coefficients(psis[a], n) if _insert_sorted(a, g) not in found]
+            for g, truant, sieve in _extensions(parent, gs, n, reserve):
                 child = _insert_sorted(a, g)
-                if child not in found:
-                    held = len(sieves) + 1 + len(children)
-                    check_bytes((held + 1) * 8 * nw, f"escalation for n={n} to {bound}")
-                    sieve = parent.extend(g)
-                    found[child] = sieve.first_missing(n, bound)
-                    if found[child] is not None:
-                        children[child] = sieve
+                found[child], added[child] = truant, g
+                if truant is not None:
+                    children[child] = sieve
         sieves = children
         k += 1
 
@@ -228,11 +246,20 @@ def tight_verdicts(
 
 
 def _verdict(sieve: RepresentationSieve, n: int, criterion: CriterionSet) -> Verdict:
+    # The values below n and the criterion values are read from one small int
+    # of the sieve's low bits, not by a bound-sized shift each; a value outside
+    # the sieve goes to `in`, which raises.
+    top = min(max((0, n - 1, *criterion.values)), sieve.bound)
+    low = sieve.bits & ((2 << top) - 1)
+
+    def has(v: int) -> bool:
+        return bool(low >> v & 1) if 0 <= v <= top else v in sieve
+
     for v in range(1, n):
-        if v in sieve:
+        if has(v):
             return Verdict("represents_below_n", v)
     for c in criterion.values:
-        if c not in sieve:
+        if not has(c):
             return Verdict("misses_criterion", c)
     gap = sieve.first_missing(n, sieve.bound)
     if gap is not None:

@@ -235,7 +235,8 @@ def fold(term_lists, bound: int, bits: int = 1) -> int:
     - 0 in T and S misses at most nw / 16 values: S is then a subset of
       S + T, so only a gap g of S can change, and it joins iff g - t is in
       S for some t in T with 0 < t <= g.  The gaps are tested against T in
-      fixed-size blocks, and each is dropped once it is covered.
+      one block when there are few pairs, else in fixed-size blocks, each
+      gap dropped once it is covered.
     - Otherwise the values v of T are grouped by v & 63, the words are
       shifted once per group, and each v ORs that shifted copy into the
       accumulator from word v >> 6 on.
@@ -303,27 +304,48 @@ def _fold_gaps(
     words: np.ndarray, gaps: np.ndarray, terms: list[int], bound: int, top: np.uint64
 ) -> np.ndarray:
     # S + T for 0 in T: the gaps of S that some positive t covers join S.
-    t_all = np.asarray(terms)
-    t_all = t_all[(t_all > 0) & (t_all <= bound)].astype(np.int64)
+    return _join(words, _cover(words, gaps, terms, bound)[0], top)
+
+
+def _cover(
+    words: np.ndarray, gaps: np.ndarray, terms, bound: int
+) -> tuple[np.ndarray, np.ndarray]:
+    # Split the ascending gaps of S (the set in words) into those that some
+    # term 0 < t <= g covers, g - t in S, and the rest, still ascending.
+    # terms may be in any order and repeat.  One block tests them all when
+    # gaps x terms is at most half a block; otherwise the terms go in chunks,
+    # and a covered gap is dropped from the later chunks.  Past half a block
+    # the chunks win, as most gaps are covered by the first chunk's terms.
+    t_all = np.asarray(terms, dtype=np.int64)
+    t_all = t_all[(t_all > 0) & (t_all <= bound)]
+    if gaps.size * t_all.size <= _GAP_CHUNK * _TERM_CHUNK // 2:
+        hit = _hits(words, gaps, t_all)
+        return gaps[hit], gaps[~hit]
     covered = []
     for i in range(0, t_all.size, _TERM_CHUNK):
         t = t_all[i : i + _TERM_CHUNK]
         start = np.searchsorted(gaps, t.min())  # the gaps below every t here stay
-        if start == gaps.size:
-            continue
         hit = np.zeros(gaps.size, dtype=bool)
         for j in range(start, gaps.size, _GAP_CHUNK):
-            d = gaps[j : j + _GAP_CHUNK, None] - t
-            found = words[d >> 6]  # a d < 0 reads a wrapped word, masked out below
-            found >>= (d & 63).view(np.uint64)
-            found &= d >= 0  # bit d of S, where t <= g
-            hit[j : j + _GAP_CHUNK] = found.any(axis=1)
+            hit[j : j + _GAP_CHUNK] = _hits(words, gaps[j : j + _GAP_CHUNK], t)
         covered.append(gaps[hit])
         gaps = gaps[~hit]
+    return np.concatenate(covered), gaps
+
+
+def _hits(words: np.ndarray, gaps: np.ndarray, t: np.ndarray) -> np.ndarray:
+    # one gap-test block: g - t in S for some t of t, per gap g
+    d = gaps[:, None] - t
+    found = words[d >> 6]  # a d < 0 reads a wrapped word, masked out below
+    found >>= (d & 63).view(np.uint64)
+    found &= d >= 0  # bit d of S, where t <= g
+    return found.any(axis=1)
+
+
+def _join(words: np.ndarray, new: np.ndarray, top: np.uint64) -> np.ndarray:
+    # a copy of words with the bits at the positions new set
     acc = words.copy()
-    if covered:
-        new = np.concatenate(covered)
-        np.bitwise_or.at(acc, new >> 6, np.left_shift(np.uint64(1), (new & 63).astype(np.uint64)))
+    np.bitwise_or.at(acc, new >> 6, np.left_shift(np.uint64(1), (new & 63).astype(np.uint64)))
     acc[-1] &= top
     return acc
 
@@ -404,6 +426,46 @@ def _walk(forms: list[tuple[int, ...]], bound: int):
             bits = fold((term_values(c, bound) for c in a[p:]), bound, kept[-1].bits)
             yield RepresentationSieve(coeffs=a, bound=bound, bits=bits)
         del kept[keep:]
+
+
+def _extensions(parent: RepresentationSieve, gs, n: int, reserve):
+    # (g, truant, sieve) for each g of gs: the sieve of parent + (g) and its
+    # truant, the smallest value >= n it misses (None up to the bound).  The
+    # parent's bits are decoded once.  When it misses at most nw / 16 values,
+    # its gap list is tested against g's term values, and a child with no
+    # truant gets no sieve (None); otherwise each child is folded in full.
+    # reserve(k) runs before k more sieve-sized arrays are held: the words,
+    # then the words and each child sieve.
+    bound = parent.bound
+    nw = (bound + 64) // 64
+    reserve(1)
+    words = np.frombuffer(parent.bits.to_bytes(8 * nw, "little"), dtype="<u8")
+    top = np.uint64((1 << (bound % 64 + 1)) - 1)
+    gaps = _few_gaps(words, top)
+    for g in gs:
+        if gaps is None:
+            reserve(2)
+            sieve = parent.extend(g)
+            yield g, sieve.first_missing(n, bound), sieve
+            continue
+        truant, covered = _gap_truant(words, gaps, term_values(g, bound), n, bound)
+        if truant is None:
+            yield g, None, None
+            continue
+        reserve(2)
+        bits = int.from_bytes(_join(words, covered, top).tobytes(), "little")
+        yield g, truant, RepresentationSieve(_insert_sorted(parent.coeffs, g), bound, bits)
+
+
+def _gap_truant(
+    words: np.ndarray, gaps: np.ndarray, terms, n: int, bound: int
+) -> tuple[int | None, np.ndarray]:
+    # The truant of S + T for 0 in T, from the ascending gaps of S (the set in
+    # words): its smallest gap >= n that no term covers, or None.  Also the
+    # covered gaps, the ones S + T adds to S.
+    covered, rest = _cover(words, gaps, terms, bound)
+    i = int(np.searchsorted(rest, n))
+    return (int(rest[i]) if i < rest.size else None), covered
 
 
 def _descending_positions(a: tuple[int, ...]) -> list[int]:

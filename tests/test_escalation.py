@@ -12,7 +12,7 @@ from octaforms.escalation import (
     run_escalation,
     tight_verdicts,
 )
-from octaforms.polygonal import ResourceBudgetError, insert_sorted
+from octaforms.polygonal import ResourceBudgetError, insert_sorted, is_proper_subsequence
 from octaforms.tables import family_pair
 
 BOUND = 50_000
@@ -187,6 +187,19 @@ def test_tight_verdicts_match_the_per_form_checks(trace2):
         tight_verdicts(forms, 3, crit, BOUND)
 
 
+def test_new_forms_are_tested_only_against_universal_forms_with_the_added_coefficient():
+    # run_escalation tests a universal child only against the earlier universal
+    # forms that hold the coefficient it added; the scan over all of them
+    # finds the same new forms
+    for n in range(1, 6):
+        trace = run_escalation(n, BOUND)
+        earlier = []
+        for rec in trace.depths:
+            full = tuple(a for a in rec.U if not any(is_proper_subsequence(u, a) for u in earlier))
+            assert rec.NU == full, (n, rec.k)
+            earlier += rec.U
+
+
 def test_determinism(trace2):
     again = run_escalation(2, BOUND)
     assert again == trace2
@@ -214,13 +227,18 @@ def test_depth_limit_is_enforced(monkeypatch):
 
 
 def test_kept_sieves_are_checked_against_the_byte_limit(monkeypatch):
-    # at this bound the run for n = 3 holds up to 13 sieves while it builds
-    # a 14th, and the run for n = 4 holds 2 while it builds a third
+    # at this bound the run for n = 3 holds up to 13 sieve-sized arrays while
+    # it builds a 14th; the runs for n = 4 and 5 hold a parent and its decoded
+    # words while they build a child
     sieve = 8 * ((BOUND + 64) // 64)
     monkeypatch.setattr(polygonal, "BYTE_LIMIT", 3 * sieve)
     with pytest.raises(ResourceBudgetError, match="escalation for n=3"):
         run_escalation(3, BOUND)
     assert run_escalation(4, BOUND).terminated_at == 7
+    assert run_escalation(5, BOUND).terminated_at == 6
+    monkeypatch.setattr(polygonal, "BYTE_LIMIT", 3 * sieve - 1)
+    with pytest.raises(ResourceBudgetError, match="escalation for n=5"):
+        run_escalation(5, BOUND)
     monkeypatch.setattr(polygonal, "BYTE_LIMIT", 14 * sieve - 1)
     with pytest.raises(ResourceBudgetError):
         run_escalation(3, BOUND)

@@ -318,6 +318,63 @@ def test_fold_regimes_agree_on_nearly_full_sets(bound, gaps, terms, with_zero):
     assert spy.called == (with_zero and 16 * len(gaps) <= nw)
 
 
+EDGY = st.one_of(st.sampled_from([1, 63, 64, 65, 128]), st.integers(1, 160 * 64 + 10))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    bound=st.integers(16 * 64 - 1, 160 * 64 - 1),
+    gaps=NEAR_FULL,
+    terms=st.lists(EDGY, max_size=10),
+    g=EDGY,
+    n=st.integers(1, 300),
+)
+@example(bound=1023, gaps=[5, 64, 70, -1], terms=[65, 6, 6, 1023, 1024, 59], g=64, n=5)
+@example(bound=1087, gaps=[0, 63, 64, 1087], terms=[64, 1, 1, 1087], g=1087, n=1)
+@example(bound=10239, gaps=[5, 64, 70, -1], terms=[1], g=1, n=5)  # gap list, no truant
+@example(bound=10239, gaps=[5, 64, 70, -1], terms=[64, 6], g=64, n=5)  # gap list, truant 5
+def test_a_child_from_its_parents_gap_list_matches_one_fold(bound, gaps, terms, g, n):
+    # the escalation's gap-list child: its truant (>= n) and, when it has one,
+    # its bits equal one fold of the terms (or extend(g)) and first_missing
+    gaps = {v % (bound + 1) for v in gaps}
+    bits = (1 << (bound + 1)) - 1 - sum(1 << v for v in gaps)
+    words, _ = _as_words(bits, bound)
+    top = np.uint64((1 << (bound % 64 + 1)) - 1)
+    gap_list = np.array(sorted(gaps), dtype=np.int64)
+    child = fold([terms + [0]], bound, bits)
+    # unsorted and repeated terms
+    truant, covered = polygonal._gap_truant(words, gap_list, terms + [0] + terms, n, bound)
+    assert truant == polygonal.RepresentationSieve((1,), bound, child).first_missing(n, bound)
+    if truant is not None:
+        assert _as_int(polygonal._join(words, covered, top)) == child
+
+    parent = polygonal.RepresentationSieve(coeffs=(1,), bound=bound, bits=bits)
+    reserved = []
+    [(h, truant, sieve)] = polygonal._extensions(parent, [g], n, reserved.append)
+    expect = parent.extend(g)
+    assert h == g and truant == expect.first_missing(n, bound)
+    assert sieve == expect or (truant is None and sieve is None)  # a dense parent folds every child
+    assert reserved == [1] + [2] * (sieve is not None)  # before the words, then before the child
+
+
+def test_the_chunked_gap_test_matches_a_set_oracle():
+    # about 1,100 gaps x 120 terms is past half a block, so the terms go in
+    # chunks and covered gaps drop out; the terms are unsorted, repeat and
+    # pass the bound.  S holds multiples of 5 only, so a gap is covered only
+    # by terms of its own residue mod 5 and about half stay open.
+    rng = random.Random(20)
+    bound = 64 * 20 - 1
+    S = {v for v in range(0, bound + 1, 5) if rng.random() < 0.7} | {0}
+    gaps = sorted(set(range(bound + 1)) - S)
+    terms = [5 * rng.randrange(1, bound // 5 + 40) for _ in range(100)] + [64, 63, 1, 1, bound] * 4
+    words, _ = _as_words(sum(1 << v for v in S), bound)
+    covered, rest = polygonal._cover(words, np.array(gaps, dtype=np.int64), terms, bound)
+    assert len(gaps) * len(terms) > polygonal._GAP_CHUNK * polygonal._TERM_CHUNK // 2
+    expect = [g for g in gaps if any(0 < t <= g and g - t in S for t in terms)]
+    assert sorted(covered.tolist()) == expect and 0 < len(expect) < len(gaps)
+    assert rest.tolist() == sorted(set(gaps) - set(expect))
+
+
 @settings(max_examples=40, deadline=None)
 @given(bound=st.integers(0, 3000), terms=st.lists(st.integers(0, 3100), max_size=12))
 def test_a_fold_from_zero_scatters_the_terms(bound, terms):
