@@ -3,7 +3,10 @@
 A sum c1*P8(x1) + ... + ck*P8(xk) with positive integer coefficients is
 decided here two ways: a bit-sieve over a value range (fast, bulk; one
 uint64 word-array fold kernel) and a pruned depth-first search (single
-values, produces witnesses).  Both paths are exact integer arithmetic
+values, produces witnesses).  The fold spends its time on shifted ORs, one
+per term folded densely, so it folds the long lists last and hands the
+rest of a dense list over to a gap test once its smallest terms have
+nearly filled the set (see fold).  Both paths are exact integer arithmetic
 throughout.  The search is the package's only one:
 lattice.represents_coprime3 answers through it, since y = |3x - 1| turns
 b*y^2 with y prime to 3 into 3*b*P8(x) + b.
@@ -226,20 +229,27 @@ _GAP_CHUNK, _TERM_CHUNK = 256, 64  # one 128 KiB int64 block per gap-test step
 def fold(term_lists, bound: int, bits: int = 1) -> int:
     """Packed bit array over [0, bound] of the sumset bits + T1 + T2 + ...
 
-    bits is a packed set S within [0, bound], by default {0}.  The fold runs
-    on nw = (bound + 64) // 64 uint64 words, and each term list T takes the
-    cheapest of three exact ways to S + T:
+    bits is a packed set S within [0, bound], by default {0}.  The lists
+    are folded in the order given.  The sumset does not depend on it, but
+    the cost does: a fold from {0} is cheapest with the longest list first,
+    as its seed, and the rest shortest first, so the dense folds get the
+    fewest terms and the long lists come last, when their small terms fill
+    the set (see build_sieve).  The fold runs on nw = (bound + 64) // 64
+    uint64 words, and each term list T takes the cheapest of three exact
+    ways to S + T:
 
     - S = {0} (the first list of a fold from the default bits): S + T is
-      T's own bitmap, scattered one bit position v & 63 at a time.
+      T's own bitmap, set by one indexed OR.
     - 0 in T and S misses at most nw / 16 values: S is then a subset of
       S + T, so only a gap g of S can change, and it joins iff g - t is in
       S for some t in T with 0 < t <= g.  The gaps are tested against T in
       one block when there are few pairs, else in fixed-size blocks, each
       gap dropped once it is covered.
-    - Otherwise the values v of T are grouped by v & 63, the words are
-      shifted once per group, and each v ORs that shifted copy into the
-      accumulator from word v >> 6 on.
+    - Otherwise dense (see _fold_dense): the values v of T are grouped by
+      v & 63, the words are shifted once per group, and each v ORs that
+      shifted copy into the accumulator from word v >> 6 on.  The smallest
+      terms go first, and once their sum misses at most nw / 16 values the
+      rest of T goes to the gap test instead.
 
     The byte limit is checked before anything is allocated, so term_lists
     may be a lazy iterable that is only consumed once the bound is accepted.
@@ -250,15 +260,17 @@ def fold(term_lists, bound: int, bits: int = 1) -> int:
     check_bytes(8 * nw, f"sieve of {bound + 1} bits")
     words = np.frombuffer(bits.to_bytes(8 * nw, "little"), dtype="<u8")
     top = np.uint64((1 << (bound % 64 + 1)) - 1)  # the last word's bits within bound
+    size = bits.bit_count()  # at least |S|, for _fold_dense
     seed = bits == 1
     for terms in term_lists:
-        terms = list(terms)  # read twice: the test for 0, then the fold
+        terms = sorted(terms)  # read more than once, and ascending for _fold_dense
         if seed:
-            words = _fold_seed(_group(terms, bound), nw)
+            words = _fold_seed(terms, bound, top)
         elif 0 in terms and (gaps := _few_gaps(words, top)) is not None:
             words = _fold_gaps(words, gaps, terms, bound, top)
         else:
-            words = _fold_dense(words, _group(terms, bound), top)
+            words = _fold_dense(words, size, terms, bound, top)
+        size = len(terms) if seed else min(size * len(terms), bound + 1)
         seed = False
     return int.from_bytes(words.tobytes(), "little")
 
@@ -272,14 +284,11 @@ def _group(terms: list[int], bound: int) -> list[list[int]]:
     return groups
 
 
-def _fold_seed(groups: list[list[int]], nw: int) -> np.ndarray:
-    # {0} + T, T's bitmap: one bit position per bucket.  A repeated offset
-    # sets the same bit, so the buffered fancy-index OR is exact.
-    acc = np.zeros(nw, dtype="<u8")
-    for r, offsets in enumerate(groups):
-        if offsets:
-            acc[offsets] |= np.uint64(1 << r)
-    return acc
+def _fold_seed(terms: list[int], bound: int, top: np.uint64) -> np.ndarray:
+    # {0} + T, T's bitmap: the bits at the values v <= bound, set by one
+    # unbuffered indexed OR, so a repeated value is exact
+    v = np.array(terms, dtype=np.int64)
+    return _set(np.zeros((bound + 64) // 64, dtype="<u8"), v[v <= bound], top)
 
 
 def _few_gaps(words: np.ndarray, top: np.uint64) -> np.ndarray | None:
@@ -304,7 +313,7 @@ def _fold_gaps(
     words: np.ndarray, gaps: np.ndarray, terms: list[int], bound: int, top: np.uint64
 ) -> np.ndarray:
     # S + T for 0 in T: the gaps of S that some positive t covers join S.
-    return _join(words, _cover(words, gaps, terms, bound)[0], top)
+    return _set(words.copy(), _cover(words, gaps, terms, bound)[0], top)
 
 
 def _cover(
@@ -342,19 +351,51 @@ def _hits(words: np.ndarray, gaps: np.ndarray, t: np.ndarray) -> np.ndarray:
     return found.any(axis=1)
 
 
-def _join(words: np.ndarray, new: np.ndarray, top: np.uint64) -> np.ndarray:
-    # a copy of words with the bits at the positions new set
-    acc = words.copy()
+def _set(acc: np.ndarray, new: np.ndarray, top: np.uint64) -> np.ndarray:
+    # acc with the bits at the positions new set in place, cut to the bound
     np.bitwise_or.at(acc, new >> 6, np.left_shift(np.uint64(1), (new & 63).astype(np.uint64)))
     acc[-1] &= top
     return acc
 
 
-def _fold_dense(words: np.ndarray, groups: list[list[int]], top: np.uint64) -> np.ndarray:
-    # S + T by one shifted copy of the words per bucket and one OR per term
+# The hand-over of _fold_dense, both measured: the terms ORed in before
+# the gap test, and the fewest terms a list needs to try it at all.
+_HEAD, _SPLIT_MIN = 12, 96
+
+
+def _fold_dense(
+    words: np.ndarray, size: int, terms: list[int], bound: int, top: np.uint64
+) -> np.ndarray:
+    # S + T for S in words, of at most size values, in a new accumulator.
+    # The first _HEAD terms T' (the smallest, as fold passes T ascending)
+    # are ORed in first.  If S + T' misses at most nw / 16 values, its gaps
+    # are tested against the other terms T'' and the covered ones set:
+    # S + T = (S + T') | (S + T'') for any split of T, and a gap g is in
+    # S + T'' iff g - t is in S (words, not the partial sum) for some t in
+    # T''.  Otherwise T'' is ORed in as well.  T is ORed in whole when the
+    # test cannot pass (S + T' has at most size * |T'| values) or cannot
+    # pay: a failed test re-shifts up to _HEAD buckets, which a short T''
+    # does not win back.
+    nw = words.size
+    split = len(terms) >= _SPLIT_MIN and 16 * (bound + 1 - size * _HEAD) <= nw
+    k = _HEAD if split else len(terms)
+    acc = np.zeros(nw, dtype="<u8")
+    _or_shifts(acc, words, _group(terms[:k], bound))
+    rest = terms[k:]
+    if rest:
+        acc[-1] &= top
+        if (gaps := _few_gaps(acc, top)) is not None:
+            return _set(acc, _cover(words, gaps, rest, bound)[0], top)
+        _or_shifts(acc, words, _group(rest, bound))
+    acc[-1] &= top
+    return acc
+
+
+def _or_shifts(acc: np.ndarray, words: np.ndarray, groups: list[list[int]]) -> None:
+    # acc |= S + {64 q + r : q in groups[r]}, by one shifted copy of the
+    # words per bucket r and one OR per offset q
     nw = words.size
     shifted = np.empty(nw, dtype="<u8")
-    acc = np.zeros(nw, dtype="<u8")
     for r, offsets in enumerate(groups):
         if not offsets:
             continue
@@ -365,18 +406,19 @@ def _fold_dense(words: np.ndarray, groups: list[list[int]], top: np.uint64) -> n
             src = shifted
         for q in offsets:
             acc[q:] |= src[: nw - q]
-    acc[-1] &= top
-    return acc
 
 
 def build_sieve(a, bound: int) -> RepresentationSieve:
     """Sieve of all values of the octagonal form with coefficients a, up to bound.
 
     Iterated sumset: start from {0} and fold in the term values of each
-    coefficient (see fold).
+    coefficient (see fold), the smallest coefficient first (its list is the
+    longest, and a fold from {0} scatters it at no fold cost) and then the
+    largest to the second smallest, so the dense folds get the shortest
+    lists.
     """
     a = coeff_vector(a)
-    bits = fold((term_values(c, bound) for c in a), bound)
+    bits = fold((term_values(c, bound) for c in (a[0], *reversed(a[1:]))), bound)
     return RepresentationSieve(coeffs=a, bound=bound, bits=bits)
 
 
@@ -387,11 +429,11 @@ def build_sieves(forms, bound: int):
     Form i resumes from the sieve of the longest prefix it shares with form
     i - 1.  It folds one coefficient at a time (RepresentationSieve.extend)
     only as far as the prefix it shares with form i + 1, keeping each of
-    those prefix sieves, and folds the rest in one fold call.  A form that
-    shares nothing with either neighbour costs one build_sieve.  So the walk
-    keeps k <= len(form) sieves, and before folding each form it checks the
-    k kept sieves plus the one it builds, (k + 1) * 8 * nw bytes, against
-    BYTE_LIMIT.
+    those prefix sieves, and folds the rest in one fold call, largest
+    coefficient first (see build_sieve).  A form that shares nothing with
+    either neighbour costs one build_sieve.  So the walk keeps k <= len(form)
+    sieves, and before folding each form it checks the k kept sieves plus
+    the one it builds, (k + 1) * 8 * nw bytes, against BYTE_LIMIT.
     """
     forms = [coeff_vector(a) for a in forms]
     if bound < 0:
@@ -423,7 +465,7 @@ def _walk(forms: list[tuple[int, ...]], bound: int):
         elif p == 0:
             yield build_sieve(a, bound)
         else:
-            bits = fold((term_values(c, bound) for c in a[p:]), bound, kept[-1].bits)
+            bits = fold((term_values(c, bound) for c in reversed(a[p:])), bound, kept[-1].bits)
             yield RepresentationSieve(coeffs=a, bound=bound, bits=bits)
         del kept[keep:]
 
@@ -433,19 +475,22 @@ def _extensions(parent: RepresentationSieve, gs, n: int, reserve):
     # truant, the smallest value >= n it misses (None up to the bound).  The
     # parent's bits are decoded once.  When it misses at most nw / 16 values,
     # its gap list is tested against g's term values, and a child with no
-    # truant gets no sieve (None); otherwise each child is folded in full.
-    # reserve(k) runs before k more sieve-sized arrays are held: the words,
-    # then the words and each child sieve.
+    # truant gets no sieve (None); otherwise each child is folded densely
+    # from the decoded words.  reserve(k) runs before k more sieve-sized
+    # arrays are held: the words, then the words and each child sieve.
     bound = parent.bound
     nw = (bound + 64) // 64
     reserve(1)
     words = np.frombuffer(parent.bits.to_bytes(8 * nw, "little"), dtype="<u8")
     top = np.uint64((1 << (bound % 64 + 1)) - 1)
     gaps = _few_gaps(words, top)
+    size = parent.bits.bit_count()
     for g in gs:
         if gaps is None:
             reserve(2)
-            sieve = parent.extend(g)
+            child = _fold_dense(words, size, term_values(g, bound), bound, top)
+            bits = int.from_bytes(child.tobytes(), "little")
+            sieve = RepresentationSieve(_insert_sorted(parent.coeffs, g), bound, bits)
             yield g, sieve.first_missing(n, bound), sieve
             continue
         truant, covered = _gap_truant(words, gaps, term_values(g, bound), n, bound)
@@ -453,7 +498,7 @@ def _extensions(parent: RepresentationSieve, gs, n: int, reserve):
             yield g, None, None
             continue
         reserve(2)
-        bits = int.from_bytes(_join(words, covered, top).tobytes(), "little")
+        bits = int.from_bytes(_set(words.copy(), covered, top).tobytes(), "little")
         yield g, truant, RepresentationSieve(_insert_sorted(parent.coeffs, g), bound, bits)
 
 

@@ -302,7 +302,7 @@ def test_fold_regimes_agree_on_nearly_full_sets(bound, gaps, terms, with_zero):
     words, nw = _as_words(bits, bound)
     top = np.uint64((1 << (bound % 64 + 1)) - 1)
 
-    dense = polygonal._fold_dense(words, polygonal._group(T, bound), top)
+    dense = polygonal._fold_dense(words, bits.bit_count(), T, bound, top)
     assert {v for v in range(bound + 1) if (_as_int(dense) >> v) & 1} == expect
     if with_zero:
         # the gap route is exact for any gap list once 0 is a term
@@ -316,6 +316,83 @@ def test_fold_regimes_agree_on_nearly_full_sets(bound, gaps, terms, with_zero):
     with mock.patch.object(polygonal, "_fold_gaps", wraps=polygonal._fold_gaps) as spy:
         assert fold([T], bound, bits) == _as_int(dense)
     assert spy.called == (with_zero and 16 * len(gaps) <= nw)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    bound=st.integers(0, 40 * 64 - 1),
+    step=st.integers(1, 4),
+    gaps=st.lists(st.integers(0, 40 * 64), max_size=6),
+    terms=st.lists(st.one_of(st.sampled_from([0, 1, 63, 64, 65, 128]), st.integers(0, 41 * 64)),
+                   max_size=16),
+    head=st.integers(1, 4),
+    exact_size=st.booleans(),
+)
+@example(bound=2047, step=1, gaps=[1, 2, 3], terms=[0, 1, 2], head=2, exact_size=True)
+@example(bound=2047, step=1, gaps=[1, 2, 3], terms=[2, 1, 2, 0, 3000], head=2, exact_size=False)
+@example(bound=2047, step=3, gaps=[], terms=[0, 3, 6, 1, 2, 64], head=2, exact_size=True)
+@example(bound=1023, step=2, gaps=[0], terms=[1, 64, 0, 65, 1], head=1, exact_size=True)
+def test_the_dense_hand_over_is_the_set_sumset(bound, step, gaps, terms, head, exact_size):
+    # S is every step-th value up to the bound less a few gaps, so S + T' is
+    # at times nearly full and at times not; the terms are unsorted, repeat,
+    # may lack 0, and sit on word edges and past the bound.  With the split
+    # patched small, the first head terms T' are ORed in and the rest go to
+    # the gap test exactly when S + T' misses at most nw / 16 values.
+    S = set(range(0, bound + 1, step)) - set(gaps)
+    expect = {s + t for s in S for t in terms if s + t <= bound}
+    partial = {s + t for s in S for t in terms[:head] if s + t <= bound}
+    words, nw = _as_words(sum(1 << v for v in S), bound)
+    top = np.uint64((1 << (bound % 64 + 1)) - 1)
+    size = len(S) if exact_size else bound + 1
+    can_pass = 16 * (bound + 1 - size * head) <= nw
+    hand_over = len(terms) > head and can_pass and 16 * (bound + 1 - len(partial)) <= nw
+    with mock.patch.multiple(polygonal, _HEAD=head, _SPLIT_MIN=0), \
+            mock.patch.object(polygonal, "_cover", wraps=polygonal._cover) as spy:
+        dense = polygonal._fold_dense(words, size, terms, bound, top)
+    assert {v for v in range(bound + 1) if (_as_int(dense) >> v) & 1} == expect
+    assert _as_int(dense) >> (bound + 1) == 0
+    assert spy.called == hand_over
+
+
+def test_every_fold_order_gives_the_same_bits():
+    # The sumset does not depend on the order of its lists.  In some of these
+    # orders a dense fold hands its last terms over to the gap test (a
+    # _cover call not made by _fold_gaps).  The coprime-to-3 lists have no 0
+    # and their sums lie in one class mod 3, so theirs stay dense.
+    bound = 200_000
+    a = (1, 2, 3, 5)
+    want = build_sieve(a, bound).bits
+    with mock.patch.object(polygonal, "_cover", wraps=polygonal._cover) as cover, \
+            mock.patch.object(polygonal, "_fold_gaps", wraps=polygonal._fold_gaps) as gap_folds:
+        for order in permutations(a):
+            assert fold((term_values(c, bound) for c in order), bound) == want, order
+    assert cover.call_count > gap_folds.call_count
+    diag = (1, 2, 4, 6)
+    units = {b: [b * y * y for y in lattice._coprime_units(bound // b)] for b in diag}
+    want = lattice.coprime3_values_up_to(diag, bound)
+    for order in permutations(diag):
+        assert lattice.coprime3_values_up_to(order, bound) == want, order
+        assert fold((units[b] for b in order), bound) == want, order
+
+
+def test_the_dense_fold_holds_no_more_than_three_sieves_and_a_carry():
+    # The hand-over sets the covered gaps in its own accumulator, so
+    # build_sieve peaks no higher than the all-dense fold in the given
+    # order: the source, the shifted copy, the accumulator and one carry.
+    a, bound = (2, 3, 4, 5), 10**6
+    build_sieve(a, 1_000)  # imports and caches outside the traced span
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    with mock.patch.object(polygonal, "_SPLIT_MIN", float("inf")):
+        dense = peak(lambda: fold((term_values(c, bound) for c in a), bound))
+    assert peak(lambda: build_sieve(a, bound)) <= dense < 5 * 8 * ((bound + 64) // 64)
 
 
 EDGY = st.one_of(st.sampled_from([1, 63, 64, 65, 128]), st.integers(1, 160 * 64 + 10))
@@ -346,7 +423,7 @@ def test_a_child_from_its_parents_gap_list_matches_one_fold(bound, gaps, terms, 
     truant, covered = polygonal._gap_truant(words, gap_list, terms + [0] + terms, n, bound)
     assert truant == polygonal.RepresentationSieve((1,), bound, child).first_missing(n, bound)
     if truant is not None:
-        assert _as_int(polygonal._join(words, covered, top)) == child
+        assert _as_int(polygonal._set(words.copy(), covered, top)) == child
 
     parent = polygonal.RepresentationSieve(coeffs=(1,), bound=bound, bits=bits)
     reserved = []
@@ -378,11 +455,10 @@ def test_the_chunked_gap_test_matches_a_set_oracle():
 @settings(max_examples=40, deadline=None)
 @given(bound=st.integers(0, 3000), terms=st.lists(st.integers(0, 3100), max_size=12))
 def test_a_fold_from_zero_scatters_the_terms(bound, terms):
-    words, nw = _as_words(1, bound)
+    words, _ = _as_words(1, bound)
     top = np.uint64((1 << (bound % 64 + 1)) - 1)
-    groups = polygonal._group(terms, bound)
-    seeded = polygonal._fold_seed(groups, nw)
-    assert _as_int(seeded) == _as_int(polygonal._fold_dense(words, groups, top))
+    seeded = polygonal._fold_seed(terms, bound, top)
+    assert _as_int(seeded) == _as_int(polygonal._fold_dense(words, 1, terms, bound, top))
     assert fold([terms], bound) == _as_int(seeded) == sum(1 << t for t in set(terms) if t <= bound)
 
 
