@@ -22,8 +22,9 @@ is tested against each new coefficient's term values (the gap test of
 polygonal.fold): the child's truant is the smallest uncovered gap >= n,
 and a child sieve is built only when that truant exists, so a universal
 child costs one gap test and no sieve.  A parent with many gaps folds
-each child in full (RepresentationSieve.extend).  Only the sieves of
-active members are kept, for their children.
+each child densely from the same decoded words (polygonal._fold_dense,
+hand-over included).  Only the sieves of active members are kept, for
+their children.
 """
 
 from __future__ import annotations

@@ -242,7 +242,7 @@ def fold(term_lists, bound: int, bits: int = 1) -> int:
       T's own bitmap, set by one indexed OR.
     - 0 in T and S misses at most nw / 16 values: S is then a subset of
       S + T, so only a gap g of S can change, and it joins iff g - t is in
-      S for some t in T with 0 < t <= g.  The gaps are tested against T in
+      S for some t in T with 0 <= t <= g.  The gaps are tested against T in
       one block when there are few pairs, else in fixed-size blocks, each
       gap dropped once it is covered.
     - Otherwise dense (see _fold_dense): the values v of T are grouped by
@@ -256,23 +256,32 @@ def fold(term_lists, bound: int, bits: int = 1) -> int:
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    nw = (bound + 64) // 64
-    check_bytes(8 * nw, f"sieve of {bound + 1} bits")
-    words = np.frombuffer(bits.to_bytes(8 * nw, "little"), dtype="<u8")
+    check_bytes(8 * ((bound + 64) // 64), f"sieve of {bound + 1} bits")
+    words, _ = _fold_words(_decode(bits, bound), bits.bit_count(), term_lists, bound)
+    return int.from_bytes(words.tobytes(), "little")
+
+
+def _decode(bits: int, bound: int) -> np.ndarray:
+    # the packed set bits within [0, bound] as nw = (bound + 64) // 64 read-only words
+    return np.frombuffer(bits.to_bytes(8 * ((bound + 64) // 64), "little"), dtype="<u8")
+
+
+def _fold_words(words: np.ndarray, size: int, term_lists, bound: int) -> tuple[np.ndarray, int]:
+    # The words of S + T1 + T2 + ... for S in words, of at most size values,
+    # and at most how many values that sumset has: one route per list (see
+    # fold).  As size bounds |S|, size == 1 with bit 0 set means S = {0}.
     top = np.uint64((1 << (bound % 64 + 1)) - 1)  # the last word's bits within bound
-    size = bits.bit_count()  # at least |S|, for _fold_dense
-    seed = bits == 1
     for terms in term_lists:
         terms = sorted(terms)  # read more than once, and ascending for _fold_dense
-        if seed:
-            words = _fold_seed(terms, bound, top)
+        if size == 1 and words[0] == 1:
+            v = np.array(terms, dtype=np.int64)
+            words = _set(np.zeros(words.size, dtype="<u8"), v[v <= bound], top)
         elif 0 in terms and (gaps := _few_gaps(words, top)) is not None:
-            words = _fold_gaps(words, gaps, terms, bound, top)
+            words = _set(words.copy(), _cover(words, gaps, terms, bound)[0], top)
         else:
             words = _fold_dense(words, size, terms, bound, top)
-        size = len(terms) if seed else min(size * len(terms), bound + 1)
-        seed = False
-    return int.from_bytes(words.tobytes(), "little")
+        size = min(size * len(terms), bound + 1)
+    return words, size
 
 
 def _group(terms: list[int], bound: int) -> list[list[int]]:
@@ -282,13 +291,6 @@ def _group(terms: list[int], bound: int) -> list[list[int]]:
         if v <= bound:
             groups[v & 63].append(v >> 6)
     return groups
-
-
-def _fold_seed(terms: list[int], bound: int, top: np.uint64) -> np.ndarray:
-    # {0} + T, T's bitmap: the bits at the values v <= bound, set by one
-    # unbuffered indexed OR, so a repeated value is exact
-    v = np.array(terms, dtype=np.int64)
-    return _set(np.zeros((bound + 64) // 64, dtype="<u8"), v[v <= bound], top)
 
 
 def _few_gaps(words: np.ndarray, top: np.uint64) -> np.ndarray | None:
@@ -309,24 +311,17 @@ def _few_gaps(words: np.ndarray, top: np.uint64) -> np.ndarray | None:
     return idx[pos >> 6] * 64 + (pos & 63)
 
 
-def _fold_gaps(
-    words: np.ndarray, gaps: np.ndarray, terms: list[int], bound: int, top: np.uint64
-) -> np.ndarray:
-    # S + T for 0 in T: the gaps of S that some positive t covers join S.
-    return _set(words.copy(), _cover(words, gaps, terms, bound)[0], top)
-
-
 def _cover(
     words: np.ndarray, gaps: np.ndarray, terms, bound: int
 ) -> tuple[np.ndarray, np.ndarray]:
     # Split the ascending gaps of S (the set in words) into those that some
-    # term 0 < t <= g covers, g - t in S, and the rest, still ascending.
+    # term 0 <= t <= g covers, g - t in S, and the rest, still ascending.
     # terms may be in any order and repeat.  One block tests them all when
     # gaps x terms is at most half a block; otherwise the terms go in chunks,
     # and a covered gap is dropped from the later chunks.  Past half a block
     # the chunks win, as most gaps are covered by the first chunk's terms.
     t_all = np.asarray(terms, dtype=np.int64)
-    t_all = t_all[(t_all > 0) & (t_all <= bound)]
+    t_all = t_all[(t_all >= 0) & (t_all <= bound)]
     if gaps.size * t_all.size <= _GAP_CHUNK * _TERM_CHUNK // 2:
         hit = _hits(words, gaps, t_all)
         return gaps[hit], gaps[~hit]
@@ -426,14 +421,15 @@ def build_sieves(forms, bound: int):
     """Sieves of the forms up to bound, yielded in the order given: a prefix walk.
 
     Every form, and the bound, is validated before the first sieve is built.
-    Form i resumes from the sieve of the longest prefix it shares with form
-    i - 1.  It folds one coefficient at a time (RepresentationSieve.extend)
-    only as far as the prefix it shares with form i + 1, keeping each of
-    those prefix sieves, and folds the rest in one fold call, largest
-    coefficient first (see build_sieve).  A form that shares nothing with
-    either neighbour costs one build_sieve.  So the walk keeps k <= len(form)
-    sieves, and before folding each form it checks the k kept sieves plus
-    the one it builds, (k + 1) * 8 * nw bytes, against BYTE_LIMIT.
+    Form i resumes from the longest prefix it shares with form i - 1.  It
+    folds one coefficient at a time only as far as the prefix it shares with
+    form i + 1, keeping each of those prefixes as its uint64 words, and folds
+    the rest from the last kept words in one pass, largest coefficient first
+    (see build_sieve); the words become a packed sieve once, for the form
+    yielded.  A form that shares nothing with either neighbour costs one
+    build_sieve.  So the walk keeps k <= len(form) word arrays, and before
+    folding each form it checks the k kept arrays plus the one it builds,
+    (k + 1) * 8 * nw bytes, against BYTE_LIMIT.
     """
     forms = [coeff_vector(a) for a in forms]
     if bound < 0:
@@ -452,21 +448,21 @@ def _shared_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> int:
 
 def _walk(forms: list[tuple[int, ...]], bound: int):
     nw = (bound + 64) // 64
-    kept: list[RepresentationSieve] = []  # kept[j]: the sieve of the form's first j + 1 coefficients
+    # kept[j]: the words and size (see _fold_words) of the form's first j + 1 coefficients
+    kept: list[tuple[np.ndarray, int]] = []
     for i, a in enumerate(forms):
         keep = _shared_prefix(a, forms[i + 1]) if i + 1 < len(forms) else 0
         check_bytes((max(len(kept), keep) + 1) * 8 * nw, f"prefix walk of {a} to {bound}")
         while len(kept) < keep:
-            g = a[len(kept)]
-            kept.append(kept[-1].extend(g) if kept else build_sieve((g,), bound))
+            words, size = kept[-1] if kept else (_decode(1, bound), 1)
+            kept.append(_fold_words(words, size, [term_values(a[len(kept)], bound)], bound))
         p = len(kept)
-        if p == len(a):
-            yield kept[-1]
-        elif p == 0:
+        if p == 0:
             yield build_sieve(a, bound)
         else:
-            bits = fold((term_values(c, bound) for c in reversed(a[p:])), bound, kept[-1].bits)
-            yield RepresentationSieve(coeffs=a, bound=bound, bits=bits)
+            tail = (term_values(c, bound) for c in reversed(a[p:]))
+            words, _ = _fold_words(*kept[-1], tail, bound)
+            yield RepresentationSieve(a, bound, int.from_bytes(words.tobytes(), "little"))
         del kept[keep:]
 
 
@@ -474,14 +470,14 @@ def _extensions(parent: RepresentationSieve, gs, n: int, reserve):
     # (g, truant, sieve) for each g of gs: the sieve of parent + (g) and its
     # truant, the smallest value >= n it misses (None up to the bound).  The
     # parent's bits are decoded once.  When it misses at most nw / 16 values,
-    # its gap list is tested against g's term values, and a child with no
-    # truant gets no sieve (None); otherwise each child is folded densely
-    # from the decoded words.  reserve(k) runs before k more sieve-sized
-    # arrays are held: the words, then the words and each child sieve.
+    # its gap list is tested against g's term values: the truant is the
+    # smallest uncovered gap >= n, and a child with none gets no sieve (None).
+    # Otherwise each child is folded densely from the decoded words, with no
+    # second look at the parent's gaps.  reserve(k) runs before k more
+    # sieve-sized arrays are held: the words, then the words and each child.
     bound = parent.bound
-    nw = (bound + 64) // 64
     reserve(1)
-    words = np.frombuffer(parent.bits.to_bytes(8 * nw, "little"), dtype="<u8")
+    words = _decode(parent.bits, bound)
     top = np.uint64((1 << (bound % 64 + 1)) - 1)
     gaps = _few_gaps(words, top)
     size = parent.bits.bit_count()
@@ -489,28 +485,17 @@ def _extensions(parent: RepresentationSieve, gs, n: int, reserve):
         if gaps is None:
             reserve(2)
             child = _fold_dense(words, size, term_values(g, bound), bound, top)
-            bits = int.from_bytes(child.tobytes(), "little")
-            sieve = RepresentationSieve(_insert_sorted(parent.coeffs, g), bound, bits)
-            yield g, sieve.first_missing(n, bound), sieve
-            continue
-        truant, covered = _gap_truant(words, gaps, term_values(g, bound), n, bound)
-        if truant is None:
-            yield g, None, None
-            continue
-        reserve(2)
-        bits = int.from_bytes(_set(words.copy(), covered, top).tobytes(), "little")
-        yield g, truant, RepresentationSieve(_insert_sorted(parent.coeffs, g), bound, bits)
-
-
-def _gap_truant(
-    words: np.ndarray, gaps: np.ndarray, terms, n: int, bound: int
-) -> tuple[int | None, np.ndarray]:
-    # The truant of S + T for 0 in T, from the ascending gaps of S (the set in
-    # words): its smallest gap >= n that no term covers, or None.  Also the
-    # covered gaps, the ones S + T adds to S.
-    covered, rest = _cover(words, gaps, terms, bound)
-    i = int(np.searchsorted(rest, n))
-    return (int(rest[i]) if i < rest.size else None), covered
+        else:
+            covered, rest = _cover(words, gaps, term_values(g, bound), bound)
+            i = int(np.searchsorted(rest, n))
+            if i == rest.size:
+                yield g, None, None
+                continue
+            reserve(2)
+            child = _set(words.copy(), covered, top)
+        bits = int.from_bytes(child.tobytes(), "little")
+        sieve = RepresentationSieve(_insert_sorted(parent.coeffs, g), bound, bits)
+        yield g, (sieve.first_missing(n, bound) if gaps is None else int(rest[i])), sieve
 
 
 def _descending_positions(a: tuple[int, ...]) -> list[int]:

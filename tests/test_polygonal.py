@@ -225,7 +225,7 @@ def test_the_prefix_walk_gives_each_forms_own_sieve(bound, forms):
 
 def test_the_prefix_walk_validates_every_form_before_the_first_sieve():
     good = [(1, 2), (1, 2, 3)]
-    with mock.patch.object(polygonal, "fold", side_effect=AssertionError("folded")):
+    with mock.patch.object(polygonal, "_fold_words", side_effect=AssertionError("folded")):
         for bad in [(3, 2)], [(0, 1)], [()], [(1, "x")]:
             with pytest.raises(ValueError):
                 next(build_sieves(good + bad + good, 100))
@@ -307,13 +307,16 @@ def test_fold_regimes_agree_on_nearly_full_sets(bound, gaps, terms, with_zero):
     if with_zero:
         # the gap route is exact for any gap list once 0 is a term
         every_gap = np.array(sorted(gaps), dtype=np.int64)
-        assert _as_int(polygonal._fold_gaps(words, every_gap, T, bound, top)) == _as_int(dense)
+        covered, _ = polygonal._cover(words, every_gap, T, bound)
+        assert _as_int(polygonal._set(words.copy(), covered, top)) == _as_int(dense)
         few = polygonal._few_gaps(words, top)
         assert (few is not None) == (16 * len(gaps) <= nw)
         if few is not None:
             assert few.tolist() == sorted(gaps)
 
-    with mock.patch.object(polygonal, "_fold_gaps", wraps=polygonal._fold_gaps) as spy:
+    # T has under _SPLIT_MIN terms, so no dense fold hands over here and a
+    # _cover call is the gap route's
+    with mock.patch.object(polygonal, "_cover", wraps=polygonal._cover) as spy:
         assert fold([T], bound, bits) == _as_int(dense)
     assert spy.called == (with_zero and 16 * len(gaps) <= nw)
 
@@ -332,6 +335,7 @@ def test_fold_regimes_agree_on_nearly_full_sets(bound, gaps, terms, with_zero):
 @example(bound=2047, step=1, gaps=[1, 2, 3], terms=[2, 1, 2, 0, 3000], head=2, exact_size=False)
 @example(bound=2047, step=3, gaps=[], terms=[0, 3, 6, 1, 2, 64], head=2, exact_size=True)
 @example(bound=1023, step=2, gaps=[0], terms=[1, 64, 0, 65, 1], head=1, exact_size=True)
+@example(bound=960, step=1, gaps=[], terms=[1, 0], head=1, exact_size=True)  # 0 in T'' covers 0
 def test_the_dense_hand_over_is_the_set_sumset(bound, step, gaps, terms, head, exact_size):
     # S is every step-th value up to the bound less a few gaps, so S + T' is
     # at times nearly full and at times not; the terms are unsorted, repeat,
@@ -356,17 +360,18 @@ def test_the_dense_hand_over_is_the_set_sumset(bound, step, gaps, terms, head, e
 
 def test_every_fold_order_gives_the_same_bits():
     # The sumset does not depend on the order of its lists.  In some of these
-    # orders a dense fold hands its last terms over to the gap test (a
-    # _cover call not made by _fold_gaps).  The coprime-to-3 lists have no 0
-    # and their sums lie in one class mod 3, so theirs stay dense.
+    # orders a dense fold hands its last terms over to the gap test: a
+    # _cover call on T'', which lacks the 0 that the gap route's whole T
+    # holds.  The coprime-to-3 lists have no 0 and their sums lie in one
+    # class mod 3, so theirs stay dense.
     bound = 200_000
     a = (1, 2, 3, 5)
     want = build_sieve(a, bound).bits
-    with mock.patch.object(polygonal, "_cover", wraps=polygonal._cover) as cover, \
-            mock.patch.object(polygonal, "_fold_gaps", wraps=polygonal._fold_gaps) as gap_folds:
+    with mock.patch.object(polygonal, "_cover", wraps=polygonal._cover) as cover:
         for order in permutations(a):
             assert fold((term_values(c, bound) for c in order), bound) == want, order
-    assert cover.call_count > gap_folds.call_count
+    terms = [call.args[2] for call in cover.call_args_list]
+    assert any(0 in t for t in terms) and any(0 not in t for t in terms)
     diag = (1, 2, 4, 6)
     units = {b: [b * y * y for y in lattice._coprime_units(bound // b)] for b in diag}
     want = lattice.coprime3_values_up_to(diag, bound)
@@ -419,11 +424,11 @@ def test_a_child_from_its_parents_gap_list_matches_one_fold(bound, gaps, terms, 
     top = np.uint64((1 << (bound % 64 + 1)) - 1)
     gap_list = np.array(sorted(gaps), dtype=np.int64)
     child = fold([terms + [0]], bound, bits)
-    # unsorted and repeated terms
-    truant, covered = polygonal._gap_truant(words, gap_list, terms + [0] + terms, n, bound)
+    # unsorted and repeated terms: the truant is the first uncovered gap >= n
+    covered, rest = polygonal._cover(words, gap_list, terms + [0] + terms, bound)
+    truant = int(rest[rest >= n][0]) if (rest >= n).any() else None
     assert truant == polygonal.RepresentationSieve((1,), bound, child).first_missing(n, bound)
-    if truant is not None:
-        assert _as_int(polygonal._set(words.copy(), covered, top)) == child
+    assert _as_int(polygonal._set(words.copy(), covered, top)) == child
 
     parent = polygonal.RepresentationSieve(coeffs=(1,), bound=bound, bits=bits)
     reserved = []
@@ -457,7 +462,11 @@ def test_the_chunked_gap_test_matches_a_set_oracle():
 def test_a_fold_from_zero_scatters_the_terms(bound, terms):
     words, _ = _as_words(1, bound)
     top = np.uint64((1 << (bound % 64 + 1)) - 1)
-    seeded = polygonal._fold_seed(terms, bound, top)
+    # from {0} of size 1, the list is scattered: neither gap-tested nor folded densely
+    with mock.patch.multiple(polygonal, _cover=mock.DEFAULT, _fold_dense=mock.DEFAULT) as spies:
+        seeded, size = polygonal._fold_words(words, 1, [terms], bound)
+    assert not any(spy.called for spy in spies.values())
+    assert size == min(len(terms), bound + 1)
     assert _as_int(seeded) == _as_int(polygonal._fold_dense(words, 1, terms, bound, top))
     assert fold([terms], bound) == _as_int(seeded) == sum(1 << t for t in set(terms) if t <= bound)
 
