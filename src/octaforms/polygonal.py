@@ -448,7 +448,8 @@ def _shared_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> int:
 
 def _walk(forms: list[tuple[int, ...]], bound: int):
     nw = (bound + 64) // 64
-    # kept[j]: the words and size (see _fold_words) of the form's first j + 1 coefficients
+    # kept[j]: the words and size (see _fold_words) of the form's first j + 1
+    # coefficients; size stays a bound, as a popcount per step costs more than it saves
     kept: list[tuple[np.ndarray, int]] = []
     for i, a in enumerate(forms):
         keep = _shared_prefix(a, forms[i + 1]) if i + 1 < len(forms) else 0

@@ -1,6 +1,6 @@
 """Re-run the hand mutations of mutants.json: each must fail its tests.
 
-Usage: python tools/mutate.py [ID ...]
+Usage: python tools/mutate.py
 
 Each entry of tools/mutants.json names a file, a text that occurs in it
 exactly once, the text that replaces it, and the pytest selectors that are
@@ -13,8 +13,8 @@ a change no output shows: it is run and reported, and it counts neither
 way.
 
 Exit 0 when every other mutant is killed, 1 when one survives, and 2 on an
-unknown ID, an entry whose text does not occur exactly once, or selectors
-that do not pass on the unmutated copy.
+entry whose text does not occur exactly once or selectors that do not pass
+on the unmutated copy.
 """
 
 from __future__ import annotations
@@ -45,13 +45,8 @@ def run_tests(tree: Path, selectors: list[str]) -> int:
     return done.returncode
 
 
-def main(ids: list[str]) -> int:
+def main() -> int:
     mutants = json.loads(MUTANTS.read_text())
-    unknown = set(ids) - {m["id"] for m in mutants}
-    if unknown:
-        print(f"unknown mutant ids: {sorted(unknown)}")
-        return 2
-    mutants = [m for m in mutants if not ids or m["id"] in ids]
     for m in mutants:
         count = (ROOT / m["file"]).read_text().count(m["old"])
         if count != 1:
@@ -87,4 +82,4 @@ def main(ids: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
