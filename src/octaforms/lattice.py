@@ -15,7 +15,10 @@ push representations of an arithmetic progression from one lattice to
 another:
 
 * progression transfer: every residue vector of N in the class a (mod d)
-  maps into M under some similitude of ratio d^2 (an emptiness check);
+  maps into M under some similitude of ratio d^2 (an emptiness check).
+  T v = 0 (mod d) reads only T's rows mod d, as a set up to order and sign,
+  so one similitude per such key is tested; and T (u v) = u T v for a unit
+  u mod d, so past the first similitude one residue per unit orbit is;
 * stable-vector transfer: leftover residues are recycled by an
   infinite-order self-similitude of N, losing only finitely many square
   classes along its fixed line.
@@ -32,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from math import gcd, isqrt, lcm
 
 import numpy as np
@@ -65,10 +67,10 @@ __all__ = [
 # Lattice points one ellipsoid scan may visit; dense arrays are held to
 # polygonal.BYTE_LIMIT.  There is no per-call override.
 POINT_BUDGET = 10**8
-# block sizes, in grid points and in pair x third-column entries
+# block sizes, in grid points and in pairing entries (C1 rows x C2, pairs x C3)
 _BLOCK_POINTS = 1 << 12
 _BLOCK_PAIRS = 1 << 14
-# bytes a residue of H_d^3 may cost residues' heaviest consumer, _covered_mask (91)
+# bytes a residue of H_d^3 may cost residues or a consumer (67 measured; see README)
 _CUBE_BYTES = 96
 # the (i, j), i < j, of a 3x3 matrix
 _OFF_DIAGONAL = ((0, 1), (0, 2), (1, 2))
@@ -416,11 +418,15 @@ def _iter_similitudes(M: GramMatrix, N: GramMatrix, d: int):
         return
     if any(c.dtype == object for c in (C1, C2, C3)):
         raise ResourceBudgetError("similitude column sets too large to pair up")
-    # G12 and its == mask: 9 bytes a pair
+    # G12 and its == mask: 9 bytes a pair, counted whole though they are built
+    # a block of C1 rows at a time (never less than one row)
     check_bytes(9 * len(C1) * len(C2), f"pairing {len(C1)} x {len(C2)} similitude columns")
     Marr = M.as_array()
-    G12 = C1 @ Marr @ C2.T
-    pairs = np.argwhere(G12 == t * N.rows[0][1])
+    MC2, rows = Marr @ C2.T, max(1, _BLOCK_PAIRS // len(C2))
+    blocks = range(0, len(C1), rows)
+    pairs = np.concatenate(
+        [np.argwhere(C1[lo : lo + rows] @ MC2 == t * N.rows[0][1]) + (lo, 0) for lo in blocks]
+    )
     if pairs.size == 0:
         return
     MC3 = Marr @ C3.T
@@ -456,22 +462,71 @@ def check_prec(M: GramMatrix, N: GramMatrix, d: int, a: int) -> bool:
 
 
 def _covered_mask(M: GramMatrix, N: GramMatrix, d: int, R: np.ndarray) -> np.ndarray:
-    # which rows of R some similitude sends to 0 mod d; each T is tested only
-    # against the rows still open, and the scan stops once none are (at once
-    # when R is empty: then no similitude is needed)
-    covered = np.zeros(len(R), dtype=bool)
-    open_rows, Rt = np.arange(len(R)), R.T
-    for T in chain.from_iterable(_iter_similitudes(M, N, d)) if len(R) else ():
-        images = T @ Rt
-        images %= d
-        hit = ~images.any(axis=0)
-        del images  # freed before the open rows are compacted: see _CUBE_BYTES
-        if hit.any():
-            covered[open_rows[hit]] = True
-            open_rows, Rt = open_rows[~hit], Rt[:, ~hit]
+    # which rows of R some similitude sends to 0 mod d, testing one T per kernel
+    # (see _kernels) only against the rows still open, until none are (no T at
+    # all if R is empty).  The first T is tested against every row.  As
+    # T (u v) = u T v for a unit u mod d, the rows it leaves open are then tested
+    # by unit orbit: one row per orbit name (see _orbit_names), and each open
+    # row reads its orbit's answer
+    kernels = _kernels(M, N, d) if len(R) else iter(())
+    T = next(kernels, None)
+    if T is None:
+        return np.zeros(len(R), dtype=bool)
+    images = T @ R.T
+    images %= d
+    covered = ~images.any(axis=0)
+    del images  # freed before the open rows are named: see _CUBE_BYTES
+    if covered.all():
+        return covered
+    names = _orbit_names(R[~covered], d)
+    hit = np.zeros(d**3, dtype=bool)  # over H_d^3, by flat index: the orbits covered
+    hit[names] = True
+    open_rows = np.argwhere(hit.reshape(d, d, d)).T
+    hit[:] = False
+    w = np.array([d * d, d, 1])
+    for T in kernels:
+        found = ~(T @ open_rows % d).any(axis=0)
+        if found.any():
+            hit[w @ open_rows[:, found]] = True
+            open_rows = open_rows[:, ~found]
             if open_rows.size == 0:
                 break
+    covered[~covered] = hit[names]
     return covered
+
+
+def _kernels(M: GramMatrix, N: GramMatrix, d: int):
+    # the similitudes of _iter_similitudes, one per kernel key (see _kernel_keys)
+    seen: set[tuple[int, int, int]] = set()
+    for Ts in _iter_similitudes(M, N, d):
+        for T, key in zip(Ts, _kernel_keys(Ts, d)):
+            if key not in seen:
+                seen.add(key)
+                yield T
+
+
+def _orbit_names(R: np.ndarray, d: int) -> np.ndarray:
+    # per row v of R, the name of its orbit under the units mod d: the least
+    # flat index in H_d^3 of the u v (which need not lie in R)
+    w = np.array([d * d, d, 1])
+    names = R @ w
+    for u in (u for u in range(2, d) if gcd(u, d) == 1):
+        t = u * np.arange(d) % d * w[:, None]  # t[i, x] = (u x mod d) w_i
+        image = t[0, R[:, 0]]
+        image += t[1, R[:, 1]]
+        image += t[2, R[:, 2]]
+        np.minimum(names, image, out=names)
+    return names
+
+
+def _kernel_keys(Ts: np.ndarray, d: int) -> list[tuple[int, int, int]]:
+    # T v = 0 (mod d) reads only T's rows mod d, as a set up to order and sign:
+    # key each T of the stack by its rows' flat indices in H_d^3, each the
+    # lesser of r and -r (mod d), sorted
+    w = np.array([d * d, d, 1])
+    keys = np.minimum(Ts % d @ w, -Ts % d @ w)
+    keys.sort(axis=1)
+    return list(map(tuple, keys.tolist()))
 
 
 def _cross(u, v):

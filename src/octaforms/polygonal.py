@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 from math import gcd, isqrt
 
 import numpy as np
@@ -427,9 +428,10 @@ def build_sieves(forms, bound: int):
     the rest from the last kept words in one pass, largest coefficient first
     (see build_sieve); the words become a packed sieve once, for the form
     yielded.  A form that shares nothing with either neighbour costs one
-    build_sieve.  So the walk keeps k <= len(form) word arrays, and before
-    folding each form it checks the k kept arrays plus the one it builds,
-    (k + 1) * 8 * nw bytes, against BYTE_LIMIT.
+    build_sieve.  The kept steps and the tails build each coefficient's term
+    values once per walk.  So the walk keeps k <= len(form) word arrays, and
+    before folding each form it checks the k kept arrays plus the one it
+    builds, (k + 1) * 8 * nw bytes, against BYTE_LIMIT.
     """
     forms = [coeff_vector(a) for a in forms]
     if bound < 0:
@@ -451,18 +453,18 @@ def _walk(forms: list[tuple[int, ...]], bound: int):
     # kept[j]: the words and size (see _fold_words) of the form's first j + 1
     # coefficients; size stays a bound, as a popcount per step costs more than it saves
     kept: list[tuple[np.ndarray, int]] = []
+    terms = cache(lambda c: term_values(c, bound))  # once per coefficient per walk
     for i, a in enumerate(forms):
         keep = _shared_prefix(a, forms[i + 1]) if i + 1 < len(forms) else 0
         check_bytes((max(len(kept), keep) + 1) * 8 * nw, f"prefix walk of {a} to {bound}")
         while len(kept) < keep:
             words, size = kept[-1] if kept else (_decode(1, bound), 1)
-            kept.append(_fold_words(words, size, [term_values(a[len(kept)], bound)], bound))
+            kept.append(_fold_words(words, size, [terms(a[len(kept)])], bound))
         p = len(kept)
         if p == 0:
             yield build_sieve(a, bound)
         else:
-            tail = (term_values(c, bound) for c in reversed(a[p:]))
-            words, _ = _fold_words(*kept[-1], tail, bound)
+            words, _ = _fold_words(*kept[-1], map(terms, reversed(a[p:])), bound)
             yield RepresentationSieve(a, bound, int.from_bytes(words.tobytes(), "little"))
         del kept[keep:]
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from octaforms import lattice
 from octaforms.fixtures import load_fixtures
 from octaforms.lattice import (
     ConditionFailed,
@@ -38,6 +39,8 @@ from octaforms.lattice import (
     _covered_mask,
     _disc_fits_int64,
     _fixed_line,
+    _iter_similitudes,
+    _kernel_keys,
     _range_bounds,
     _vector_batches,
     _vector_batches_exact,
@@ -542,6 +545,57 @@ def test_covered_mask_is_the_union_over_transfer_matrices():
     )
 
 
+_FIXTURES = load_fixtures()
+_TRANSFER_TRIPLES = sorted(
+    {(i.M, i.N, i.d) for i in (*_FIXTURES.prec.values(), *_FIXTURES.bad.values())}, key=repr
+)
+
+
+def _kernel_union(M, N, d, R):
+    # per row of R: does some T of transfer_matrices send it to 0 mod d
+    union = np.zeros(len(R), dtype=bool)
+    for T in transfer_matrices(M, N, d):
+        union |= ((np.array(T) @ R.T) % d == 0).all(axis=0)
+    return union
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_TRANSFER_TRIPLES), st.data())
+def test_covered_mask_on_rows_not_closed_under_units(triple, data):
+    # the orbit of a row under the units mod d need not lie in R: a random
+    # subset of a class, in random order and with repeats, is covered row by
+    # row as the union says
+    M, N, d = triple
+    R = residues(N, d, data.draw(st.integers(0, d - 1)))
+    assume(len(R))
+    idx = data.draw(st.lists(st.integers(0, len(R) - 1), min_size=1, max_size=60))
+    sub = R[idx]
+    flat = set((sub @ [d * d, d, 1]).tolist())
+    units = [u for u in range(2, d) if math.gcd(u, d) == 1]
+    assume(any(not set((u * sub % d @ [d * d, d, 1]).tolist()) <= flat for u in units))
+    assert np.array_equal(_covered_mask(M, N, d, sub), _kernel_union(M, N, d, sub))
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_similitudes_with_equal_kernel_keys_have_equal_kernels(d):
+    # T v = 0 (mod d) over the whole cube H_d^3, for every similitude of ratio
+    # d^2 between small lattices and of each fixture triple with this d
+    cube = np.array(np.unravel_index(np.arange(d**3), (d, d, d)))
+    pairs = [(D(e), D(e)) for e in ((1, 1, 1), (1, 1, 2), (1, 2, 3))]
+    pairs += [(M, N) for M, N, e in _TRANSFER_TRIPLES if e == d]
+    merged = 0
+    for M, N in pairs:
+        kernels = {}
+        for Ts in _iter_similitudes(M, N, d):
+            for T, key in zip(Ts, _kernel_keys(Ts, d)):
+                kernel = ((T @ cube) % d == 0).all(axis=0).tobytes()
+                assert kernels.setdefault(key, kernel) == kernel, (M, N, T)
+                merged += 1
+        merged -= len(kernels)
+    # the keys do merge similitudes, so the test is not vacuous
+    assert merged > 0
+
+
 def _cube_subgroup(Td, d):
     # the shifts T s (mod d) over every s in H_d^3, reduced from the d^3 cube
     x, y, z = np.ogrid[:d, :d, :d]
@@ -593,6 +647,22 @@ def test_transfer_matrices_small():
     for T in transfer_matrices(D((1, 1, 3)), N, 3):
         Ta = np.array(T)
         assert np.array_equal(Ta.T @ D((1, 1, 3)).as_array() @ Ta, 9 * N.as_array())
+
+
+def test_similitude_pairing_blocks_find_the_same_similitudes(monkeypatch):
+    # 356-n2-a38 pairs 250 first with 290 second columns, so by default the
+    # first-column pairing runs in 5 blocks of C1 rows; one row a block and
+    # one block for all must give the same similitudes, each a certificate
+    inst = load_fixtures().prec["356-n2-a38"]
+    M, N, d = inst.M, inst.N, inst.d
+    found = {}
+    for block in (1, 1 << 14, 1 << 17):
+        monkeypatch.setattr(lattice, "_BLOCK_PAIRS", block)
+        found[block] = transfer_matrices(M, N, d)
+    assert found[1] == found[1 << 14] == found[1 << 17] != []
+    for T in found[1 << 14]:
+        Ta = np.array(T)
+        assert np.array_equal(Ta.T @ M.as_array() @ Ta, d * d * N.as_array())
 
 
 def test_recorded_self_similitude():
