@@ -149,7 +149,7 @@ CONGRUENCE_LEMMAS: tuple[CongruenceLemma, ...] = (
 def congruence_counterexamples(lemma: CongruenceLemma, bound: int) -> list[int]:
     """All qualifying values <= bound NOT coprime-to-3 representable (expected none)."""
     mask = coprime3_values_up_to(lemma.diag, bound)
-    # the clear bits are read once, in fixed byte slices: linear in the bound
+    # the clear bits are read once, only in the words that hold one: linear in the bound
     return [v for v in _bit_scan(mask, bound, 1, bound, missing=True) if lemma.qualifies(v)]
 
 

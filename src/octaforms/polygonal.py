@@ -4,12 +4,14 @@ A sum c1*P8(x1) + ... + ck*P8(xk) with positive integer coefficients is
 decided here two ways: a bit-sieve over a value range (fast, bulk; one
 uint64 word-array fold kernel) and a pruned depth-first search (single
 values, produces witnesses).  The fold spends its time on shifted ORs, one
-per term folded densely, so it folds the long lists last and hands the
-rest of a dense list over to a gap test once its smallest terms have
-nearly filled the set (see fold).  Both paths are exact integer arithmetic
-throughout.  The search is the package's only one:
-lattice.represents_coprime3 answers through it, since y = |3x - 1| turns
-b*y^2 with y prime to 3 into 3*b*P8(x) + b.
+per term folded densely, so it folds the long lists last, hands the rest
+of a dense list over to a gap test once its smallest terms have nearly
+filled the set, and, once the set is dense, folds only the smallest terms
+of every list left and folds exactly only below the largest value they
+miss (see fold).  Both paths are exact integer arithmetic throughout.
+The search is the package's only one: lattice.represents_coprime3
+answers through it, since y = |3x - 1| turns b*y^2 with y prime to 3
+into 3*b*P8(x) + b.
 """
 
 from __future__ import annotations
@@ -169,9 +171,12 @@ class RepresentationSieve:
     def missing_in_range(self, lo: int, hi: int, limit: int | None = None) -> list[int]:
         """Sorted list of the values in [lo, hi] NOT represented.
 
-        With limit, stops after that many gaps (cheap peek at huge ranges).
+        With limit, stops after that many gaps (cheap peek at huge ranges);
+        a negative limit is a ValueError.
         """
         self._check_range(lo, hi)
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must be >= 0, got {limit}")
         return _bit_scan(self.bits, self.bound, lo, hi, missing=True, limit=limit)
 
     def count_represented(self, lo: int, hi: int) -> int:
@@ -201,24 +206,31 @@ class RepresentationSieve:
         return RepresentationSieve(coeffs=coeffs, bound=self.bound, bits=bits)
 
 
-_READ_BYTES = 1 << 11  # read-out slice: 16,384 bits
+_READ_BYTES = 1 << 11  # read-out slice: 256 words, 16,384 bits
 
 
 def _bit_scan(
     bits: int, bound: int, lo: int, hi: int, missing: bool, limit: int | None = None
 ) -> list[int]:
     # The v in [lo, hi] whose bit is set (or clear) in bits, a bit array over
-    # [0, bound], ascending; at most limit of them.  The bytes are unpacked
-    # one fixed slice at a time, so the cost is linear in the bound and a
-    # limit ends it early.
-    buf = np.frombuffer(bits.to_bytes((bound + 8) // 8, "little"), dtype=np.uint8)
+    # [0, bound], ascending; at most limit of them.  One compare per word
+    # marks the words that hold such a bit, and the words are read one fixed
+    # slice at a time, unpacking only the marked ones: the cost is linear in
+    # the bound, a nearly full (or empty) range unpacks almost nothing, the
+    # temporaries are one bool per word and one slice's, and a limit ends
+    # the scan early.
+    words = _decode(bits, bound)[lo // 64 : hi // 64 + 1]
+    wanted = words != (_FULL if missing else 0)
     out: list[int] = []
-    for i in range(lo // 8, hi // 8 + 1, _READ_BYTES):
+    for i in range(0, words.size, _READ_BYTES // 8):
         if limit is not None and len(out) >= limit:
             break
-        chunk = buf[i : min(i + _READ_BYTES, hi // 8 + 1)]
-        pos = np.flatnonzero(np.unpackbits(~chunk if missing else chunk, bitorder="little"))
-        pos += 8 * i
+        idx = np.flatnonzero(wanted[i : i + _READ_BYTES // 8]) + i
+        if not idx.size:
+            continue
+        chunk = ~words[idx] if missing else words[idx]
+        pos = np.flatnonzero(np.unpackbits(chunk.view(np.uint8), bitorder="little"))
+        pos += 64 * (idx + lo // 64 - np.arange(idx.size))[pos >> 6]  # unpacked word -> its word
         out.extend(pos[(pos >= lo) & (pos <= hi)].tolist())
     return out[:limit]
 
@@ -252,6 +264,18 @@ def fold(term_lists, bound: int, bits: int = 1) -> int:
       terms go first, and once their sum misses at most nw / 16 values the
       rest of T goes to the gap test instead.
 
+    Once S may be dense (|S| times the lengths of the lists folded so far
+    reaches nw) and two or more lists are left, one head step folds them
+    all (see _fold_words).  A = S + H1 + ... + Hk, Hi the 12 smallest terms
+    of Ti, is folded densely, and L is the largest value <= bound that A
+    misses (0 if none).  The step is exact for any S and any nonnegative
+    lists: A is a subset of the sumset F, so every value above L is in F;
+    and a value <= L is a sum of parts <= L, so F's values <= L are one
+    low fold of S and the lists cut to <= L, at bound L, by the routes
+    above.  For all but one of the tabulated forms at bound 200,000, L is
+    n - 1 or the largest exception, so each list left costs 12 shifted ORs
+    and a fold of a few words.
+
     The byte limit is checked before anything is allocated, so term_lists
     may be a lazy iterable that is only consumed once the bound is accepted.
     """
@@ -270,9 +294,24 @@ def _decode(bits: int, bound: int) -> np.ndarray:
 def _fold_words(words: np.ndarray, size: int, term_lists, bound: int) -> tuple[np.ndarray, int]:
     # The words of S + T1 + T2 + ... for S in words, of at most size values,
     # and at most how many values that sumset has: one route per list (see
-    # fold).  As size bounds |S|, size == 1 with bit 0 set means S = {0}.
+    # fold).  Once S may be dense and two or more lists are left, the head
+    # step reads L (see _head_miss) and cuts the words, the bound and the
+    # lists to [0, L]; the loop folds those by the same routes, never trying
+    # the step again, and (L, bound] is set at the end.  words is rebound at
+    # every list, so S can go once the first cut list is folded.  As size
+    # bounds |S|, size == 1 with bit 0 set means S = {0}.
     top = np.uint64((1 << (bound % 64 + 1)) - 1)  # the last word's bits within bound
-    for terms in term_lists:
+    whole = None  # (nw, top, bound) of the fold, once the head step has cut it
+    lists = iter(term_lists)
+    while (terms := next(lists, None)) is not None:
+        if whole is None and size >= words.size and len(rest := [terms, *lists]) > 1:
+            del terms  # rest holds it, and _head_miss swaps it for a sorted copy
+            low = _head_miss(words, rest, bound, top)
+            whole = (words.size, top, bound)
+            words, bound, size = words[: low // 64 + 1], low, min(size, low + 1)
+            top = np.uint64((1 << (low % 64 + 1)) - 1)
+            lists = (terms[: bisect_right(terms, low)] for terms in rest)
+            continue
         terms = sorted(terms)  # read more than once, and ascending for _fold_dense
         if size == 1 and words[0] == 1:
             v = np.array(terms, dtype=np.int64)
@@ -282,6 +321,13 @@ def _fold_words(words: np.ndarray, size: int, term_lists, bound: int) -> tuple[n
         else:
             words = _fold_dense(words, size, terms, bound, top)
         size = min(size * len(terms), bound + 1)
+    if whole is not None:
+        nw, whole_top, whole_bound = whole
+        low_words, words = words, np.full(nw, _FULL, dtype="<u8")
+        words[: low_words.size] = low_words
+        words[low_words.size - 1] |= ~top  # (L, the end of L's word]
+        words[-1] &= whole_top
+        size += whole_bound - bound  # |F| <= |F within [0, L]| + bound - L
     return words, size
 
 
@@ -387,19 +433,46 @@ def _fold_dense(
     return acc
 
 
-def _or_shifts(acc: np.ndarray, words: np.ndarray, groups: list[list[int]]) -> None:
+def _head_miss(words: np.ndarray, term_lists: list, bound: int, top: np.uint64) -> int:
+    # L for the head step (see fold): the largest value <= bound that
+    # A = S + H1 + ... + Hk misses, S in words and Hi the _HEAD smallest
+    # terms of the ith list, or 0 if A misses none.  Each list is swapped
+    # for a sorted copy.  Each head but the first shifts the sum before it
+    # in place, and A is gone on return, so no more sieve-sized arrays are
+    # held than in _fold_dense.
+    term_lists[:] = map(sorted, term_lists)
+    acc = words
+    for terms in term_lists:
+        src = acc
+        acc = np.zeros(words.size, dtype="<u8")
+        _or_shifts(acc, src, _group(terms[:_HEAD], bound), in_place=src is not words)
+    acc[-1] |= ~top  # the bits past the bound are not missed
+    is_open = acc != _FULL
+    w = acc.size - 1 - int(np.argmax(is_open[::-1]))  # the last open word, if any
+    return 64 * w + int(~acc[w]).bit_length() - 1 if is_open[w] else 0
+
+
+def _or_shifts(
+    acc: np.ndarray, words: np.ndarray, groups: list[list[int]], in_place: bool = False
+) -> None:
     # acc |= S + {64 q + r : q in groups[r]}, by one shifted copy of the
-    # words per bucket r and one OR per offset q
+    # words per bucket r and one OR per offset q.  in_place shifts the words
+    # themselves, from bucket to bucket, and leaves them shifted: the bits
+    # pushed past the last word are past the bound for every later bucket.
     nw = words.size
-    shifted = np.empty(nw, dtype="<u8")
+    shifted = words if in_place else np.empty(nw, dtype="<u8")
+    held = 0  # the shift that the words hold already (in place)
     for r, offsets in enumerate(groups):
         if not offsets:
             continue
-        src = words
         if r:
-            np.left_shift(words, r, out=shifted)
-            shifted[1:] |= words[:-1] >> (64 - r)
-            src = shifted
+            carry = words[:-1] >> (64 - r + held)
+            np.left_shift(words, r - held, out=shifted)
+            shifted[1:] |= carry
+            del carry  # before the next bucket's
+            if in_place:
+                held = r
+        src = shifted if r else words
         for q in offsets:
             acc[q:] |= src[: nw - q]
 

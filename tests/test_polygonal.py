@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from octaforms import lattice, polygonal
+from octaforms import lattice, polygonal, tables
 from octaforms.polygonal import (
     ResourceBudgetError,
     build_sieve,
@@ -359,10 +359,12 @@ def test_the_dense_hand_over_is_the_set_sumset(bound, step, gaps, terms, head, e
 
 
 def test_every_fold_order_gives_the_same_bits():
-    # The sumset does not depend on the order of its lists.  In some of these
-    # orders a dense fold hands its last terms over to the gap test: a
-    # _cover call on T'', which lacks the 0 that the gap route's whole T
-    # holds.  The coprime-to-3 lists have no 0 and their sums lie in one
+    # The sumset does not depend on the order of its lists, nor on folding
+    # the last one alone onto the sieve of the others.  From {0} every order
+    # ends in the head step.  Alone, the list of 1 takes the gap route: a
+    # _cover call on its whole T, with 0.  The lists of 2, 3 and 5 fold
+    # densely and hand their last terms over: a _cover call on T'', which
+    # lacks 0.  The coprime-to-3 lists have no 0 and their sums lie in one
     # class mod 3, so theirs stay dense.
     bound = 200_000
     a = (1, 2, 3, 5)
@@ -370,6 +372,9 @@ def test_every_fold_order_gives_the_same_bits():
     with mock.patch.object(polygonal, "_cover", wraps=polygonal._cover) as cover:
         for order in permutations(a):
             assert fold((term_values(c, bound) for c in order), bound) == want, order
+        for i, c in enumerate(a):
+            others = build_sieve(a[:i] + a[i + 1:], bound).bits
+            assert fold([term_values(c, bound)], bound, others) == want, c
     terms = [call.args[2] for call in cover.call_args_list]
     assert any(0 in t for t in terms) and any(0 not in t for t in terms)
     diag = (1, 2, 4, 6)
@@ -398,6 +403,108 @@ def test_the_dense_fold_holds_no_more_than_three_sieves_and_a_carry():
     with mock.patch.object(polygonal, "_SPLIT_MIN", float("inf")):
         dense = peak(lambda: fold((term_values(c, bound) for c in a), bound))
     assert peak(lambda: build_sieve(a, bound)) <= dense < 5 * 8 * ((bound + 64) // 64)
+
+
+def _shift_or_fold(bits, term_lists, bound):
+    # the sumset S + T1 + T2 + ... within [0, bound] by Python-int shift-ors
+    for terms in term_lists:
+        acc = 0
+        for t in set(terms):
+            acc |= bits << t
+        bits = acc & ((1 << (bound + 1)) - 1)
+    return bits
+
+
+@st.composite
+def head_steps(draw):
+    # (bound, S, two to four term lists, the planted L or None).  Planted:
+    # S is full but for gaps <= L, L one of them, and each list is 0 and
+    # terms > L, so A = S + H1 + ... + Hk misses L and nothing above it.
+    # Else S is any set in [0, bound] (without 0, empty, sparse or dense)
+    # and the lists are octagonal term lists, coprime-to-3 lists (no 0) or
+    # terms on word edges; all are shuffled and may repeat.
+    bound = draw(st.integers(0, 40 * 64 - 1))
+    k = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        low = draw(st.one_of(st.sampled_from([-1, 63, 64, 65, bound - 1, bound]),
+                             st.integers(-1, bound)))
+        low = min(low, bound)
+        gaps = {low} | draw(st.sets(st.integers(0, low), max_size=8)) if low >= 0 else set()
+        S = set(range(bound + 1)) - gaps
+        lists = [[0] + draw(st.lists(st.integers(low + 1, bound + 70), max_size=20))
+                 for _ in range(k)]
+    else:
+        low = None
+        step = draw(st.integers(1, 5))
+        S = set(range(draw(st.integers(0, 3)), bound + 1, step))
+        S -= draw(st.sets(st.integers(0, bound), max_size=8))
+        lists = [draw(st.one_of(
+            st.integers(1, 40).map(lambda c: term_values(c, bound)),
+            st.integers(1, 40).map(
+                lambda b: [b * y * y for y in lattice._coprime_units(bound // b)]),
+            EDGE_TERMS,
+        )) for _ in range(k)]
+    lists = [draw(st.permutations(terms + terms[: draw(st.integers(0, 3))])) for terms in lists]
+    return bound, S, lists, low
+
+
+def _recording(misses):
+    # _head_miss, patched to record each L it returns
+    real = polygonal._head_miss
+
+    def head_miss(*args):
+        misses.append(real(*args))
+        return misses[-1]
+
+    return mock.patch.object(polygonal, "_head_miss", head_miss)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=head_steps())
+@example(case=(127, set(range(128)), [[0, 64], [0, 1]], -1))
+@example(case=(1023, set(range(1024)) - {5, 63}, [[0, 64, 64], [900, 0]], 63))
+@example(case=(1023, set(range(1024)) - {64}, [[65, 0], [0, 700]], 64))
+@example(case=(1023, set(range(1024)) - {0, 65}, [[0, 66], [66, 0, 66]], 65))
+@example(case=(1023, set(range(1024)) - {3, 1022}, [[0, 1023], [1023, 0]], 1022))
+@example(case=(1023, set(range(1024)) - {1023}, [[0], [0, 2000]], 1023))
+@example(case=(100, {0, *range(51, 101)}, [[50, *range(12, -1, -1)], [0]], 50))  # 50 is a term
+def test_the_head_step_is_the_ordinary_loop(case):
+    # The step for every list left equals the Python-int sumset and one
+    # route per list, as single-list folds take.  A size bound of bound + 1
+    # makes the step run whatever S is.  It runs once, and its L is the
+    # planted one, or 0 where A misses nothing.
+    bound, S, lists, low = case
+    bits = sum(1 << v for v in S)
+    words, _ = _as_words(bits, bound)
+    misses = []
+    with _recording(misses):
+        stepped, size = polygonal._fold_words(words, bound + 1, lists, bound)
+    plain, plain_size = words, bound + 1
+    for terms in lists:
+        plain, plain_size = polygonal._fold_words(plain, plain_size, [terms], bound)
+    want = _shift_or_fold(bits, lists, bound)
+    assert _as_int(stepped) == _as_int(plain) == want
+    assert want.bit_count() <= size <= bound + 1
+    assert len(misses) == 1 and (low is None or misses == [max(low, 0)])
+    assert fold(lists, bound, bits) == want
+
+
+def test_table_forms_take_the_head_step_once():
+    # Every table 4 form (floor 4) folds its last lists by the head step,
+    # once: A misses 3 and nothing above it, so the fold below L is at
+    # bound 3, and it does not try the step again.  So do three table 1
+    # rows, at their largest miss, but for (2, 3, 4, 6): its heads leave
+    # 199,163 open, so its fold below L is nearly the whole fold.
+    bound = 200_000
+    cases = [(a, 4, (), 3) for row in tables.load_table(4) for a in tables.expand_row(row)]
+    cases += [((3, 3, 4, 4, 5), 3, (17, 21), 21), ((2, 3, 4, 5), 2, (), 1),
+              ((2, 3, 4, 6), 2, (18,), 199_163)]
+    for a, n, exceptions, low in cases:
+        misses = []
+        with _recording(misses):
+            sieve = build_sieve(a, bound)
+        assert misses == [low], a
+        assert sieve.missing_in_range(n, bound) == list(exceptions), a
 
 
 EDGY = st.one_of(st.sampled_from([1, 63, 64, 65, 128]), st.integers(1, 160 * 64 + 10))
@@ -491,6 +598,26 @@ def test_read_outs_match_a_string_oracle_past_a_hundred_thousand_gaps():
     sieve.missing_in_range(1, bound)
     sieve.values()
     assert time.perf_counter() - t0 < 1.5  # a per-bit read-out takes seconds at this bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    bound=st.integers(0, 40_000),
+    runs=st.lists(st.tuples(st.booleans(), st.integers(1, 5000)), max_size=12),
+    data=st.data(),
+)
+def test_read_outs_unpack_only_the_words_that_hold_a_wanted_bit(bound, runs, data):
+    # bits in long runs of ones and zeros, so that many words are full or
+    # empty and the wanted words span several read-out slices; any range
+    # and limit, both kinds of read-out, against a per-bit oracle
+    flags = "".join(("1" if on else "0") * n for on, n in runs)[: bound + 1].ljust(bound + 1, "0")
+    bits = int(flags[::-1], 2)
+    lo = data.draw(st.integers(0, bound))
+    hi = data.draw(st.integers(lo, bound))
+    limit = data.draw(st.none() | st.integers(0, 300))
+    for missing, flag in ((True, "0"), (False, "1")):
+        expect = [v for v in range(lo, hi + 1) if flags[v] == flag][:limit]
+        assert polygonal._bit_scan(bits, bound, lo, hi, missing, limit) == expect
 
 
 def test_term_values_match_the_per_x_loop():
@@ -598,3 +725,11 @@ def test_sieve_range_errors():
         s.missing_in_range(10, 60)
     with pytest.raises(ValueError):
         51 in s
+
+
+def test_missing_in_range_rejects_a_negative_limit():
+    # a negative limit used to return [], which reads as "no gaps"
+    s = build_sieve((3, 4, 5), 1000)
+    assert s.missing_in_range(1, 1000, limit=5) == [1, 2, 6, 10, 11]
+    with pytest.raises(ValueError):
+        s.missing_in_range(1, 1000, limit=-1)
