@@ -4,11 +4,14 @@ A sum c1*P8(x1) + ... + ck*P8(xk) with positive integer coefficients is
 decided here two ways: a bit-sieve over a value range (fast, bulk; one
 uint64 word-array fold kernel) and a pruned depth-first search (single
 values, produces witnesses).  The fold spends its time on shifted ORs, one
-per term folded densely, so it folds the long lists last, hands the rest
-of a dense list over to a gap test once its smallest terms have nearly
-filled the set, and, once the set is dense, folds only the smallest terms
-of every list left and folds exactly only below the largest value they
-miss (see fold).  Both paths are exact integer arithmetic throughout.
+byte-offset OR per term folded densely and one shifted copy of the set
+per residue mod 8 among the terms (at most two nonzero ones for an
+octagonal list).  So it folds the long lists last, hands the rest of a
+dense list over to a gap test once its smallest terms have nearly filled
+the set, and, from the first list on that does not start from {0}, folds
+only the smallest terms of every list left and folds exactly only below
+the largest value they miss, once that cuts the bound at least in half
+(see fold).  Both paths are exact integer arithmetic throughout.
 The search is the package's only one: lattice.represents_coprime3
 answers through it, since y = |3x - 1| turns b*y^2 with y prime to 3
 into 3*b*P8(x) + b.
@@ -259,22 +262,26 @@ def fold(term_lists, bound: int, bits: int = 1) -> int:
       one block when there are few pairs, else in fixed-size blocks, each
       gap dropped once it is covered.
     - Otherwise dense (see _fold_dense): the values v of T are grouped by
-      v & 63, the words are shifted once per group, and each v ORs that
-      shifted copy into the accumulator from word v >> 6 on.  The smallest
-      terms go first, and once their sum misses at most nw / 16 values the
-      rest of T goes to the gap test instead.
+      v & 7, the words are shifted once per group, and each v ORs the
+      bytes of that shifted copy into the accumulator's from byte v >> 3
+      on.  A list c * P8 fills at most three of the eight groups, one of
+      them unshifted.  The smallest terms go first, and once their sum
+      misses at most nw / 16 values the rest of T goes to the gap test
+      instead.
 
-    Once S may be dense (|S| times the lengths of the lists folded so far
-    reaches nw) and two or more lists are left, one head step folds them
-    all (see _fold_words).  A = S + H1 + ... + Hk, Hi the 12 smallest terms
-    of Ti, is folded densely, and L is the largest value <= bound that A
-    misses (0 if none).  The step is exact for any S and any nonnegative
-    lists: A is a subset of the sumset F, so every value above L is in F;
-    and a value <= L is a sum of parts <= L, so F's values <= L are one
-    low fold of S and the lists cut to <= L, at bound L, by the routes
-    above.  For all but one of the tabulated forms at bound 200,000, L is
-    n - 1 or the largest exception, so each list left costs 12 shifted ORs
-    and a fold of a few words.
+    As soon as S != {0} and two or more lists are left, the head step tries
+    to fold them all (see _fold_words).  A = S + H1 + ... + Hk, Hi the 12
+    smallest terms of Ti, is folded densely, and L is the largest value
+    <= bound that A misses (0 if none).  The step is exact for any S and
+    any nonnegative lists: A is a subset of the sumset F, so every value
+    above L is in F; and a value <= L is a sum of parts <= L, so F's values
+    <= L are one low fold of S and the lists cut to <= L, at bound L, by
+    the routes above.  An L above bound / 2 cuts too little: the next list
+    is folded by its route and the step tried again before the one after
+    it.  For all but one of the tabulated forms at bound 200,000, L is
+    n - 1 or the largest exception, at the first or second try, so each
+    list left costs 12 ORs, at most two shifted copies and a fold of a few
+    words.
 
     The byte limit is checked before anything is allocated, so term_lists
     may be a lazy iterable that is only consumed once the bound is accepted.
@@ -294,26 +301,31 @@ def _decode(bits: int, bound: int) -> np.ndarray:
 def _fold_words(words: np.ndarray, size: int, term_lists, bound: int) -> tuple[np.ndarray, int]:
     # The words of S + T1 + T2 + ... for S in words, of at most size values,
     # and at most how many values that sumset has: one route per list (see
-    # fold).  Once S may be dense and two or more lists are left, the head
-    # step reads L (see _head_miss) and cuts the words, the bound and the
-    # lists to [0, L]; the loop folds those by the same routes, never trying
-    # the step again, and (L, bound] is set at the end.  words is rebound at
-    # every list, so S can go once the first cut list is folded.  As size
-    # bounds |S|, size == 1 with bit 0 set means S = {0}.
+    # fold).  While S != {0} and two or more lists are left, the head step
+    # reads L (see _head_miss) before each list.  An L above bound / 2
+    # would cut less than half, so the list is folded by its route and the
+    # step tried again; else the step cuts the words, the bound and the
+    # lists to [0, L], the loop folds those by the same routes, never
+    # trying the step again, and (L, bound] is set at the end.  words is
+    # rebound at every list, so S can go once the first cut list is folded.
+    # As size bounds |S|, size == 1 with bit 0 set means S = {0}.
     top = np.uint64((1 << (bound % 64 + 1)) - 1)  # the last word's bits within bound
     whole = None  # (nw, top, bound) of the fold, once the head step has cut it
     lists = iter(term_lists)
     while (terms := next(lists, None)) is not None:
-        if whole is None and size >= words.size and len(rest := [terms, *lists]) > 1:
+        seed = size == 1 and words[0] == 1  # S = {0}
+        if whole is None and not seed and len(rest := [terms, *lists]) > 1:
             del terms  # rest holds it, and _head_miss swaps it for a sorted copy
             low = _head_miss(words, rest, bound, top)
-            whole = (words.size, top, bound)
-            words, bound, size = words[: low // 64 + 1], low, min(size, low + 1)
-            top = np.uint64((1 << (low % 64 + 1)) - 1)
-            lists = (terms[: bisect_right(terms, low)] for terms in rest)
-            continue
+            if 2 * low <= bound:
+                whole = (words.size, top, bound)
+                words, bound, size = words[: low // 64 + 1], low, min(size, low + 1)
+                top = np.uint64((1 << (low % 64 + 1)) - 1)
+                lists = (terms[: bisect_right(terms, low)] for terms in rest)
+                continue
+            terms, lists = rest[0], iter(rest[1:])  # fold one list and try again
         terms = sorted(terms)  # read more than once, and ascending for _fold_dense
-        if size == 1 and words[0] == 1:
+        if seed:
             v = np.array(terms, dtype=np.int64)
             words = _set(np.zeros(words.size, dtype="<u8"), v[v <= bound], top)
         elif 0 in terms and (gaps := _few_gaps(words, top)) is not None:
@@ -332,11 +344,11 @@ def _fold_words(words: np.ndarray, size: int, term_lists, bound: int) -> tuple[n
 
 
 def _group(terms: list[int], bound: int) -> list[list[int]]:
-    # the word offsets v >> 6 of the values v <= bound, bucketed by v & 63
-    groups: list[list[int]] = [[] for _ in range(64)]
+    # the byte offsets v >> 3 of the values v <= bound, bucketed by v & 7
+    groups: list[list[int]] = [[] for _ in range(8)]
     for v in terms:
         if v <= bound:
-            groups[v & 63].append(v >> 6)
+            groups[v & 7].append(v >> 3)
     return groups
 
 
@@ -455,12 +467,17 @@ def _head_miss(words: np.ndarray, term_lists: list, bound: int, top: np.uint64) 
 def _or_shifts(
     acc: np.ndarray, words: np.ndarray, groups: list[list[int]], in_place: bool = False
 ) -> None:
-    # acc |= S + {64 q + r : q in groups[r]}, by one shifted copy of the
-    # words per bucket r and one OR per offset q.  in_place shifts the words
-    # themselves, from bucket to bucket, and leaves them shifted: the bits
-    # pushed past the last word are past the bound for every later bucket.
+    # acc |= S + {8 q + r : q in groups[r]}, by one shifted copy of the
+    # words per bucket r and one OR per offset q, of that copy's bytes into
+    # acc's from byte q on: in the little-endian words, bit v is bit v & 7
+    # of byte v >> 3.  As 3 P8(x) + 1 = (3x - 1)^2, P8(x) mod 8 is 0, 1 or
+    # 5, so a list c * P8 needs at most two shifted copies.  in_place
+    # shifts the words themselves, from bucket to bucket, and leaves them
+    # shifted: the bits pushed past the last word are past the bound for
+    # every later bucket.
     nw = words.size
     shifted = words if in_place else np.empty(nw, dtype="<u8")
+    acc_bytes, nb = acc.view(np.uint8), 8 * nw
     held = 0  # the shift that the words hold already (in place)
     for r, offsets in enumerate(groups):
         if not offsets:
@@ -472,9 +489,9 @@ def _or_shifts(
             del carry  # before the next bucket's
             if in_place:
                 held = r
-        src = shifted if r else words
+        src = (shifted if r else words).view(np.uint8)
         for q in offsets:
-            acc[q:] |= src[: nw - q]
+            acc_bytes[q:] |= src[: nb - q]
 
 
 def build_sieve(a, bound: int) -> RepresentationSieve:

@@ -10,6 +10,8 @@ more coefficient ranging over lo..hi minus the exclusions after "!".
 The expectation is either tight universality at the given floor n, or the
 exact set Z of values >= the first coefficient that the form misses (the
 list may be empty).  Blank lines and lines starting with "#" are ignored.
+Each form is listed once: parse_table refuses a form that two rows expand
+to, naming both lines.
 """
 
 from __future__ import annotations
@@ -103,7 +105,9 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def parse_table(text: str) -> list[TableRow]:
+    """The rows of a table; a form that two rows expand to is a ValueError."""
     rows = []
+    listed_on: dict[tuple[int, ...], int] = {}  # each form expanded so far, and its line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -132,13 +136,17 @@ def parse_table(text: str) -> list[TableRow]:
                 raise ValueError(f"unknown fields {sorted(fields)}")
             kind, _, payload = expect.partition(":")
             if kind == "tight":
-                rows.append(TableRow(prefix, slot, "tight", expect_n=int(payload)))
+                row = TableRow(prefix, slot, "tight", expect_n=int(payload))
             elif kind == "Z":
                 if slot is not None:
                     raise ValueError("Z rows take no slot")
-                rows.append(TableRow(prefix, slot, "Z", expect_z=_parse_ints(payload)))
+                row = TableRow(prefix, slot, "Z", expect_z=_parse_ints(payload))
             else:
                 raise ValueError(f"unknown expectation kind {kind!r}")
+            for a in expand_row(row):
+                if listed_on.setdefault(a, lineno) != lineno:
+                    raise ValueError(f"form {a} is also listed on line {listed_on[a]}")
+            rows.append(row)
         except ValueError as e:
             raise ValueError(f"line {lineno}: {e}") from None
     return rows

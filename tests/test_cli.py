@@ -207,6 +207,24 @@ def test_a_table_row_of_the_wrong_kind_is_a_usage_error(tmp_path, capsys):
         path.write_text(text)
 
 
+@pytest.mark.parametrize("name, target, form", [
+    ("table1.txt", "z-table", "(2, 2, 2, 3)"),
+    ("table4.txt", "t4", "(4, 5, 6, 7, 8)"),
+], ids=["Z table", "tight table"])
+def test_a_repeated_table_row_is_a_usage_error(tmp_path, capsys, name, target, form):
+    # the table's first row written twice: the census and the row count
+    # would count it once or twice, so the file is refused
+    data = _copy_data(tmp_path)
+    path = tmp_path / name
+    lines = path.read_text().splitlines(keepends=True)
+    first = next(i for i, line in enumerate(lines) if line.startswith("prefix="))
+    path.write_text("".join(lines[: first + 1] + lines[first:]))
+    assert run(["verify", target, *data]) == 2
+    out, err = capsys.readouterr()
+    message = f"{name}: line {first + 2}: form {form} is also listed on line {first + 1}"
+    assert out == "" and message in err, err
+
+
 def test_verify_all_reads_every_input_before_any_suite_prints(tmp_path, capsys):
     data = _copy_data(tmp_path)
     report = tmp_path / "all.json"

@@ -415,6 +415,59 @@ def _shift_or_fold(bits, term_lists, bound):
     return bits
 
 
+# values on byte and word edges: v mod 64 in {0, 1, 7, 8, 9, 56, 63}
+BYTE_EDGES = st.builds(lambda q, r: 64 * q + r, st.integers(0, 40),
+                       st.sampled_from([0, 1, 7, 8, 9, 56, 63]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    nw=st.one_of(st.sampled_from([1, 2]), st.integers(1, 40)),
+    S=st.sets(st.one_of(BYTE_EDGES, st.integers(0, 40 * 64)), max_size=40),
+    before=st.sets(st.integers(0, 40 * 64), max_size=4),
+    terms=st.lists(st.one_of(BYTE_EDGES, st.integers(0, 41 * 64)), max_size=14),
+)
+@example(nw=1, S={0, 1, 7, 8, 63}, before=set(), terms=[0, 1, 7, 8, 9, 56, 63])
+@example(nw=2, S={0, 63, 64, 127}, before={5}, terms=[1, 56, 63, 64, 65, 71, 72, 120, 127])
+@example(nw=2, S={0}, before=set(), terms=[127, 126, 121, 120, 64, 0])  # the last word's bytes
+def test_the_byte_offset_kernel_is_the_sumset(nw, S, before, terms):
+    # acc |= S + T within the nw words, whether the words are shifted into a
+    # copy or in place (and left shifted); terms past the words drop out
+    bound = 64 * nw - 1
+    bits = sum(1 << v for v in S if v <= bound)
+    start = sum(1 << v for v in before if v <= bound)
+    want = start | _shift_or_fold(bits, [terms], bound)
+    for in_place in (False, True):
+        words = np.array(_as_words(bits, bound)[0])
+        acc = np.array(_as_words(start, bound)[0])
+        polygonal._or_shifts(acc, words, polygonal._group(terms, bound), in_place=in_place)
+        assert _as_int(acc) == want, in_place
+        if not in_place:
+            assert _as_int(words) == bits
+
+
+def test_octagonal_terms_fall_in_three_residues_mod_8():
+    # 3 P8(x) + 1 = (3x - 1)^2, and an odd square is 1 mod 8, an even one 0
+    # or 4, so P8(x) mod 8 is 0, 5 or 1
+    for c in range(1, 65):
+        assert {v & 7 for v in term_values(c, 20_000)} <= {0, c & 7, 5 * c & 7}, c
+
+
+def test_an_octagonal_list_makes_at_most_two_shifted_copies():
+    # the byte kernel shifts the words once per nonzero bucket v & 7, and a
+    # list c * P8 fills at most two of them, whole or as its heads
+    bound = 20_000
+    words, nw = _as_words(build_sieve((1, 2), bound).bits, bound)
+    for c in range(1, 41):
+        terms = term_values(c, bound)
+        for part, in_place in ((terms, False), (terms[: polygonal._HEAD], True)):
+            acc = np.zeros(nw, dtype="<u8")
+            with mock.patch.object(np, "left_shift", wraps=np.left_shift) as shift:
+                polygonal._or_shifts(acc, np.array(words), polygonal._group(part, bound),
+                                     in_place=in_place)
+            assert shift.call_count <= 2, (c, in_place)
+
+
 @st.composite
 def head_steps(draw):
     # (bound, S, two to four term lists, the planted L or None).  Planted:
@@ -448,15 +501,25 @@ def head_steps(draw):
     return bound, S, lists, low
 
 
-def _recording(misses):
-    # _head_miss, patched to record each L it returns
+def _recording(tries):
+    # _head_miss, patched to record each try: the lists left and the L it returns
     real = polygonal._head_miss
 
-    def head_miss(*args):
-        misses.append(real(*args))
-        return misses[-1]
+    def head_miss(words, term_lists, *args):
+        tries.append((len(term_lists), real(words, term_lists, *args)))
+        return tries[-1][1]
 
     return mock.patch.object(polygonal, "_head_miss", head_miss)
+
+
+def _assert_step_contract(tries, k, bound):
+    # The first try comes with k lists left.  A try whose L is above
+    # bound / 2 would cut too little, so the next list is folded and the
+    # step tried again, with a list fewer, while two or more are left; a
+    # try that cuts is the last.
+    assert [left for left, _ in tries] == list(range(k, k - len(tries), -1))
+    assert all(2 * low > bound for _, low in tries[:-1])
+    assert 2 * tries[-1][1] <= bound or tries[-1][0] == 2
 
 
 @settings(max_examples=150, deadline=None)
@@ -470,14 +533,15 @@ def _recording(misses):
 @example(case=(100, {0, *range(51, 101)}, [[50, *range(12, -1, -1)], [0]], 50))  # 50 is a term
 def test_the_head_step_is_the_ordinary_loop(case):
     # The step for every list left equals the Python-int sumset and one
-    # route per list, as single-list folds take.  A size bound of bound + 1
-    # makes the step run whatever S is.  It runs once, and its L is the
-    # planted one, or 0 where A misses nothing.
+    # route per list, as single-list folds take.  With a size bound of
+    # bound + 1 the fold knows S = {0} only at bound 0, so the step is
+    # tried at the first list whatever S is (see _assert_step_contract).
+    # Every try reads the planted L, or 0 where A misses nothing.
     bound, S, lists, low = case
     bits = sum(1 << v for v in S)
     words, _ = _as_words(bits, bound)
-    misses = []
-    with _recording(misses):
+    tries = []
+    with _recording(tries):
         stepped, size = polygonal._fold_words(words, bound + 1, lists, bound)
     plain, plain_size = words, bound + 1
     for terms in lists:
@@ -485,25 +549,31 @@ def test_the_head_step_is_the_ordinary_loop(case):
     want = _shift_or_fold(bits, lists, bound)
     assert _as_int(stepped) == _as_int(plain) == want
     assert want.bit_count() <= size <= bound + 1
-    assert len(misses) == 1 and (low is None or misses == [max(low, 0)])
+    if bound == 0 and S == {0}:  # the seed route, as from the default bits
+        assert tries == []
+    else:
+        _assert_step_contract(tries, len(lists), bound)
+        assert low is None or {miss for _, miss in tries} == {max(low, 0)}
     assert fold(lists, bound, bits) == want
 
 
 def test_table_forms_take_the_head_step_once():
-    # Every table 4 form (floor 4) folds its last lists by the head step,
-    # once: A misses 3 and nothing above it, so the fold below L is at
-    # bound 3, and it does not try the step again.  So do three table 1
-    # rows, at their largest miss, but for (2, 3, 4, 6): its heads leave
-    # 199,163 open, so its fold below L is nearly the whole fold.
+    # Every table 4 form (floor 4) tries the head step as soon as its first
+    # list is scattered, and cuts once, at most one list later: A misses 3
+    # and nothing above it, so the fold below L is at bound 3, and the step
+    # is not tried again.  So do three table 1 rows, at their largest miss,
+    # but for (2, 3, 4, 6): its heads leave 199,995 and then 199,163 open,
+    # so it never cuts and folds its last list whole.
     bound = 200_000
     cases = [(a, 4, (), 3) for row in tables.load_table(4) for a in tables.expand_row(row)]
     cases += [((3, 3, 4, 4, 5), 3, (17, 21), 21), ((2, 3, 4, 5), 2, (), 1),
               ((2, 3, 4, 6), 2, (18,), 199_163)]
     for a, n, exceptions, low in cases:
-        misses = []
-        with _recording(misses):
+        tries = []
+        with _recording(tries):
             sieve = build_sieve(a, bound)
-        assert misses == [low], a
+        _assert_step_contract(tries, len(a) - 1, bound)
+        assert tries[-1][1] == low and len(tries) <= 2, a
         assert sieve.missing_in_range(n, bound) == list(exceptions), a
 
 

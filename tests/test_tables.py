@@ -1,6 +1,7 @@
 """Table data files: grammar, expansion, census, and verification."""
 
 import hashlib
+import re
 from importlib import resources
 
 import pytest
@@ -57,6 +58,21 @@ def test_parse_rejects_malformed_lines():
     for bad, field in (("slot=2..5 expect=tight:2", "prefix"), ("prefix=2,2 slot=5..9", "expect")):
         with pytest.raises(ValueError, match=f"line 2: missing field '{field}'"):
             parse_table("# a comment\n" + bad)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("prefix=2,2,2,3 expect=Z:8,11\nprefix=2,2,2,3 expect=Z:8,11",
+     "line 2: form (2, 2, 2, 3) is also listed on line 1"),
+    ("# floor 4\nprefix=4,5,6,7,8 expect=tight:4\n\nprefix=4,5,6,7,8 expect=tight:4",
+     "line 4: form (4, 5, 6, 7, 8) is also listed on line 2"),
+    # a slot that reaches a form another row lists
+    ("prefix=4,4,5,6,6,7 expect=tight:4\nprefix=4,4,5,6,7 slot=5..7 expect=tight:4",
+     "line 2: form (4, 4, 5, 6, 6, 7) is also listed on line 1"),
+], ids=["Z rows", "tight rows", "slot"])
+def test_parse_rejects_a_form_listed_twice(text, message):
+    # a table lists each form once, so a census counts rows' forms, not rows
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_table(text)
 
 
 def test_expand_row_examples():
