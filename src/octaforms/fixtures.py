@@ -1,9 +1,11 @@
 """Loader for the bundled lattice fixture file.
 
 See data/lattice_fixtures.txt for the grammar.  Fixtures are parsed into
-GenusFixture and TransferInstance objects.  Every instance names a genus
-listed before it, and its two lattices must appear among that genus's
-classes; every bad block records one excluded class per T line.
+GenusFixture and TransferInstance objects.  A genus lists each class
+once.  Every instance names a genus listed before it, and its two lattices
+must appear among that genus's classes; its name ends in -n<i>-a<a>, where
+i is N's index among those classes and a the block's progression class.
+Every bad block records one excluded class per T line.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ def load_fixtures(path=None) -> FixtureSet:
 
     kind = name = None
     fields: dict[str, list[str]] = {}
-    classes: list[GramMatrix] = []
+    classes: dict[GramMatrix, int] = {}  # each class of a genus block: its line
 
     def finish(lineno: int):
         nonlocal kind, name, fields, classes
@@ -73,16 +75,21 @@ def load_fixtures(path=None) -> FixtureSet:
                             if kind == "bad" else ())
                 if fields:
                     raise ValueError(f"unknown fields {sorted(fields)}")
-                (bad if kind == "bad" else prec)[name] = TransferInstance(
+                instance = TransferInstance(
                     name=name, M=M, N=N, d=d, a=a,
                     transforms=transforms, blocks=blocks, excluded=excluded,
                 )
+                i = genera[genus_name].classes.index(N)
+                if not name.endswith(f"-n{i}-a{a}"):
+                    raise ValueError(f"the name does not end in -n{i}-a{a}: "
+                                     f"N is class {i} of genus {genus_name!r} and a = {a}")
+                (bad if kind == "bad" else prec)[name] = instance
         except (KeyError, ValueError, IndexError) as e:
             why = f"missing field {e}" if isinstance(e, KeyError) else e
             raise ValueError(f"fixture block {name!r} (ended line {lineno}): {why}") from None
         kind = name = None
         fields = {}
-        classes = []
+        classes = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -105,9 +112,13 @@ def load_fixtures(path=None) -> FixtureSet:
             if not line.startswith("class "):
                 raise ValueError(f"line {lineno}: genus blocks hold class lines")
             try:
-                classes.append(GramMatrix(_parse_rows(line[len("class "):], "/")))
+                gram = GramMatrix(_parse_rows(line[len("class "):], "/"))
             except ValueError as e:
                 raise ValueError(f"line {lineno}: genus {name!r}: {e}") from None
+            if gram in classes:
+                raise ValueError(f"line {lineno}: genus {name!r}: the class is also listed "
+                                 f"on line {classes[gram]}")
+            classes[gram] = lineno
         else:
             key, sep, val = line.partition("=")
             key = key.strip()

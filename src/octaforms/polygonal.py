@@ -254,8 +254,9 @@ def fold(term_lists, bound: int, bits: int = 1) -> int:
     uint64 words, and each term list T takes the cheapest of three exact
     ways to S + T:
 
-    - S = {0} (the first list of a fold from the default bits): S + T is
-      T's own bitmap, set by one indexed OR.
+    - S = {0} (the first list of a fold from the default bits, or of a
+      fold below L whose S within [0, L] is {0}): S + T is T's own
+      bitmap, set by one indexed OR.
     - 0 in T and S misses at most nw / 16 values: S is then a subset of
       S + T, so only a gap g of S can change, and it joins iff g - t is in
       S for some t in T with 0 <= t <= g.  The gaps are tested against T in
@@ -265,7 +266,7 @@ def fold(term_lists, bound: int, bits: int = 1) -> int:
       v & 7, the words are shifted once per group, and each v ORs the
       bytes of that shifted copy into the accumulator's from byte v >> 3
       on.  A list c * P8 fills at most three of the eight groups, one of
-      them unshifted.  The smallest terms go first, and once their sum
+      them unshifted.  The 12 smallest terms go first, and if their sum
       misses at most nw / 16 values the rest of T goes to the gap test
       instead.
 
@@ -289,7 +290,7 @@ def fold(term_lists, bound: int, bits: int = 1) -> int:
     if bound < 0:
         raise ValueError("bound must be >= 0")
     check_bytes(8 * ((bound + 64) // 64), f"sieve of {bound + 1} bits")
-    words, _ = _fold_words(_decode(bits, bound), bits.bit_count(), term_lists, bound)
+    words = _fold_words(_decode(bits, bound), term_lists, bound)
     return int.from_bytes(words.tobytes(), "little")
 
 
@@ -298,29 +299,28 @@ def _decode(bits: int, bound: int) -> np.ndarray:
     return np.frombuffer(bits.to_bytes(8 * ((bound + 64) // 64), "little"), dtype="<u8")
 
 
-def _fold_words(words: np.ndarray, size: int, term_lists, bound: int) -> tuple[np.ndarray, int]:
-    # The words of S + T1 + T2 + ... for S in words, of at most size values,
-    # and at most how many values that sumset has: one route per list (see
+def _fold_words(words: np.ndarray, term_lists, bound: int) -> np.ndarray:
+    # The words of S + T1 + T2 + ... for S in words: one route per list (see
     # fold).  While S != {0} and two or more lists are left, the head step
     # reads L (see _head_miss) before each list.  An L above bound / 2
     # would cut less than half, so the list is folded by its route and the
     # step tried again; else the step cuts the words, the bound and the
     # lists to [0, L], the loop folds those by the same routes, never
-    # trying the step again, and (L, bound] is set at the end.  words is
-    # rebound at every list, so S can go once the first cut list is folded.
-    # As size bounds |S|, size == 1 with bit 0 set means S = {0}.
+    # trying the step again, and (L, bound] is set at the end.  words never
+    # holds a value past the bound, so S = {0} is read from it exactly.
     top = np.uint64((1 << (bound % 64 + 1)) - 1)  # the last word's bits within bound
-    whole = None  # (nw, top, bound) of the fold, once the head step has cut it
+    whole = None  # (nw, top) of the fold, once the head step has cut it
     lists = iter(term_lists)
     while (terms := next(lists, None)) is not None:
-        seed = size == 1 and words[0] == 1  # S = {0}
+        seed = words[0] == 1 and not words[1:].any()  # S = {0}
         if whole is None and not seed and len(rest := [terms, *lists]) > 1:
             del terms  # rest holds it, and _head_miss swaps it for a sorted copy
             low = _head_miss(words, rest, bound, top)
             if 2 * low <= bound:
-                whole = (words.size, top, bound)
-                words, bound, size = words[: low // 64 + 1], low, min(size, low + 1)
+                whole = (words.size, top)
+                words, bound = words[: low // 64 + 1].copy(), low
                 top = np.uint64((1 << (low % 64 + 1)) - 1)
+                words[-1] &= top
                 lists = (terms[: bisect_right(terms, low)] for terms in rest)
                 continue
             terms, lists = rest[0], iter(rest[1:])  # fold one list and try again
@@ -331,16 +331,14 @@ def _fold_words(words: np.ndarray, size: int, term_lists, bound: int) -> tuple[n
         elif 0 in terms and (gaps := _few_gaps(words, top)) is not None:
             words = _set(words.copy(), _cover(words, gaps, terms, bound)[0], top)
         else:
-            words = _fold_dense(words, size, terms, bound, top)
-        size = min(size * len(terms), bound + 1)
+            words = _fold_dense(words, terms, bound, top)
     if whole is not None:
-        nw, whole_top, whole_bound = whole
+        nw, whole_top = whole
         low_words, words = words, np.full(nw, _FULL, dtype="<u8")
         words[: low_words.size] = low_words
         words[low_words.size - 1] |= ~top  # (L, the end of L's word]
         words[-1] &= whole_top
-        size += whole_bound - bound  # |F| <= |F within [0, L]| + bound - L
-    return words, size
+    return words
 
 
 def _group(terms: list[int], bound: int) -> list[list[int]]:
@@ -412,35 +410,25 @@ def _set(acc: np.ndarray, new: np.ndarray, top: np.uint64) -> np.ndarray:
     return acc
 
 
-# The hand-over of _fold_dense, both measured: the terms ORed in before
-# the gap test, and the fewest terms a list needs to try it at all.
-_HEAD, _SPLIT_MIN = 12, 96
+# the terms of a list that _fold_dense and the head step OR in first (measured)
+_HEAD = 12
 
 
-def _fold_dense(
-    words: np.ndarray, size: int, terms: list[int], bound: int, top: np.uint64
-) -> np.ndarray:
-    # S + T for S in words, of at most size values, in a new accumulator.
-    # The first _HEAD terms T' (the smallest, as fold passes T ascending)
-    # are ORed in first.  If S + T' misses at most nw / 16 values, its gaps
-    # are tested against the other terms T'' and the covered ones set:
-    # S + T = (S + T') | (S + T'') for any split of T, and a gap g is in
-    # S + T'' iff g - t is in S (words, not the partial sum) for some t in
-    # T''.  Otherwise T'' is ORed in as well.  T is ORed in whole when the
-    # test cannot pass (S + T' has at most size * |T'| values) or cannot
-    # pay: a failed test re-shifts up to _HEAD buckets, which a short T''
-    # does not win back.
-    nw = words.size
-    split = len(terms) >= _SPLIT_MIN and 16 * (bound + 1 - size * _HEAD) <= nw
-    k = _HEAD if split else len(terms)
-    acc = np.zeros(nw, dtype="<u8")
-    _or_shifts(acc, words, _group(terms[:k], bound))
-    rest = terms[k:]
-    if rest:
+def _fold_dense(words: np.ndarray, terms: list[int], bound: int, top: np.uint64) -> np.ndarray:
+    # S + T for S in words, in a new accumulator.  The first _HEAD terms T'
+    # (the smallest, as fold passes T ascending) are ORed in first.  If
+    # S + T' misses at most nw / 16 values, its gaps are tested against the
+    # other terms T'' and the covered ones set: S + T = (S + T') | (S + T'')
+    # for any split of T, and a gap g is in S + T'' iff g - t is in S
+    # (words, not the partial sum) for some t in T''.  Otherwise T'' is
+    # ORed in as well, after at most two more shifted copies.
+    acc = np.zeros(words.size, dtype="<u8")
+    _or_shifts(acc, words, _group(terms[:_HEAD], bound))
+    if len(terms) > _HEAD:
         acc[-1] &= top
         if (gaps := _few_gaps(acc, top)) is not None:
-            return _set(acc, _cover(words, gaps, rest, bound)[0], top)
-        _or_shifts(acc, words, _group(rest, bound))
+            return _set(acc, _cover(words, gaps, terms[_HEAD:], bound)[0], top)
+        _or_shifts(acc, words, _group(terms[_HEAD:], bound))
     acc[-1] &= top
     return acc
 
@@ -540,21 +528,19 @@ def _shared_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> int:
 
 def _walk(forms: list[tuple[int, ...]], bound: int):
     nw = (bound + 64) // 64
-    # kept[j]: the words and size (see _fold_words) of the form's first j + 1
-    # coefficients; size stays a bound, as a popcount per step costs more than it saves
-    kept: list[tuple[np.ndarray, int]] = []
+    kept: list[np.ndarray] = []  # kept[j]: the words of the form's first j + 1 coefficients
     terms = cache(lambda c: term_values(c, bound))  # once per coefficient per walk
     for i, a in enumerate(forms):
         keep = _shared_prefix(a, forms[i + 1]) if i + 1 < len(forms) else 0
         check_bytes((max(len(kept), keep) + 1) * 8 * nw, f"prefix walk of {a} to {bound}")
         while len(kept) < keep:
-            words, size = kept[-1] if kept else (_decode(1, bound), 1)
-            kept.append(_fold_words(words, size, [terms(a[len(kept)])], bound))
+            words = kept[-1] if kept else _decode(1, bound)
+            kept.append(_fold_words(words, [terms(a[len(kept)])], bound))
         p = len(kept)
         if p == 0:
             yield build_sieve(a, bound)
         else:
-            words, _ = _fold_words(*kept[-1], map(terms, reversed(a[p:])), bound)
+            words = _fold_words(kept[-1], map(terms, reversed(a[p:])), bound)
             yield RepresentationSieve(a, bound, int.from_bytes(words.tobytes(), "little"))
         del kept[keep:]
 
@@ -573,11 +559,10 @@ def _extensions(parent: RepresentationSieve, gs, n: int, reserve):
     words = _decode(parent.bits, bound)
     top = np.uint64((1 << (bound % 64 + 1)) - 1)
     gaps = _few_gaps(words, top)
-    size = parent.bits.bit_count()
     for g in gs:
         if gaps is None:
             reserve(2)
-            child = _fold_dense(words, size, term_values(g, bound), bound, top)
+            child = _fold_dense(words, term_values(g, bound), bound, top)
         else:
             covered, rest = _cover(words, gaps, term_values(g, bound), bound)
             i = int(np.searchsorted(rest, n))

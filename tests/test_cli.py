@@ -254,8 +254,14 @@ def test_verify_all_reads_every_input_before_any_suite_prints(tmp_path, capsys):
      "line 31: genus '1-1-1': Gram matrix must be 3x3"),
     ("fx.txt", "class 1 0 0 / 0 1 0 / 0 0 1\n", "class 1 0 0 / 0 1 0 / 0 0 -1\n",
      "line 31: genus '1-1-1': Gram matrix not positive definite"),
+    ("fx.txt", "class 1 0 0 / 0 1 0 / 0 0 27\n",
+     "class 1 0 0 / 0 1 0 / 0 0 27\nclass 1 0 0 / 0 1 0 / 0 0 27\n",
+     "line 52: genus '1-1-27': the class is also listed on line 51"),
+    ("fx.txt", "prec 113-n2-a0\n", "prec 113-n7-a5\n",
+     "fixture block '113-n7-a5' (ended line 135): the name does not end in -n2-a0"),
 ], ids=["slot 0", "no prefix", "repeated field", "P without T", "P residue 30", "2x2 T",
-        "two excluded", "2x2 class", "4x4 class", "indefinite class"])
+        "two excluded", "2x2 class", "4x4 class", "indefinite class", "repeated class",
+        "instance renamed"])
 def test_malformed_data_input_exits_2_before_printing(tmp_path, capsys, name, old, new, message):
     data = _copy_data(tmp_path)
     path, report = tmp_path / name, tmp_path / "all.json"

@@ -138,6 +138,14 @@ def test_parse_errors(tmp_path):
         "not in genus": (GENUS + "prec x\n" + PAIR.replace("N = 1 0 0 / 0 1 0 / 0 0 1",
                                                              "N = 2 0 0 / 0 2 0 / 0 0 2")
                          + "d = 2\na = 0\nend\n", "M or N not a class of genus 'g'"),
+        "repeated class": (GENUS.replace("end", "class 1 0 0 / 0 1 0 / 0 0 1\nend"),
+                           "line 3: genus 'g': the class is also listed on line 2"),
+        "wrong class index": (GENUS + "prec x-n1-a0\n" + PAIR + "d = 2\na = 0\nend\n",
+                              "the name does not end in -n0-a0: N is class 0 of genus 'g'"),
+        "wrong class a": (GENUS + "prec x-n0-a1\n" + PAIR + "d = 2\na = 0\nend\n",
+                          "the name does not end in -n0-a0"),
+        "no name suffix": (GENUS + "bad y\n" + PAIR + "d = 2\na = 0\n" + SIMILITUDE
+                           + "excluded = 1\nend\n", "fixture block 'y' (ended line 12)"),
     }
     for label, (text, message) in cases.items():
         path = tmp_path / "fx.txt"
@@ -145,10 +153,11 @@ def test_parse_errors(tmp_path):
         with pytest.raises(ValueError, match=re.escape(message)):
             load_fixtures(path)
     # without a fault, the same blocks load
-    path.write_text(GENUS + "prec x\n" + PAIR + "d = 2\na = 0\nend\n"
-                    + "bad y\n" + PAIR + "d = 2\na = 0\n" + SIMILITUDE + "excluded = 1\nend\n")
+    path.write_text(GENUS + "prec x-n0-a0\n" + PAIR + "d = 2\na = 0\nend\n"
+                    + "bad y-n0-a0\n" + PAIR + "d = 2\na = 0\n" + SIMILITUDE
+                    + "excluded = 1\nend\n")
     loaded = load_fixtures(path)
-    assert loaded.prec["x"].excluded == () and loaded.bad["y"].excluded == (1,)
+    assert loaded.prec["x-n0-a0"].excluded == () and loaded.bad["y-n0-a0"].excluded == (1,)
 
 
 def test_duplicate_names_rejected(tmp_path):

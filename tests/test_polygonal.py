@@ -302,7 +302,7 @@ def test_fold_regimes_agree_on_nearly_full_sets(bound, gaps, terms, with_zero):
     words, nw = _as_words(bits, bound)
     top = np.uint64((1 << (bound % 64 + 1)) - 1)
 
-    dense = polygonal._fold_dense(words, bits.bit_count(), T, bound, top)
+    dense = polygonal._fold_dense(words, T, bound, top)
     assert {v for v in range(bound + 1) if (_as_int(dense) >> v) & 1} == expect
     if with_zero:
         # the gap route is exact for any gap list once 0 is a term
@@ -314,7 +314,7 @@ def test_fold_regimes_agree_on_nearly_full_sets(bound, gaps, terms, with_zero):
         if few is not None:
             assert few.tolist() == sorted(gaps)
 
-    # T has under _SPLIT_MIN terms, so no dense fold hands over here and a
+    # T has at most _HEAD terms, so no dense fold hands over here and a
     # _cover call is the gap route's
     with mock.patch.object(polygonal, "_cover", wraps=polygonal._cover) as spy:
         assert fold([T], bound, bits) == _as_int(dense)
@@ -329,17 +329,16 @@ def test_fold_regimes_agree_on_nearly_full_sets(bound, gaps, terms, with_zero):
     terms=st.lists(st.one_of(st.sampled_from([0, 1, 63, 64, 65, 128]), st.integers(0, 41 * 64)),
                    max_size=16),
     head=st.integers(1, 4),
-    exact_size=st.booleans(),
 )
-@example(bound=2047, step=1, gaps=[1, 2, 3], terms=[0, 1, 2], head=2, exact_size=True)
-@example(bound=2047, step=1, gaps=[1, 2, 3], terms=[2, 1, 2, 0, 3000], head=2, exact_size=False)
-@example(bound=2047, step=3, gaps=[], terms=[0, 3, 6, 1, 2, 64], head=2, exact_size=True)
-@example(bound=1023, step=2, gaps=[0], terms=[1, 64, 0, 65, 1], head=1, exact_size=True)
-@example(bound=960, step=1, gaps=[], terms=[1, 0], head=1, exact_size=True)  # 0 in T'' covers 0
-def test_the_dense_hand_over_is_the_set_sumset(bound, step, gaps, terms, head, exact_size):
+@example(bound=2047, step=1, gaps=[1, 2, 3], terms=[0, 1, 2], head=2)
+@example(bound=2047, step=1, gaps=[1, 2, 3], terms=[2, 1, 2, 0, 3000], head=2)
+@example(bound=2047, step=3, gaps=[], terms=[0, 3, 6, 1, 2, 64], head=2)
+@example(bound=1023, step=2, gaps=[0], terms=[1, 64, 0, 65, 1], head=1)
+@example(bound=960, step=1, gaps=[], terms=[1, 0], head=1)  # 0 in T'' covers 0
+def test_the_dense_hand_over_is_the_set_sumset(bound, step, gaps, terms, head):
     # S is every step-th value up to the bound less a few gaps, so S + T' is
     # at times nearly full and at times not; the terms are unsorted, repeat,
-    # may lack 0, and sit on word edges and past the bound.  With the split
+    # may lack 0, and sit on word edges and past the bound.  With _HEAD
     # patched small, the first head terms T' are ORed in and the rest go to
     # the gap test exactly when S + T' misses at most nw / 16 values.
     S = set(range(0, bound + 1, step)) - set(gaps)
@@ -347,12 +346,10 @@ def test_the_dense_hand_over_is_the_set_sumset(bound, step, gaps, terms, head, e
     partial = {s + t for s in S for t in terms[:head] if s + t <= bound}
     words, nw = _as_words(sum(1 << v for v in S), bound)
     top = np.uint64((1 << (bound % 64 + 1)) - 1)
-    size = len(S) if exact_size else bound + 1
-    can_pass = 16 * (bound + 1 - size * head) <= nw
-    hand_over = len(terms) > head and can_pass and 16 * (bound + 1 - len(partial)) <= nw
-    with mock.patch.multiple(polygonal, _HEAD=head, _SPLIT_MIN=0), \
+    hand_over = len(terms) > head and 16 * (bound + 1 - len(partial)) <= nw
+    with mock.patch.object(polygonal, "_HEAD", head), \
             mock.patch.object(polygonal, "_cover", wraps=polygonal._cover) as spy:
-        dense = polygonal._fold_dense(words, size, terms, bound, top)
+        dense = polygonal._fold_dense(words, terms, bound, top)
     assert {v for v in range(bound + 1) if (_as_int(dense) >> v) & 1} == expect
     assert _as_int(dense) >> (bound + 1) == 0
     assert spy.called == hand_over
@@ -389,6 +386,8 @@ def test_the_dense_fold_holds_no_more_than_three_sieves_and_a_carry():
     # The hand-over sets the covered gaps in its own accumulator, so
     # build_sieve peaks no higher than the all-dense fold in the given
     # order: the source, the shifted copy, the accumulator and one carry.
+    # With _HEAD past every list's length, no list is split, and the head
+    # step ORs in every list whole.
     a, bound = (2, 3, 4, 5), 10**6
     build_sieve(a, 1_000)  # imports and caches outside the traced span
 
@@ -400,7 +399,7 @@ def test_the_dense_fold_holds_no_more_than_three_sieves_and_a_carry():
         finally:
             tracemalloc.stop()
 
-    with mock.patch.object(polygonal, "_SPLIT_MIN", float("inf")):
+    with mock.patch.object(polygonal, "_HEAD", bound + 1):
         dense = peak(lambda: fold((term_values(c, bound) for c in a), bound))
     assert peak(lambda: build_sieve(a, bound)) <= dense < 5 * 8 * ((bound + 64) // 64)
 
@@ -533,24 +532,23 @@ def _assert_step_contract(tries, k, bound):
 @example(case=(100, {0, *range(51, 101)}, [[50, *range(12, -1, -1)], [0]], 50))  # 50 is a term
 def test_the_head_step_is_the_ordinary_loop(case):
     # The step for every list left equals the Python-int sumset and one
-    # route per list, as single-list folds take.  With a size bound of
-    # bound + 1 the fold knows S = {0} only at bound 0, so the step is
-    # tried at the first list whatever S is (see _assert_step_contract).
-    # Every try reads the planted L, or 0 where A misses nothing.
+    # route per list, as single-list folds take.  Unless S = {0}, whose
+    # first list is scattered, the step is tried at the first list (see
+    # _assert_step_contract).  Every try reads the planted L, or 0 where A
+    # misses nothing.
     bound, S, lists, low = case
     bits = sum(1 << v for v in S)
     words, _ = _as_words(bits, bound)
     tries = []
     with _recording(tries):
-        stepped, size = polygonal._fold_words(words, bound + 1, lists, bound)
-    plain, plain_size = words, bound + 1
+        stepped = polygonal._fold_words(words, lists, bound)
+    plain = words
     for terms in lists:
-        plain, plain_size = polygonal._fold_words(plain, plain_size, [terms], bound)
+        plain = polygonal._fold_words(plain, [terms], bound)
     want = _shift_or_fold(bits, lists, bound)
     assert _as_int(stepped) == _as_int(plain) == want
-    assert want.bit_count() <= size <= bound + 1
-    if bound == 0 and S == {0}:  # the seed route, as from the default bits
-        assert tries == []
+    if S == {0}:  # the seed route, as from the default bits
+        assert all(left < len(lists) for left, _ in tries)
     else:
         _assert_step_contract(tries, len(lists), bound)
         assert low is None or {miss for _, miss in tries} == {max(low, 0)}
@@ -639,13 +637,51 @@ def test_the_chunked_gap_test_matches_a_set_oracle():
 def test_a_fold_from_zero_scatters_the_terms(bound, terms):
     words, _ = _as_words(1, bound)
     top = np.uint64((1 << (bound % 64 + 1)) - 1)
-    # from {0} of size 1, the list is scattered: neither gap-tested nor folded densely
+    # from {0}, the list is scattered: neither gap-tested nor folded densely
     with mock.patch.multiple(polygonal, _cover=mock.DEFAULT, _fold_dense=mock.DEFAULT) as spies:
-        seeded, size = polygonal._fold_words(words, 1, [terms], bound)
+        seeded = polygonal._fold_words(words, [terms], bound)
     assert not any(spy.called for spy in spies.values())
-    assert size == min(len(terms), bound + 1)
-    assert _as_int(seeded) == _as_int(polygonal._fold_dense(words, 1, terms, bound, top))
+    assert _as_int(seeded) == _as_int(polygonal._fold_dense(words, terms, bound, top))
     assert fold([terms], bound) == _as_int(seeded) == sum(1 << t for t in set(terms) if t <= bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bound=st.integers(1, 3000), v=st.integers(1, 3000), terms=st.lists(st.integers(0, 3100),
+                                                                           max_size=12))
+@example(bound=200, v=64, terms=[0, 1, 3])  # bit 0 alone in the first word
+@example(bound=200, v=200, terms=[5])
+def test_only_a_start_of_zero_alone_is_scattered(bound, v, terms):
+    # The fold reads S = {0} from the words.  A start of {0, v} is folded
+    # by a sumset route, never scattered, whatever the word of v.
+    bits = 1 | 1 << min(v, bound)
+    words, _ = _as_words(bits, bound)
+    with mock.patch.object(polygonal, "_cover", wraps=polygonal._cover) as cover, \
+            mock.patch.object(polygonal, "_fold_dense", wraps=polygonal._fold_dense) as dense:
+        folded = polygonal._fold_words(words, [terms], bound)
+    assert cover.called or dense.called
+    assert _as_int(folded) == _shift_or_fold(bits, [terms], bound)
+
+
+def test_a_start_of_zero_is_scattered_wherever_the_fold_finds_it():
+    # S = {0} is read from the words, not from a count of the values folded
+    # so far.  So a list whose other terms pass the bound leaves {0}, and
+    # the next list is scattered; and a fold below L whose S within [0, L]
+    # is {0} scatters its cut lists.  Here S misses 1-9, every head holds 0
+    # and terms above 9 but 3, so A misses 9 and nothing above it.
+    bound = 1023
+    for bits, lists, tries_left in [
+        (1, [[0, bound + 5], [0, 3, 700]], []),
+        (1 | (2**(bound + 1) - 2**10), [[0, 700], [0, 3, 900]], [2]),
+    ]:
+        words, _ = _as_words(bits, bound)
+        tries = []
+        with _recording(tries), mock.patch.multiple(
+                polygonal, _cover=mock.DEFAULT, _fold_dense=mock.DEFAULT) as spies:
+            folded = polygonal._fold_words(words, lists, bound)
+        assert not any(spy.called for spy in spies.values())
+        assert [left for left, _ in tries] == tries_left
+        assert _as_int(folded) == _shift_or_fold(bits, lists, bound)
+        assert fold(lists, bound, bits) == _as_int(folded)
 
 
 def test_read_outs_match_a_string_oracle_past_a_hundred_thousand_gaps():
