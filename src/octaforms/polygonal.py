@@ -9,9 +9,10 @@ per residue mod 8 among the terms (at most two nonzero ones for an
 octagonal list).  So it folds the long lists last, hands the rest of a
 dense list over to a gap test once its smallest terms have nearly filled
 the set, and, from the first list on that does not start from {0}, folds
-only the smallest terms of every list left and folds exactly only below
-the largest value they miss, once that cuts the bound at least in half
-(see fold).  Both paths are exact integer arithmetic throughout.
+only the smallest terms of every list left (12, and 24 on a first retry)
+and folds exactly only below the largest value they miss, once that cuts
+the bound at least in half (see fold); build_sieve builds only the terms
+that this reads.  Both paths are exact integer arithmetic throughout.
 The search is the package's only one: lattice.represents_coprime3
 answers through it, since y = |3x - 1| turns b*y^2 with y prime to 3
 into 3*b*P8(x) + b.
@@ -144,10 +145,40 @@ def term_values(coefficient: int, cap: int) -> list[int]:
     if cap < 0:
         return []
     s = isqrt(1 + 3 * (cap // coefficient))
-    out = [0] * (1 + (s + 1) // 3 + (s - 1) // 3)
-    out[1::2] = [coefficient * x * (3 * x - 2) for x in range(1, (s + 1) // 3 + 1)]
-    out[2::2] = [coefficient * x * (3 * x + 2) for x in range(1, (s - 1) // 3 + 1)]
+    return _first_terms(coefficient, 1 + (s + 1) // 3 + (s - 1) // 3)
+
+
+def _first_terms(c: int, k: int) -> list[int]:
+    # the k smallest values c * P8(x), ascending: x = 0, 1, -1, 2, -2, ...
+    out = [0] * k
+    out[1::2] = [c * x * (3 * x - 2) for x in range(1, k // 2 + 1)]
+    out[2::2] = [c * x * (3 * x + 2) for x in range(1, (k + 1) // 2)]
     return out
+
+
+class _Terms:
+    # term_values(c, cap) as a sequence that builds only what is read, of
+    # the length term_values counts: term i is c * P8 of the ith argument
+    # 0, 1, -1, 2, -2, ..., and the terms strictly increase, so a slice is
+    # read from the first terms up to its last.  An index must be in
+    # [0, len) and a slice's step positive; the fold reads prefixes and
+    # bisects.
+
+    def __init__(self, c: int, cap: int):
+        s = isqrt(1 + 3 * (cap // c))
+        self.c, self.size = c, 1 + (s + 1) // 3 + (s - 1) // 3
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            r = range(self.size)[i]
+            return _first_terms(self.c, r[-1] + 1)[r.start :: r.step] if r else []
+        if not 0 <= i < self.size:
+            raise IndexError(i)
+        x = (i + 1) // 2 if i & 1 else -(i // 2)
+        return self.c * x * (3 * x - 2)
 
 
 @dataclass(frozen=True)
@@ -273,16 +304,20 @@ def fold(term_lists, bound: int, bits: int = 1) -> int:
     As soon as S != {0} and two or more lists are left, the head step tries
     to fold them all (see _fold_words).  A = S + H1 + ... + Hk, Hi the 12
     smallest terms of Ti, is folded densely, and L is the largest value
-    <= bound that A misses (0 if none).  The step is exact for any S and
-    any nonnegative lists: A is a subset of the sumset F, so every value
-    above L is in F; and a value <= L is a sum of parts <= L, so F's values
-    <= L are one low fold of S and the lists cut to <= L, at bound L, by
-    the routes above.  An L above bound / 2 cuts too little: the next list
-    is folded by its route and the step tried again before the one after
-    it.  For all but one of the tabulated forms at bound 200,000, L is
-    n - 1 or the largest exception, at the first or second try, so each
-    list left costs 12 ORs, at most two shifted copies and a fold of a few
-    words.
+    <= bound that A misses (0 if none).  The step is exact for any S, any
+    nonnegative lists and any heads Hi within them: A is a subset of the
+    sumset F, so every value above L is in F; and a value <= L is a sum of
+    parts <= L, so F's values <= L are one low fold of S and the lists cut
+    to <= L, at bound L, by the routes above.  An L above bound / 2 cuts
+    too little.  The first such try is retried at once with the 24
+    smallest terms of every list left; if that fails too, and at every
+    later try that fails, the next list is folded by its route and the
+    step tried again before the one after it.  Of the 252 tabulated forms
+    at bound 200,000, 172 cut at the first try and 69 at the retry, at
+    L <= 64, so each list left costs 12 or 36 ORs, at most two shifted
+    copies per try and a fold of a few words.  The fold reads a list only
+    through its heads, its terms <= L and, when it folds the list whole,
+    all of it; so build_sieve's lists build only those terms.
 
     The byte limit is checked before anything is allocated, so term_lists
     may be a lazy iterable that is only consumed once the bound is accepted.
@@ -301,30 +336,41 @@ def _decode(bits: int, bound: int) -> np.ndarray:
 
 def _fold_words(words: np.ndarray, term_lists, bound: int) -> np.ndarray:
     # The words of S + T1 + T2 + ... for S in words: one route per list (see
-    # fold).  While S != {0} and two or more lists are left, the head step
-    # reads L (see _head_miss) before each list.  An L above bound / 2
-    # would cut less than half, so the list is folded by its route and the
-    # step tried again; else the step cuts the words, the bound and the
-    # lists to [0, L], the loop folds those by the same routes, never
-    # trying the step again, and (L, bound] is set at the end.  words never
-    # holds a value past the bound, so S = {0} is read from it exactly.
+    # fold).  The lists are read ascending, and only through slices.  While
+    # S != {0} and two or more lists are left, the head step reads L (see
+    # _head_miss) before each list, from the _HEAD smallest terms of every
+    # list left.  An L above bound / 2 would cut less than half: the first
+    # time, the step is tried again at once with 2 * _HEAD heads, and after
+    # that (or when the retry fails too) the list is folded by its route
+    # and the step tried again; else the step cuts the words, the bound and
+    # the lists to [0, L], the loop folds those by the same routes, never
+    # trying the step again, and (L, bound] is set at the end.  A list's
+    # terms <= L are read from its head when the head holds a term past L.
+    # words never holds a value past the bound, so S = {0} is read from it
+    # exactly.
     top = np.uint64((1 << (bound % 64 + 1)) - 1)  # the last word's bits within bound
     whole = None  # (nw, top) of the fold, once the head step has cut it
-    lists = iter(term_lists)
+    sizes = (_HEAD, 2 * _HEAD)  # the heads' sizes at the first step: a try and its retry
+    lists = map(_ascending, term_lists)
     while (terms := next(lists, None)) is not None:
         seed = words[0] == 1 and not words[1:].any()  # S = {0}
         if whole is None and not seed and len(rest := [terms, *lists]) > 1:
-            del terms  # rest holds it, and _head_miss swaps it for a sorted copy
-            low = _head_miss(words, rest, bound, top)
+            for h in sizes:
+                heads = [terms[:h] for terms in rest]
+                low = _head_miss(words, heads, bound, top)
+                if 2 * low <= bound:
+                    break
+            sizes = (_HEAD,)
             if 2 * low <= bound:
                 whole = (words.size, top)
                 words, bound = words[: low // 64 + 1].copy(), low
                 top = np.uint64((1 << (low % 64 + 1)) - 1)
                 words[-1] &= top
-                lists = (terms[: bisect_right(terms, low)] for terms in rest)
+                lists = (head[:j] if (j := bisect_right(head, low)) < len(head)
+                         else terms[: bisect_right(terms, low)] for head, terms in zip(heads, rest))
                 continue
             terms, lists = rest[0], iter(rest[1:])  # fold one list and try again
-        terms = sorted(terms)  # read more than once, and ascending for _fold_dense
+        terms = terms[:]  # the whole list: a _Terms list is built here
         if seed:
             v = np.array(terms, dtype=np.int64)
             words = _set(np.zeros(words.size, dtype="<u8"), v[v <= bound], top)
@@ -433,19 +479,22 @@ def _fold_dense(words: np.ndarray, terms: list[int], bound: int, top: np.uint64)
     return acc
 
 
-def _head_miss(words: np.ndarray, term_lists: list, bound: int, top: np.uint64) -> int:
+def _ascending(terms):
+    # terms in ascending order; a _Terms list is, and is not built here
+    return terms if isinstance(terms, _Terms) else sorted(terms)
+
+
+def _head_miss(words: np.ndarray, heads: list, bound: int, top: np.uint64) -> int:
     # L for the head step (see fold): the largest value <= bound that
-    # A = S + H1 + ... + Hk misses, S in words and Hi the _HEAD smallest
-    # terms of the ith list, or 0 if A misses none.  Each list is swapped
-    # for a sorted copy.  Each head but the first shifts the sum before it
-    # in place, and A is gone on return, so no more sieve-sized arrays are
+    # A = S + H1 + ... + Hk misses, S in words and the Hi the heads, or 0 if
+    # A misses none.  Each head but the first shifts the sum before it in
+    # place, and A is gone on return, so no more sieve-sized arrays are
     # held than in _fold_dense.
-    term_lists[:] = map(sorted, term_lists)
     acc = words
-    for terms in term_lists:
+    for head in heads:
         src = acc
         acc = np.zeros(words.size, dtype="<u8")
-        _or_shifts(acc, src, _group(terms[:_HEAD], bound), in_place=src is not words)
+        _or_shifts(acc, src, _group(head, bound), in_place=src is not words)
     acc[-1] |= ~top  # the bits past the bound are not missed
     is_open = acc != _FULL
     w = acc.size - 1 - int(np.argmax(is_open[::-1]))  # the last open word, if any
@@ -489,10 +538,12 @@ def build_sieve(a, bound: int) -> RepresentationSieve:
     coefficient (see fold), the smallest coefficient first (its list is the
     longest, and a fold from {0} scatters it at no fold cost) and then the
     largest to the second smallest, so the dense folds get the shortest
-    lists.
+    lists.  Each list is built only as far as the fold reads it: the
+    seed's whole, and the others' heads and terms <= L unless one is
+    folded whole.
     """
     a = coeff_vector(a)
-    bits = fold((term_values(c, bound) for c in (a[0], *reversed(a[1:]))), bound)
+    bits = fold((_Terms(c, bound) for c in (a[0], *reversed(a[1:]))), bound)
     return RepresentationSieve(coeffs=a, bound=bound, bits=bits)
 
 

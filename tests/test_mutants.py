@@ -1,15 +1,20 @@
-"""tools/mutants.json stays applicable: each mutation's text and tests exist.
+"""tools/mutants.json and data_mutants.json stay applicable.
 
-tools/mutate.py runs the mutants themselves (about a minute); this checks
-in milliseconds that none of them has gone stale.
+Each code mutation's text and tests exist, and each data mutation's line
+occurs in its bundled file.  tools/mutate.py runs the mutants themselves
+(about two minutes); this checks in milliseconds that none has gone stale.
 """
 
 import ast
 import json
 from pathlib import Path
 
+from octaforms import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = json.loads((ROOT / "tools" / "mutants.json").read_text())
+DATA_MUTANTS = json.loads((ROOT / "tools" / "data_mutants.json").read_text())
+DATA = ROOT / "src" / "octaforms" / "data"
 
 
 def _test_names(path: Path) -> set[str]:
@@ -35,3 +40,13 @@ def test_every_mutant_selector_names_an_existing_test():
             if not path.is_file() or (name and name.split("[")[0] not in _test_names(path)):
                 stale.append((m["id"], selector))
     assert stale == []
+
+
+def test_every_data_mutant_line_occurs_exactly_once():
+    # as a whole line of its bundled file, and the verify target it names exists
+    counts = {m["id"]: (DATA / m["file"]).read_text().split("\n").count(m["old"])
+              for m in DATA_MUTANTS}
+    assert {i: n for i, n in counts.items() if n != 1} == {}
+    assert len(counts) == len(DATA_MUTANTS) >= 5
+    assert {m["verify"] for m in DATA_MUTANTS} <= set(cli._SUITES)
+    assert all(m["new"] != m["old"] and m["exit"] in (1, 2) for m in DATA_MUTANTS)

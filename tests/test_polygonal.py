@@ -4,6 +4,7 @@ import hashlib
 import random
 import time
 import tracemalloc
+from bisect import bisect_right
 from itertools import permutations, product
 from unittest import mock
 
@@ -501,24 +502,30 @@ def head_steps(draw):
 
 
 def _recording(tries):
-    # _head_miss, patched to record each try: the lists left and the L it returns
+    # _head_miss, patched to record each try: its heads (one per list left) and the L it returns
     real = polygonal._head_miss
 
-    def head_miss(words, term_lists, *args):
-        tries.append((len(term_lists), real(words, term_lists, *args)))
+    def head_miss(words, heads, *args):
+        tries.append(([list(head) for head in heads], real(words, heads, *args)))
         return tries[-1][1]
 
     return mock.patch.object(polygonal, "_head_miss", head_miss)
 
 
-def _assert_step_contract(tries, k, bound):
-    # The first try comes with k lists left.  A try whose L is above
-    # bound / 2 would cut too little, so the next list is folded and the
-    # step tried again, with a list fewer, while two or more are left; a
-    # try that cuts is the last.
-    assert [left for left, _ in tries] == list(range(k, k - len(tries), -1))
+def _assert_step_contract(tries, lists, bound):
+    # The first try comes with every list left and reads the _HEAD smallest
+    # terms of each.  A try whose L is above bound / 2 would cut too little:
+    # the first one is retried at once, with the same lists left and the
+    # 2 * _HEAD smallest terms of each; after that the next list is folded
+    # and the step tried again, with a list fewer and _HEAD heads, while two
+    # or more are left.  A try that cuts is the last.
+    h, k = polygonal._HEAD, len(lists)
+    plan = [(0, h), (0, 2 * h)] + [(j, h) for j in range(1, k - 1)]
+    assert len(tries) <= len(plan)
+    for (heads, _), (j, width) in zip(tries, plan):
+        assert heads == [sorted(terms)[:width] for terms in lists[j:]]
     assert all(2 * low > bound for _, low in tries[:-1])
-    assert 2 * tries[-1][1] <= bound or tries[-1][0] == 2
+    assert 2 * tries[-1][1] <= bound or len(tries) == len(plan)
 
 
 @settings(max_examples=150, deadline=None)
@@ -548,21 +555,112 @@ def test_the_head_step_is_the_ordinary_loop(case):
     want = _shift_or_fold(bits, lists, bound)
     assert _as_int(stepped) == _as_int(plain) == want
     if S == {0}:  # the seed route, as from the default bits
-        assert all(left < len(lists) for left, _ in tries)
+        assert all(len(heads) < len(lists) for heads, _ in tries)
     else:
-        _assert_step_contract(tries, len(lists), bound)
+        _assert_step_contract(tries, lists, bound)
         assert low is None or {miss for _, miss in tries} == {max(low, 0)}
     assert fold(lists, bound, bits) == want
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    bound=st.integers(0, 40 * 64 - 1),
+    start=st.integers(0, 3),
+    step=st.integers(1, 5),
+    above=st.integers(-1, 40 * 64),
+    zero=st.booleans(),
+    cs=st.lists(st.integers(1, 40), min_size=2, max_size=5),
+    lazy=st.booleans(),
+)
+@example(bound=2202, start=0, step=4, above=1367, zero=True, cs=[21, 39, 9, 2], lazy=True)
+@example(bound=308, start=2, step=2, above=298, zero=True, cs=[1, 13, 3, 37], lazy=True)
+@example(bound=1779, start=0, step=5, above=1270, zero=True, cs=[12, 11, 11, 10], lazy=False)
+@example(bound=1616, start=0, step=4, above=1121, zero=True, cs=[4, 23, 21, 10], lazy=True)
+def test_the_retry_is_the_sumset(bound, start, step, above, zero, cs, lazy):
+    # Octagonal lists, built as far as they are read (_Terms) or whole and
+    # shuffled, folded from S: the values from start, step apart, above
+    # `above`, and 0 or not.  Whether the first try cuts, its retry does
+    # (as in the examples) or neither, the bits are the Python-int sumset
+    # and the tries keep the step's contract.  A bound below 408 c =
+    # c P8(12) leaves a list shorter than 2 * _HEAD terms.
+    S = {v for v in range(start, bound + 1, step) if v > above} | ({0} if zero else set())
+    bits = sum(1 << v for v in S)
+    words, _ = _as_words(bits, bound)
+    whole = [term_values(c, bound) for c in cs]
+    lists = ([polygonal._Terms(c, bound) for c in cs] if lazy
+             else [random.Random(c).sample(terms, len(terms)) for c, terms in zip(cs, whole)])
+    tries = []
+    with _recording(tries):
+        folded = polygonal._fold_words(words, lists, bound)
+    assert _as_int(folded) == _shift_or_fold(bits, whole, bound)
+    if S != {0}:
+        _assert_step_contract(tries, whole, bound)
+
+
+TERM_CAPS = st.one_of(
+    BYTE_EDGES,
+    st.builds(lambda c, x, d: c * polygonal.octagonal_number(x) + d,
+              st.integers(1, 40), st.integers(-20, 20), st.sampled_from([-1, 0, 1])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    c=st.integers(1, 40),
+    cap=st.one_of(TERM_CAPS, st.integers(0, 10**6)),
+    start=st.none() | st.integers(-40, 40),
+    stop=st.none() | st.integers(-40, 40),
+    step=st.none() | st.integers(1, 3),
+    i=st.integers(-3, 60),
+    v=TERM_CAPS,
+)
+@example(c=1, cap=0, start=None, stop=None, step=None, i=0, v=0)
+@example(c=3, cap=63, start=None, stop=12, step=None, i=5, v=64)
+@example(c=1, cap=64, start=None, stop=-1, step=None, i=-1, v=65)
+def test_a_lazy_term_list_slices_as_its_whole_list(c, cap, start, stop, step, i, v):
+    # _Terms(c, cap) reads as term_values(c, cap): its length, any slice
+    # with a positive step, an index (IndexError past either end), a
+    # bisection and an iteration; caps on byte and word edges and at a
+    # term value or next to one
+    cap = max(cap, 0)
+    whole, lazy = term_values(c, cap), polygonal._Terms(c, cap)
+    assert len(lazy) == len(whole)
+    assert lazy[start:stop:step] == whole[start:stop:step]
+    assert lazy[: 2 * polygonal._HEAD] == whole[: 2 * polygonal._HEAD]
+    if 0 <= i < len(whole):
+        assert lazy[i] == whole[i]
+    else:
+        with pytest.raises(IndexError):
+            lazy[i]
+    assert bisect_right(lazy, v) == bisect_right(whole, v)
+    assert list(lazy) == whole
+
+
+def _table_forms():
+    # the 252 forms that certify_tables checks: table 1's prefixes and every tight form
+    return [row.prefix for row in tables.load_table(1)] + [
+        a for t in (2, 3, 4) for row in tables.load_table(t) for a in tables.expand_row(row)]
+
+
 def test_table_forms_take_the_head_step_once():
-    # Every table 4 form (floor 4) tries the head step as soon as its first
-    # list is scattered, and cuts once, at most one list later: A misses 3
-    # and nothing above it, so the fold below L is at bound 3, and the step
-    # is not tried again.  So do three table 1 rows, at their largest miss,
-    # but for (2, 3, 4, 6): its heads leave 199,995 and then 199,163 open,
-    # so it never cuts and folds its last list whole.
+    # Every tabulated form at bound 200,000 tries the head step as soon as
+    # its first list is scattered, by the contract above.  172 cut at the
+    # first try and 69 at its retry with 24 heads; the other 11 fold a
+    # list and try again, and all but (2, 3, 4, 6) cut then.  Every table 4
+    # form cuts at L = 3: A misses 3 and nothing above it, so the fold
+    # below L is at bound 3, and the step is not tried again.  So do three
+    # table 1 rows, at their largest miss, but for (2, 3, 4, 6): its heads
+    # leave 199,995, 199,547 and then 199,163 open, so it never cuts and
+    # folds its last list whole.
     bound = 200_000
+    split = {"first": 0, "retry": 0, "later": 0}
+    for a in _table_forms():
+        tries = []
+        with _recording(tries):
+            build_sieve(a, bound)
+        _assert_step_contract(tries, [term_values(c, bound) for c in reversed(a[1:])], bound)
+        split["first" if len(tries) == 1 else "retry" if len(tries) == 2 else "later"] += 1
+    assert split == {"first": 172, "retry": 69, "later": 11}
     cases = [(a, 4, (), 3) for row in tables.load_table(4) for a in tables.expand_row(row)]
     cases += [((3, 3, 4, 4, 5), 3, (17, 21), 21), ((2, 3, 4, 5), 2, (), 1),
               ((2, 3, 4, 6), 2, (18,), 199_163)]
@@ -570,9 +668,35 @@ def test_table_forms_take_the_head_step_once():
         tries = []
         with _recording(tries):
             sieve = build_sieve(a, bound)
-        _assert_step_contract(tries, len(a) - 1, bound)
-        assert tries[-1][1] == low and len(tries) <= 2, a
+        assert tries[-1][1] == low and len(tries) <= 3, a
         assert sieve.missing_in_range(n, bound) == list(exceptions), a
+
+
+def test_a_form_that_cuts_builds_no_whole_list_past_its_seed():
+    # build_sieve's lists are built only as far as the fold reads them: the
+    # seed whole, and each other list's heads (its terms <= L are read from
+    # them).  So each of the 241 tabulated forms that cut at the first try
+    # or at its retry builds one whole list, its seed's, and heads of
+    # 2 * _HEAD terms at most of the others; _first_terms builds them all.
+    bound = 200_000
+    real = polygonal._first_terms
+    cut = 0
+    for a in _table_forms():
+        tries, built = [], []
+
+        def spy(c, k):
+            built.append((c, k))
+            return real(c, k)
+
+        with _recording(tries), mock.patch.object(polygonal, "_first_terms", spy):
+            sieve = build_sieve(a, bound)
+        if len(tries) <= 2 and 2 * tries[-1][1] <= bound:
+            cut += 1
+            whole = [c for c, k in built if k == len(term_values(c, bound))]
+            assert whole == [a[0]] and built[0][0] == a[0], a
+            assert max(k for _, k in built[1:]) <= 2 * polygonal._HEAD, a
+    assert cut == 241
+    assert sieve.bits == fold([term_values(c, bound) for c in a], bound)  # the last form
 
 
 EDGY = st.one_of(st.sampled_from([1, 63, 64, 65, 128]), st.integers(1, 160 * 64 + 10))
@@ -679,7 +803,7 @@ def test_a_start_of_zero_is_scattered_wherever_the_fold_finds_it():
                 polygonal, _cover=mock.DEFAULT, _fold_dense=mock.DEFAULT) as spies:
             folded = polygonal._fold_words(words, lists, bound)
         assert not any(spy.called for spy in spies.values())
-        assert [left for left, _ in tries] == tries_left
+        assert [len(heads) for heads, _ in tries] == tries_left
         assert _as_int(folded) == _shift_or_fold(bits, lists, bound)
         assert fold(lists, bound, bits) == _as_int(folded)
 
