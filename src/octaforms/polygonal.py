@@ -310,14 +310,16 @@ def fold(term_lists, bound: int, bits: int = 1) -> int:
     parts <= L, so F's values <= L are one low fold of S and the lists cut
     to <= L, at bound L, by the routes above.  An L above bound / 2 cuts
     too little.  The first such try is retried at once with the 24
-    smallest terms of every list left; if that fails too, and at every
-    later try that fails, the next list is folded by its route and the
-    step tried again before the one after it.  Of the 252 tabulated forms
-    at bound 200,000, 172 cut at the first try and 69 at the retry, at
-    L <= 64, so each list left costs 12 or 36 ORs, at most two shifted
-    copies per try and a fold of a few words.  The fold reads a list only
-    through its heads, its terms <= L and, when it folds the list whole,
-    all of it; so build_sieve's lists build only those terms.
+    smallest terms of every list left, unless A misses the bound itself
+    (L = bound), as a fold whose sums miss a whole residue class most often
+    does and no number of heads can mend; if there is no retry or it fails
+    too, and at every later try that fails, the next list is folded by its
+    route and the step tried again before the one after it.  Of the 252
+    tabulated forms at bound 200,000, 172 cut at the first try and 69 at
+    the retry, at L <= 64, so each list left costs 12 or 36 ORs, at most
+    two shifted copies per try and a fold of a few words.  The fold reads
+    a list only through its heads, its terms <= L and, when it folds the
+    list whole, all of it; so build_sieve's lists build only those terms.
 
     The byte limit is checked before anything is allocated, so term_lists
     may be a lazy iterable that is only consumed once the bound is accepted.
@@ -340,34 +342,30 @@ def _fold_words(words: np.ndarray, term_lists, bound: int) -> np.ndarray:
     # S != {0} and two or more lists are left, the head step reads L (see
     # _head_miss) before each list, from the _HEAD smallest terms of every
     # list left.  An L above bound / 2 would cut less than half: the first
-    # time, the step is tried again at once with 2 * _HEAD heads, and after
-    # that (or when the retry fails too) the list is folded by its route
-    # and the step tried again; else the step cuts the words, the bound and
-    # the lists to [0, L], the loop folds those by the same routes, never
-    # trying the step again, and (L, bound] is set at the end.  A list's
-    # terms <= L are read from its head when the head holds a term past L.
-    # words never holds a value past the bound, so S = {0} is read from it
-    # exactly.
+    # time, if L < bound, the step is tried again at once with 2 * _HEAD
+    # heads, and after that (or when the retry fails too) the list is
+    # folded by its route and the step tried again; else the step cuts the
+    # words, the bound and the lists to [0, L], the loop folds those by the
+    # same routes, never trying the step again, and (L, bound] is set at
+    # the end.  words never holds a value past the bound, so S = {0} is
+    # read from it exactly.
     top = np.uint64((1 << (bound % 64 + 1)) - 1)  # the last word's bits within bound
     whole = None  # (nw, top) of the fold, once the head step has cut it
-    sizes = (_HEAD, 2 * _HEAD)  # the heads' sizes at the first step: a try and its retry
+    retry = True  # before the first try, retried with 2 * _HEAD heads if it fails with L < bound
     lists = map(_ascending, term_lists)
     while (terms := next(lists, None)) is not None:
         seed = words[0] == 1 and not words[1:].any()  # S = {0}
         if whole is None and not seed and len(rest := [terms, *lists]) > 1:
-            for h in sizes:
-                heads = [terms[:h] for terms in rest]
-                low = _head_miss(words, heads, bound, top)
-                if 2 * low <= bound:
-                    break
-            sizes = (_HEAD,)
+            low = _head_miss(words, [terms[:_HEAD] for terms in rest], bound, top)
+            if retry and bound // 2 < low < bound:
+                low = _head_miss(words, [terms[: 2 * _HEAD] for terms in rest], bound, top)
+            retry = False
             if 2 * low <= bound:
                 whole = (words.size, top)
                 words, bound = words[: low // 64 + 1].copy(), low
                 top = np.uint64((1 << (low % 64 + 1)) - 1)
                 words[-1] &= top
-                lists = (head[:j] if (j := bisect_right(head, low)) < len(head)
-                         else terms[: bisect_right(terms, low)] for head, terms in zip(heads, rest))
+                lists = (terms[: bisect_right(terms, low)] for terms in rest)
                 continue
             terms, lists = rest[0], iter(rest[1:])  # fold one list and try again
         terms = terms[:]  # the whole list: a _Terms list is built here

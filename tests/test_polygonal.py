@@ -515,12 +515,14 @@ def _recording(tries):
 def _assert_step_contract(tries, lists, bound):
     # The first try comes with every list left and reads the _HEAD smallest
     # terms of each.  A try whose L is above bound / 2 would cut too little:
-    # the first one is retried at once, with the same lists left and the
-    # 2 * _HEAD smallest terms of each; after that the next list is folded
-    # and the step tried again, with a list fewer and _HEAD heads, while two
-    # or more are left.  A try that cuts is the last.
+    # the first one is retried at once if A holds the bound (L < bound),
+    # with the same lists left and the 2 * _HEAD smallest terms of each;
+    # after that the next list is folded and the step tried again, with a
+    # list fewer and _HEAD heads, while two or more are left.  A try that
+    # cuts is the last.
     h, k = polygonal._HEAD, len(lists)
-    plan = [(0, h), (0, 2 * h)] + [(j, h) for j in range(1, k - 1)]
+    retry = [(0, 2 * h)] if tries[0][1] < bound else []
+    plan = [(0, h), *retry] + [(j, h) for j in range(1, k - 1)]
     assert len(tries) <= len(plan)
     for (heads, _), (j, width) in zip(tries, plan):
         assert heads == [sorted(terms)[:width] for terms in lists[j:]]
@@ -642,11 +644,20 @@ def _table_forms():
         a for t in (2, 3, 4) for row in tables.load_table(t) for a in tables.expand_row(row)]
 
 
+def _cut_at(tries, bound):
+    # where a fold whose tries keep the step's contract cut: at the first
+    # try, at its retry (with the same lists left), or later or never
+    if 2 * tries[-1][1] > bound or len(tries[-1][0]) < len(tries[0][0]):
+        return "later"
+    return "first" if len(tries) == 1 else "retry"
+
+
 def test_table_forms_take_the_head_step_once():
     # Every tabulated form at bound 200,000 tries the head step as soon as
     # its first list is scattered, by the contract above.  172 cut at the
     # first try and 69 at its retry with 24 heads; the other 11 fold a
-    # list and try again, and all but (2, 3, 4, 6) cut then.  Every table 4
+    # list and try again (one, whose A misses the bound, without a retry),
+    # and all but (2, 3, 4, 6) cut then.  Every table 4
     # form cuts at L = 3: A misses 3 and nothing above it, so the fold
     # below L is at bound 3, and the step is not tried again.  So do three
     # table 1 rows, at their largest miss, but for (2, 3, 4, 6): its heads
@@ -659,7 +670,7 @@ def test_table_forms_take_the_head_step_once():
         with _recording(tries):
             build_sieve(a, bound)
         _assert_step_contract(tries, [term_values(c, bound) for c in reversed(a[1:])], bound)
-        split["first" if len(tries) == 1 else "retry" if len(tries) == 2 else "later"] += 1
+        split[_cut_at(tries, bound)] += 1
     assert split == {"first": 172, "retry": 69, "later": 11}
     cases = [(a, 4, (), 3) for row in tables.load_table(4) for a in tables.expand_row(row)]
     cases += [((3, 3, 4, 4, 5), 3, (17, 21), 21), ((2, 3, 4, 5), 2, (), 1),
@@ -674,10 +685,10 @@ def test_table_forms_take_the_head_step_once():
 
 def test_a_form_that_cuts_builds_no_whole_list_past_its_seed():
     # build_sieve's lists are built only as far as the fold reads them: the
-    # seed whole, and each other list's heads (its terms <= L are read from
-    # them).  So each of the 241 tabulated forms that cut at the first try
-    # or at its retry builds one whole list, its seed's, and heads of
-    # 2 * _HEAD terms at most of the others; _first_terms builds them all.
+    # seed whole, and each other list's heads and terms <= L.  So each of
+    # the 241 tabulated forms that cut at the first try or at its retry
+    # builds one whole list, its seed's, and at most 2 * _HEAD terms of
+    # each other list (L <= 64 there); _first_terms builds them all.
     bound = 200_000
     real = polygonal._first_terms
     cut = 0
@@ -690,7 +701,7 @@ def test_a_form_that_cuts_builds_no_whole_list_past_its_seed():
 
         with _recording(tries), mock.patch.object(polygonal, "_first_terms", spy):
             sieve = build_sieve(a, bound)
-        if len(tries) <= 2 and 2 * tries[-1][1] <= bound:
+        if _cut_at(tries, bound) != "later":
             cut += 1
             whole = [c for c, k in built if k == len(term_values(c, bound))]
             assert whole == [a[0]] and built[0][0] == a[0], a

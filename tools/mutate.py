@@ -69,7 +69,8 @@ def run_verify(tree: Path, data: Path, file: str, target: str) -> int:
 def run_data_mutants(tree: Path, data: Path, mutants: list[dict]) -> int | None:
     # the number of data mutants whose verify run exits otherwise than
     # listed, or None when a target does not exit 0 on the unedited copy
-    if any(run_verify(tree, data, m["file"], m["verify"]) != 0 for m in mutants):
+    targets = {(m["file"], m["verify"]) for m in mutants}
+    if any(run_verify(tree, data, file, target) != 0 for file, target in targets):
         return None
     wrong = 0
     for m in mutants:
