@@ -16,30 +16,39 @@ a proper subsequence of it.  That test compares it with the earlier
 universal forms that hold the coefficient it added, so its cost is
 polynomial in the form length.
 
-Each parent's children come from one decode of its bits
-(polygonal._extensions).  When the parent misses few values, its gap list
-is tested against each new coefficient's term values (the gap test of
-polygonal.fold): the child's truant is the smallest uncovered gap >= n,
-and a child sieve is built only when that truant exists, so a universal
-child costs one gap test and no sieve.  A parent with many gaps folds
-each child densely from the same decoded words (polygonal._fold_dense,
-hand-over included).  Only the sieves of active members are kept, for
-their children.
+A sieve stays the fold's uint64 word array from the root to the last
+truant; no packed int is built.  Each parent's children come from its
+words (polygonal._extensions).  When the parent misses few values, its
+gap list is tested against each new coefficient's term values (the gap
+test of polygonal.fold): the child's truant is the smallest uncovered
+gap >= n, and a child's words are built only when that truant exists, so
+a universal child costs one gap test and no sieve.  A parent with many
+gaps folds each child densely from the same words (polygonal._fold_dense,
+hand-over included), and the child's truant is read from its words by
+one word read-out (polygonal._first_gap).  Each coefficient's term
+values are built once per run.  Only the words of active members are
+kept, for their children.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+
+import numpy as np
 
 from .polygonal import (
-    RepresentationSieve,
+    _decode,
     _extensions,
+    _first_gap,
+    _fold_words,
     _insert_sorted,
     _is_proper_subsequence,
+    _walk,
     build_sieve,
-    build_sieves,
     check_bytes,
     coeff_vector,
+    term_values,
 )
 
 __all__ = [
@@ -144,10 +153,12 @@ def run_escalation(n: int, bound: int = DEFAULT_BOUND) -> EscalationTrace:
     Deterministic in (n, bound).  Past depth 3n + 10, a fixed limit, it
     raises EscalationDepthError: termination is expected by depth n + 1 for
     floors >= 5 and within a few more levels below that.  The sieves it
-    holds (the parents not yet expanded, the current parent with its word
-    array and the children kept so far) are checked against
-    polygonal.BYTE_LIMIT before the parent's words are decoded and again,
-    with one more, before each child sieve is built.
+    holds, as uint64 words (the parents not yet expanded, the current parent
+    and the children kept so far), are checked against polygonal.BYTE_LIMIT
+    with one more array before the root is folded and before a parent is
+    read, and with two more, the child and the dense fold's shifted copy,
+    before each child is built.  Each coefficient's term values are built
+    once per run.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -163,10 +174,12 @@ def run_escalation(n: int, bound: int = DEFAULT_BOUND) -> EscalationTrace:
 
     depths: list[DepthRecord] = []
     universal_with: dict[int, list[tuple[int, ...]]] = {}  # earlier universal forms by coefficient
-    root = build_sieve((n,), bound)
-    found = {root.coeffs: root.first_missing(n, bound)}  # the candidates E and their truants
-    added = {root.coeffs: n}  # the coefficient each candidate added to its parent
-    sieves = {root.coeffs: root}  # the active candidates' sieves
+    terms = cache(lambda c: term_values(c, bound))  # once per coefficient per run
+    sieves, children = {}, {}  # the active candidates' words, and the kept children's
+    reserve(1)  # the root's words and {0}'s
+    sieves[(n,)] = _fold_words(_decode(1, bound), [terms(n)], bound)
+    found = {(n,): _first_gap(sieves[(n,)], n, bound)}  # the candidates E and their truants
+    added = {(n,): n}  # the coefficient each candidate added to its parent
     k = 1
     while True:
         members = sorted(found)
@@ -194,13 +207,13 @@ def run_escalation(n: int, bound: int = DEFAULT_BOUND) -> EscalationTrace:
                 universal_with.setdefault(c, []).append(u)
         found, added, children = {}, {}, {}
         for a in A:
-            parent = sieves.pop(a)
+            words = sieves.pop(a)
             gs = [g for g in _new_coefficients(psis[a], n) if _insert_sorted(a, g) not in found]
-            for g, truant, sieve in _extensions(parent, gs, n, reserve):
+            for g, truant, child_words in _extensions(words, bound, gs, n, terms, reserve):
                 child = _insert_sorted(a, g)
                 found[child], added[child] = truant, g
                 if truant is not None:
-                    children[child] = sieve
+                    children[child] = child_words
         sieves = children
         k += 1
 
@@ -240,21 +253,23 @@ def tight_verdicts(
     from its sieve (polygonal.build_sieves), so list them in an order that
     keeps shared prefixes adjacent, as the tables do.
     """
-    sieves = build_sieves(forms, bound)
+    walk = _walk(forms, bound)
     if criterion.n != n:
         raise ValueError(f"criterion set is for n={criterion.n}, not n={n}")
-    return [_verdict(sieve, n, criterion) for sieve in sieves]
+    return [_verdict(words, bound, n, criterion) for _, words in walk]
 
 
-def _verdict(sieve: RepresentationSieve, n: int, criterion: CriterionSet) -> Verdict:
+def _verdict(words: np.ndarray, bound: int, n: int, criterion: CriterionSet) -> Verdict:
     # The values below n and the criterion values are read from one small int
-    # of the sieve's low bits, not by a bound-sized shift each; a value outside
-    # the sieve goes to `in`, which raises.
-    top = min(max((0, n - 1, *criterion.values)), sieve.bound)
-    low = sieve.bits & ((2 << top) - 1)
+    # of the sieve's low words, and the first gap >= n by one word read-out;
+    # a value or a range outside [0, bound] raises, as it does on a sieve.
+    top = min(max((0, n - 1, *criterion.values)), bound)
+    low = int.from_bytes(words[: top // 64 + 1].tobytes(), "little")
 
     def has(v: int) -> bool:
-        return bool(low >> v & 1) if 0 <= v <= top else v in sieve
+        if not 0 <= v <= bound:
+            raise ValueError(f"value {v} outside sieve range [0, {bound}]")
+        return bool(low >> v & 1)
 
     for v in range(1, n):
         if has(v):
@@ -262,7 +277,9 @@ def _verdict(sieve: RepresentationSieve, n: int, criterion: CriterionSet) -> Ver
     for c in criterion.values:
         if not has(c):
             return Verdict("misses_criterion", c)
-    gap = sieve.first_missing(n, sieve.bound)
+    if not 0 <= n <= bound:
+        raise ValueError(f"range [{n}, {bound}] outside sieve range [0, {bound}]")
+    gap = _first_gap(words, n, bound)
     if gap is not None:
         return Verdict("misses_in_bound", gap)
     return Verdict("tight")

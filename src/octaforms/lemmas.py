@@ -16,7 +16,7 @@ from typing import Callable
 from .lattice import coprime3_values_up_to
 # unused here; perfbench/tracer.py wraps lemmas.count_representations by name
 from .lattice import count_representations  # noqa: F401
-from .polygonal import _bit_scan, build_sieve, fold
+from .polygonal import _bit_scan, _decode, build_sieve, fold
 
 __all__ = [
     "CongruenceLemma",
@@ -150,7 +150,8 @@ def congruence_counterexamples(lemma: CongruenceLemma, bound: int) -> list[int]:
     """All qualifying values <= bound NOT coprime-to-3 representable (expected none)."""
     mask = coprime3_values_up_to(lemma.diag, bound)
     # the clear bits are read once, only in the words that hold one: linear in the bound
-    return [v for v in _bit_scan(mask, bound, 1, bound, missing=True) if lemma.qualifies(v)]
+    gaps = _bit_scan(_decode(mask, bound), 1, bound, missing=True)
+    return [v for v in gaps if lemma.qualifies(v)]
 
 
 def jones_counterexamples(bound: int) -> list[int]:
@@ -158,7 +159,7 @@ def jones_counterexamples(bound: int) -> list[int]:
     squares = [x * x for x in range(isqrt(bound) + 1)]
     solvable = fold((squares, [2 * s for s in squares]), bound)  # zeros included
     bad = solvable & ~coprime3_values_up_to((1, 2), bound)
-    return [v for v in _bit_scan(bad, bound, 1, bound, missing=False) if v % 3 == 0]
+    return [v for v in _bit_scan(_decode(bad, bound), 1, bound, missing=False) if v % 3 == 0]
 
 
 def counting_counterexamples(bound: int) -> list[int]:
@@ -171,7 +172,7 @@ def counting_counterexamples(bound: int) -> list[int]:
     top = 9 * bound
     squares = [x * x for x in range(isqrt(top) + 1)]
     bits = fold(([s for x, s in enumerate(squares) if x % 3], squares, squares), top)
-    gaps = _bit_scan(bits, top, 9, top, missing=True)
+    gaps = _bit_scan(_decode(bits, top), 9, top, missing=True)
     return [g // 9 for g in gaps if g % 9 == 0 and not excluded_4a_8b7(g)]
 
 

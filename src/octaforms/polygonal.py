@@ -142,10 +142,13 @@ def term_values(coefficient: int, cap: int) -> list[int]:
     of the first kind and (s - 1) // 3 of the second.  Since
     x(3x - 2) < x(3x + 2) < (x + 1)(3x + 1), the two arms interleave.
     """
-    if cap < 0:
-        return []
-    s = isqrt(1 + 3 * (cap // coefficient))
-    return _first_terms(coefficient, 1 + (s + 1) // 3 + (s - 1) // 3)
+    return _first_terms(coefficient, _term_count(coefficient, cap)) if cap >= 0 else []
+
+
+def _term_count(c: int, cap: int) -> int:
+    # the number of values c * P8(x) <= cap >= 0 (see term_values)
+    s = isqrt(1 + 3 * (cap // c))
+    return 1 + (s + 1) // 3 + (s - 1) // 3
 
 
 def _first_terms(c: int, k: int) -> list[int]:
@@ -157,28 +160,21 @@ def _first_terms(c: int, k: int) -> list[int]:
 
 
 class _Terms:
-    # term_values(c, cap) as a sequence that builds only what is read, of
-    # the length term_values counts: term i is c * P8 of the ith argument
-    # 0, 1, -1, 2, -2, ..., and the terms strictly increase, so a slice is
-    # read from the first terms up to its last.  An index must be in
-    # [0, len) and a slice's step positive; the fold reads prefixes and
-    # bisects.
+    # term_values(c, cap) as a sequence that builds only the slices read, of
+    # the length term_values counts: the terms strictly increase, so a slice
+    # is built from the first terms up to its last.  It is read only by
+    # slices with a positive step: the fold reads prefixes, and counts the
+    # terms <= L by term_values' formula (_count_upto).
 
     def __init__(self, c: int, cap: int):
-        s = isqrt(1 + 3 * (cap // c))
-        self.c, self.size = c, 1 + (s + 1) // 3 + (s - 1) // 3
+        self.c, self.size = c, _term_count(c, cap)
 
     def __len__(self) -> int:
         return self.size
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            r = range(self.size)[i]
-            return _first_terms(self.c, r[-1] + 1)[r.start :: r.step] if r else []
-        if not 0 <= i < self.size:
-            raise IndexError(i)
-        x = (i + 1) // 2 if i & 1 else -(i // 2)
-        return self.c * x * (3 * x - 2)
+    def __getitem__(self, i: slice) -> list[int]:
+        r = range(self.size)[i]
+        return _first_terms(self.c, r[-1] + 1)[r.start :: r.step] if r else []
 
 
 @dataclass(frozen=True)
@@ -211,7 +207,7 @@ class RepresentationSieve:
         self._check_range(lo, hi)
         if limit is not None and limit < 0:
             raise ValueError(f"limit must be >= 0, got {limit}")
-        return _bit_scan(self.bits, self.bound, lo, hi, missing=True, limit=limit)
+        return _bit_scan(_decode(self.bits, self.bound), lo, hi, missing=True, limit=limit)
 
     def count_represented(self, lo: int, hi: int) -> int:
         """Number of represented values in [lo, hi]."""
@@ -221,13 +217,11 @@ class RepresentationSieve:
     def first_missing(self, lo: int, hi: int) -> int | None:
         """Smallest value in [lo, hi] not represented, or None."""
         self._check_range(lo, hi)
-        rest = ~(self.bits >> lo)  # negative; its lowest set bit is the first gap from lo
-        gap = lo + (rest & -rest).bit_length() - 1
-        return gap if gap <= hi else None
+        return _first_gap(_decode(self.bits, self.bound), lo, hi)
 
     def values(self) -> list[int]:
         """Sorted list of all represented values <= bound."""
-        return _bit_scan(self.bits, self.bound, 0, self.bound, missing=False)
+        return _bit_scan(_decode(self.bits, self.bound), 0, self.bound, missing=False)
 
     def extend(self, g: int) -> RepresentationSieve:
         """Sieve of insert_sorted(coeffs, g) at the same bound.
@@ -244,16 +238,15 @@ _READ_BYTES = 1 << 11  # read-out slice: 256 words, 16,384 bits
 
 
 def _bit_scan(
-    bits: int, bound: int, lo: int, hi: int, missing: bool, limit: int | None = None
+    words: np.ndarray, lo: int, hi: int, missing: bool, limit: int | None = None
 ) -> list[int]:
-    # The v in [lo, hi] whose bit is set (or clear) in bits, a bit array over
-    # [0, bound], ascending; at most limit of them.  One compare per word
-    # marks the words that hold such a bit, and the words are read one fixed
-    # slice at a time, unpacking only the marked ones: the cost is linear in
-    # the bound, a nearly full (or empty) range unpacks almost nothing, the
-    # temporaries are one bool per word and one slice's, and a limit ends
-    # the scan early.
-    words = _decode(bits, bound)[lo // 64 : hi // 64 + 1]
+    # The v in [lo, hi] whose bit is set (or clear) in words, ascending; at
+    # most limit of them.  One compare per word marks the words that hold
+    # such a bit, and the words are read one fixed slice at a time,
+    # unpacking only the marked ones: the cost is linear in the range, a
+    # nearly full (or empty) range unpacks almost nothing, the temporaries
+    # are one bool per word and one slice's, and a limit ends the scan early.
+    words = words[lo // 64 : hi // 64 + 1]
     wanted = words != (_FULL if missing else 0)
     out: list[int] = []
     for i in range(0, words.size, _READ_BYTES // 8):
@@ -269,7 +262,25 @@ def _bit_scan(
     return out[:limit]
 
 
-_FULL = np.uint64(2**64 - 1)
+def _first_gap(words: np.ndarray, lo: int, hi: int) -> int | None:
+    # The smallest v in [lo, hi] whose bit is clear in words, or None: the
+    # first word from lo's on that is not all ones, with the bits below lo
+    # and past hi set.  lo's word and hi's are read as ints with those bits
+    # set, the words between them by one compare, so nothing bound-sized is
+    # built but one bool per word.
+    first, last = lo >> 6, hi >> 6
+    i, word = first, int(words[first]) | ((1 << (lo & 63)) - 1)
+    if word == _ONES and first < last:
+        between = words[first + 1 : last] != _FULL
+        i = first + 1 + int(np.argmax(between)) if between.any() else last
+        word = int(words[i])
+    if i == last:
+        word |= _ONES ^ ((2 << (hi & 63)) - 1)
+    return 64 * i + (~word & (word + 1)).bit_length() - 1 if word != _ONES else None
+
+
+_ONES = 2**64 - 1
+_FULL = np.uint64(_ONES)
 _GAP_CHUNK, _TERM_CHUNK = 256, 64  # one 128 KiB int64 block per gap-test step
 
 
@@ -365,7 +376,7 @@ def _fold_words(words: np.ndarray, term_lists, bound: int) -> np.ndarray:
                 words, bound = words[: low // 64 + 1].copy(), low
                 top = np.uint64((1 << (low % 64 + 1)) - 1)
                 words[-1] &= top
-                lists = (terms[: bisect_right(terms, low)] for terms in rest)
+                lists = (terms[: _count_upto(terms, low)] for terms in rest)
                 continue
             terms, lists = rest[0], iter(rest[1:])  # fold one list and try again
         terms = terms[:]  # the whole list: a _Terms list is built here
@@ -482,6 +493,12 @@ def _ascending(terms):
     return terms if isinstance(terms, _Terms) else sorted(terms)
 
 
+def _count_upto(terms, v: int) -> int:
+    # the number of the ascending terms <= v, v >= 0: a _Terms list counts
+    # them by term_values' formula, with no indexed read; a plain list bisects
+    return _term_count(terms.c, v) if isinstance(terms, _Terms) else bisect_right(terms, v)
+
+
 def _head_miss(words: np.ndarray, heads: list, bound: int, top: np.uint64) -> int:
     # L for the head step (see fold): the largest value <= bound that
     # A = S + H1 + ... + Hk misses, S in words and the Hi the heads, or 0 if
@@ -541,8 +558,12 @@ def build_sieve(a, bound: int) -> RepresentationSieve:
     folded whole.
     """
     a = coeff_vector(a)
-    bits = fold((_Terms(c, bound) for c in (a[0], *reversed(a[1:]))), bound)
-    return RepresentationSieve(coeffs=a, bound=bound, bits=bits)
+    return RepresentationSieve(coeffs=a, bound=bound, bits=fold(_form_lists(a, bound), bound))
+
+
+def _form_lists(a: tuple[int, ...], bound: int):
+    # build_sieve's term lists, in its order, each built as far as it is read
+    return (_Terms(c, bound) for c in (a[0], *reversed(a[1:])))
 
 
 def build_sieves(forms, bound: int):
@@ -554,16 +575,15 @@ def build_sieves(forms, bound: int):
     form i + 1, keeping each of those prefixes as its uint64 words, and folds
     the rest from the last kept words in one pass, largest coefficient first
     (see build_sieve); the words become a packed sieve once, for the form
-    yielded.  A form that shares nothing with either neighbour costs one
-    build_sieve.  The kept steps and the tails build each coefficient's term
-    values once per walk.  So the walk keeps k <= len(form) word arrays, and
-    before folding each form it checks the k kept arrays plus the one it
-    builds, (k + 1) * 8 * nw bytes, against BYTE_LIMIT.
+    yielded.  A form that shares nothing with either neighbour is folded as
+    build_sieve folds it.  The kept steps and the tails build each
+    coefficient's term values once per walk.  So the walk keeps
+    k <= len(form) word arrays, and before folding each form it checks the
+    k kept arrays plus the one it builds, (k + 1) * 8 * nw bytes, against
+    BYTE_LIMIT.
     """
-    forms = [coeff_vector(a) for a in forms]
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
-    return _walk(forms, bound)
+    walk = _walk(forms, bound)
+    return (RepresentationSieve(a, bound, int.from_bytes(w.tobytes(), "little")) for a, w in walk)
 
 
 def _shared_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -575,7 +595,18 @@ def _shared_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return n
 
 
-def _walk(forms: list[tuple[int, ...]], bound: int):
+def _walk(forms, bound: int):
+    # (form, words) for each form in the order given, by the prefix walk of
+    # build_sieves: the words are the form's sieve, and the tight verdicts
+    # and the Z rows read them as they are.  Every form and the bound are
+    # checked here, before the first fold.
+    forms = [coeff_vector(a) for a in forms]
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
+    return zip(forms, _walk_words(forms, bound))
+
+
+def _walk_words(forms: list[tuple[int, ...]], bound: int):
     nw = (bound + 64) // 64
     kept: list[np.ndarray] = []  # kept[j]: the words of the form's first j + 1 coefficients
     terms = cache(lambda c: term_values(c, bound))  # once per coefficient per walk
@@ -587,42 +618,38 @@ def _walk(forms: list[tuple[int, ...]], bound: int):
             kept.append(_fold_words(words, [terms(a[len(kept)])], bound))
         p = len(kept)
         if p == 0:
-            yield build_sieve(a, bound)
+            yield _fold_words(_decode(1, bound), _form_lists(a, bound), bound)
         else:
-            words = _fold_words(kept[-1], map(terms, reversed(a[p:])), bound)
-            yield RepresentationSieve(a, bound, int.from_bytes(words.tobytes(), "little"))
+            yield _fold_words(kept[-1], map(terms, reversed(a[p:])), bound)
         del kept[keep:]
 
 
-def _extensions(parent: RepresentationSieve, gs, n: int, reserve):
-    # (g, truant, sieve) for each g of gs: the sieve of parent + (g) and its
-    # truant, the smallest value >= n it misses (None up to the bound).  The
-    # parent's bits are decoded once.  When it misses at most nw / 16 values,
-    # its gap list is tested against g's term values: the truant is the
-    # smallest uncovered gap >= n, and a child with none gets no sieve (None).
-    # Otherwise each child is folded densely from the decoded words, with no
-    # second look at the parent's gaps.  reserve(k) runs before k more
-    # sieve-sized arrays are held: the words, then the words and each child.
-    bound = parent.bound
-    reserve(1)
-    words = _decode(parent.bits, bound)
+def _extensions(words: np.ndarray, bound: int, gs, n: int, terms, reserve):
+    # (g, truant, child) for each g of gs: the words of the parent's set
+    # (words, over [0, bound]) plus g's term values terms(g), and its truant,
+    # the smallest value >= n it misses (None up to the bound).  When the
+    # parent misses at most nw / 16 values, its gap list is tested against
+    # the terms: the truant is the smallest uncovered gap >= n, and a child
+    # with none gets no words (None).  Otherwise each child is folded densely
+    # and its truant read from its words.  reserve(k) runs before k more
+    # sieve-sized arrays are held: once for the parent's read, then before
+    # each child for the child and the dense fold's shifted copy.
     top = np.uint64((1 << (bound % 64 + 1)) - 1)
+    reserve(1)
     gaps = _few_gaps(words, top)
     for g in gs:
         if gaps is None:
             reserve(2)
-            child = _fold_dense(words, term_values(g, bound), bound, top)
-        else:
-            covered, rest = _cover(words, gaps, term_values(g, bound), bound)
-            i = int(np.searchsorted(rest, n))
-            if i == rest.size:
-                yield g, None, None
-                continue
-            reserve(2)
-            child = _set(words.copy(), covered, top)
-        bits = int.from_bytes(child.tobytes(), "little")
-        sieve = RepresentationSieve(_insert_sorted(parent.coeffs, g), bound, bits)
-        yield g, (sieve.first_missing(n, bound) if gaps is None else int(rest[i])), sieve
+            child = _fold_dense(words, terms(g), bound, top)
+            yield g, _first_gap(child, n, bound), child
+            continue
+        covered, rest = _cover(words, gaps, terms(g), bound)
+        i = int(np.searchsorted(rest, n))
+        if i == rest.size:
+            yield g, None, None
+            continue
+        reserve(2)
+        yield g, int(rest[i]), _set(words.copy(), covered, top)
 
 
 def _descending_positions(a: tuple[int, ...]) -> list[int]:

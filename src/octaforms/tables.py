@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .escalation import DEFAULT_BOUND, EscalationTrace
-from .polygonal import build_sieves, coeff_vector, insert_sorted
+from .polygonal import _bit_scan, _walk, coeff_vector, insert_sorted
 # unused here; perfbench/tracer.py wraps tables.build_sieve by name
 from .polygonal import build_sieve  # noqa: F401
 
@@ -213,8 +213,10 @@ def verify_z_rows(rows, bound: int = DEFAULT_BOUND) -> list[ZReport]:
     if any(row.expect_kind != "Z" for row in rows):
         raise ValueError("verify_z_row expects a Z row")
     reports = []
-    for row, sieve in zip(rows, build_sieves([row.prefix for row in rows], bound)):
-        actual = tuple(sieve.missing_in_range(row.prefix[0], bound))
+    for row, (a, words) in zip(rows, _walk([row.prefix for row in rows], bound)):
+        if a[0] > bound:
+            raise ValueError(f"range [{a[0]}, {bound}] outside sieve range [0, {bound}]")
+        actual = tuple(_bit_scan(words, a[0], bound, missing=True))
         reports.append(ZReport(row=row, ok=actual == row.expect_z, expected=row.expect_z,
                                actual=actual))
     return reports

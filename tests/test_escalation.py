@@ -6,13 +6,19 @@ from octaforms import escalation, polygonal
 from octaforms.escalation import (
     CriterionSet,
     EscalationDepthError,
+    Verdict,
     check_tight_universal,
     criterion_set,
     psi,
     run_escalation,
     tight_verdicts,
 )
-from octaforms.polygonal import ResourceBudgetError, insert_sorted, is_proper_subsequence
+from octaforms.polygonal import (
+    ResourceBudgetError,
+    build_sieve,
+    insert_sorted,
+    is_proper_subsequence,
+)
 from octaforms.tables import family_pair
 
 BOUND = 50_000
@@ -168,19 +174,37 @@ def test_check_tight_universal_verdicts(trace2):
         check_tight_universal((2, 3), 3, crit, BOUND)
 
 
+def _int_verdict(a, n, crit, bound):
+    # the verdict by integer arithmetic on the packed bits of build_sieve,
+    # sharing no read-out with tight_verdicts, which reads the walk's words
+    bits = build_sieve(a, bound).bits
+    below = [v for v in range(1, n) if bits >> v & 1]
+    if below:
+        return Verdict("represents_below_n", below[0])
+    missed = [c for c in crit.values if not bits >> c & 1]
+    if missed:
+        return Verdict("misses_criterion", missed[0])
+    rest = ~(bits >> n)  # negative; its lowest set bit is the first gap from n
+    gap = n + (rest & -rest).bit_length() - 1
+    return Verdict("misses_in_bound", gap) if gap <= bound else Verdict("tight")
+
+
 def test_tight_verdicts_match_the_per_form_checks(trace2):
     # the batch resumes each form from its neighbour's prefix sieve; the
-    # per-form check folds every form from {0}
+    # per-form check folds every form from {0}; the integer verdict reads
+    # the packed bits of a sieve folded from {0}
     for trace in (trace2, run_escalation(3, BOUND)):
         crit = criterion_set(trace)
         for rec in trace.depths:
             expected = [check_tight_universal(a, trace.n, crit, BOUND) for a in rec.E]
             assert tight_verdicts(rec.E, trace.n, crit, BOUND) == expected
+            assert expected == [_int_verdict(a, trace.n, crit, BOUND) for a in rec.E]
     # the escalation's own candidates only ever miss a criterion value
     forms = [(1, 1, 3, 3), (2, 2, 3), (2, 2, 3, 4), (2, 3, 4, 5), (2, 4)]
     crit = CriterionSet(n=2, values=(2, 3, 4))
     verdicts = tight_verdicts(forms, 2, crit, BOUND)
     assert verdicts == [check_tight_universal(a, 2, crit, BOUND) for a in forms]
+    assert verdicts == [_int_verdict(a, 2, crit, BOUND) for a in forms]
     assert [str(v) for v in verdicts] == [
         "represents_below_n(1)", "misses_in_bound(6)", "tight", "tight", "misses_criterion(3)"]
     with pytest.raises(ValueError):

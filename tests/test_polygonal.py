@@ -613,29 +613,38 @@ TERM_CAPS = st.one_of(
     start=st.none() | st.integers(-40, 40),
     stop=st.none() | st.integers(-40, 40),
     step=st.none() | st.integers(1, 3),
-    i=st.integers(-3, 60),
     v=TERM_CAPS,
 )
-@example(c=1, cap=0, start=None, stop=None, step=None, i=0, v=0)
-@example(c=3, cap=63, start=None, stop=12, step=None, i=5, v=64)
-@example(c=1, cap=64, start=None, stop=-1, step=None, i=-1, v=65)
-def test_a_lazy_term_list_slices_as_its_whole_list(c, cap, start, stop, step, i, v):
+@example(c=1, cap=0, start=None, stop=None, step=None, v=0)
+@example(c=3, cap=63, start=None, stop=12, step=None, v=64)
+@example(c=1, cap=64, start=None, stop=-1, step=None, v=65)
+def test_a_lazy_term_list_slices_as_its_whole_list(c, cap, start, stop, step, v):
     # _Terms(c, cap) reads as term_values(c, cap): its length, any slice
-    # with a positive step, an index (IndexError past either end), a
-    # bisection and an iteration; caps on byte and word edges and at a
-    # term value or next to one
+    # with a positive step, and the count of its terms <= v that the cut
+    # below L takes; caps on byte and word edges and at a term value or
+    # next to one
     cap = max(cap, 0)
+    v = min(max(v, 0), cap)  # the cut counts at an L within the list's cap
     whole, lazy = term_values(c, cap), polygonal._Terms(c, cap)
     assert len(lazy) == len(whole)
     assert lazy[start:stop:step] == whole[start:stop:step]
     assert lazy[: 2 * polygonal._HEAD] == whole[: 2 * polygonal._HEAD]
-    if 0 <= i < len(whole):
-        assert lazy[i] == whole[i]
-    else:
-        with pytest.raises(IndexError):
-            lazy[i]
-    assert bisect_right(lazy, v) == bisect_right(whole, v)
-    assert list(lazy) == whole
+    assert lazy[:] == whole
+    assert polygonal._count_upto(lazy, v) == bisect_right(whole, v)
+
+
+@pytest.mark.parametrize("c", [1, 2, 5, 13, 40])
+def test_the_cut_below_L_counts_a_lazy_list_as_a_bisection(c):
+    # a _Terms list counts its terms <= L by term_values' formula, a plain
+    # list by bisection: the same count for L = 0, L < c, L = c and L on
+    # and next to a term value
+    cap = 5000
+    whole = term_values(c, cap)
+    edges = {0, c - 1, c, c + 1, cap} | {v + d for v in whole[:40] for d in (-1, 0, 1)}
+    for low in sorted(L for L in edges if 0 <= L <= cap):
+        count = polygonal._count_upto(polygonal._Terms(c, cap), low)
+        assert count == bisect_right(whole, low) == polygonal._count_upto(whole, low), (c, low)
+        assert polygonal._Terms(c, cap)[:count] == [t for t in whole if t <= low]
 
 
 def _table_forms():
@@ -742,11 +751,13 @@ def test_a_child_from_its_parents_gap_list_matches_one_fold(bound, gaps, terms, 
 
     parent = polygonal.RepresentationSieve(coeffs=(1,), bound=bound, bits=bits)
     reserved = []
-    [(h, truant, sieve)] = polygonal._extensions(parent, [g], n, reserved.append)
+    [(h, truant, child)] = polygonal._extensions(
+        words, bound, [g], n, lambda c: term_values(c, bound), reserved.append)
     expect = parent.extend(g)
     assert h == g and truant == expect.first_missing(n, bound)
-    assert sieve == expect or (truant is None and sieve is None)  # a dense parent folds every child
-    assert reserved == [1] + [2] * (sieve is not None)  # before the words, then before the child
+    # a dense parent folds every child
+    assert (truant is None and child is None) or _as_int(child) == expect.bits
+    assert reserved == [1] + [2] * (child is not None)  # before the read, then before the child
 
 
 def test_the_chunked_gap_test_matches_a_set_oracle():
@@ -858,7 +869,30 @@ def test_read_outs_unpack_only_the_words_that_hold_a_wanted_bit(bound, runs, dat
     limit = data.draw(st.none() | st.integers(0, 300))
     for missing, flag in ((True, "0"), (False, "1")):
         expect = [v for v in range(lo, hi + 1) if flags[v] == flag][:limit]
-        assert polygonal._bit_scan(bits, bound, lo, hi, missing, limit) == expect
+        assert polygonal._bit_scan(_as_words(bits, bound)[0], lo, hi, missing, limit) == expect
+
+
+def _near_full_sets(bound):
+    # the full set, S = {0}, the full set but for one value at each word
+    # edge, and full sets but for a few values, over [0, bound]
+    full = set(range(bound + 1))
+    rng = random.Random(bound)
+    return [full, {0}, *(full - {v} for v in (0, 1, 62, 63, 64, 65, 66, 127, 128, bound)),
+            *(full - set(rng.sample(sorted(full), 3)) for _ in range(8))]
+
+
+@pytest.mark.parametrize("bound", [63, 64, 65, 127, 128, 191, 200])
+def test_the_word_read_out_finds_the_first_gap_of_a_set_oracle(bound):
+    # the escalation's truants, the verdicts' gap scan and first_missing all
+    # read the first gap in [lo, hi] from the words; lo and hi on and next
+    # to a word edge, the bound on and off one
+    ends = sorted({v for v in (0, 1, 63, 64, 65, 127, 128, bound) if v <= bound})
+    for S in _near_full_sets(bound):
+        words, _ = _as_words(sum(1 << v for v in S), bound)
+        for lo in ends:
+            for hi in (v for v in ends if v >= lo):
+                expect = min((v for v in range(lo, hi + 1) if v not in S), default=None)
+                assert polygonal._first_gap(words, lo, hi) == expect, (len(S), lo, hi)
 
 
 def test_term_values_match_the_per_x_loop():
