@@ -6,13 +6,16 @@ uint64 word-array fold kernel) and a pruned depth-first search (single
 values, produces witnesses).  The fold spends its time on shifted ORs, one
 byte-offset OR per term folded densely and one shifted copy of the set
 per residue mod 8 among the terms (at most two nonzero ones for an
-octagonal list).  So it folds the long lists last, hands the rest of a
-dense list over to a gap test once its smallest terms have nearly filled
-the set, and, from the first list on that does not start from {0}, folds
-only the smallest terms of every list left (12, and 24 on a first retry)
-and folds exactly only below the largest value they miss, once that cuts
-the bound at least in half (see fold); build_sieve builds only the terms
-that this reads.  Both paths are exact integer arithmetic throughout.
+octagonal list).  So a form's fold first tries to prove every value past
+a small W from the gaps of its first list, folding only below W, in
+Python ints.  Failing that, it folds the long lists last, hands the rest
+of a dense list over to a gap test once its smallest terms have nearly
+filled the set, and, from the first list on that does not start from
+{0}, folds only the smallest terms of every list left (12, and 24 on a
+first retry) and folds exactly only below the largest value they miss,
+once that cuts the bound at least in half (see fold); build_sieve builds
+only the terms that this reads.  Both paths are exact integer arithmetic
+throughout.
 The search is the package's only one: lattice.represents_coprime3
 answers through it, since y = |3x - 1| turns b*y^2 with y prime to 3
 into 3*b*P8(x) + b.
@@ -164,7 +167,7 @@ class _Terms:
     # the length term_values counts: the terms strictly increase, so a slice
     # is built from the first terms up to its last.  It is read only by
     # slices with a positive step: the fold reads prefixes, and counts the
-    # terms <= L by term_values' formula (_count_upto).
+    # terms <= W or <= L by term_values' formula (_count_upto).
 
     def __init__(self, c: int, cap: int):
         self.c, self.size = c, _term_count(c, cap)
@@ -312,6 +315,20 @@ def fold(term_lists, bound: int, bits: int = 1) -> int:
       misses at most nw / 16 values the rest of T goes to the gap test
       instead.
 
+    A fold from S = {0} whose first list T0 is build_sieve's lazy list,
+    with more lists after it, first tries the gap proof.  G is the widest
+    gap between consecutive terms of T0, up to its first term past the
+    bound, W = min(bound, 2 G), and C the sumset of the other lists within
+    [0, W], folded from their terms <= W.  If C holds a run [b, b + G),
+    every v in [b, bound] is in the sumset F: with s the largest term of
+    T0 <= v - b, the next term is at most s + G, so v - s lies in
+    [b, b + G).  C holds nothing past W, so b + G - 1 <= W, and F is
+    (T0 within [0, W]) + C within [0, W] plus all of (W, bound]; at
+    W = bound that sum is F whether or not C holds a run.  Otherwise the
+    fold goes on as below.  C and F within [0, W] take a few thousand bits,
+    so they are Python-int shift-ORs, not words.  Of the 252 tabulated
+    forms at bound 200,000, 221 are proved so.
+
     As soon as S != {0} and two or more lists are left, the head step tries
     to fold them all (see _fold_words).  A = S + H1 + ... + Hk, Hi the 12
     smallest terms of Ti, is folded densely, and L is the largest value
@@ -325,12 +342,13 @@ def fold(term_lists, bound: int, bits: int = 1) -> int:
     (L = bound), as a fold whose sums miss a whole residue class most often
     does and no number of heads can mend; if there is no retry or it fails
     too, and at every later try that fails, the next list is folded by its
-    route and the step tried again before the one after it.  Of the 252
-    tabulated forms at bound 200,000, 172 cut at the first try and 69 at
-    the retry, at L <= 64, so each list left costs 12 or 36 ORs, at most
-    two shifted copies per try and a fold of a few words.  The fold reads
-    a list only through its heads, its terms <= L and, when it folds the
-    list whole, all of it; so build_sieve's lists build only those terms.
+    route and the step tried again before the one after it.  Of the 31
+    tabulated forms at bound 200,000 that the gap proof leaves, 20 cut at
+    the retry, at L <= 21, so each list left costs 36 ORs, at most two
+    shifted copies per try and a fold of a few words; the other 11 go on.
+    The fold reads a list only through its terms <= W, its heads, its
+    terms <= L and, when it folds the list whole, all of it; so
+    build_sieve's lists build only those terms.
 
     The byte limit is checked before anything is allocated, so term_lists
     may be a lazy iterable that is only consumed once the bound is accepted.
@@ -359,13 +377,21 @@ def _fold_words(words: np.ndarray, term_lists, bound: int) -> np.ndarray:
     # words, the bound and the lists to [0, L], the loop folds those by the
     # same routes, never trying the step again, and (L, bound] is set at
     # the end.  words never holds a value past the bound, so S = {0} is
-    # read from it exactly.
+    # read from it exactly.  The gap proof comes first (see fold): it folds
+    # below W, and (W, bound] is set as (L, bound] is.
     top = np.uint64((1 << (bound % 64 + 1)) - 1)  # the last word's bits within bound
-    whole = None  # (nw, top) of the fold, once the head step has cut it
+    whole = None  # (nw, top) of the fold, once the head step or the gap proof has cut it
     retry = True  # before the first try, retried with 2 * _HEAD heads if it fails with L < bound
     lists = map(_ascending, term_lists)
     while (terms := next(lists, None)) is not None:
         seed = words[0] == 1 and not words[1:].any()  # S = {0}
+        if seed and isinstance(terms, _Terms) and (rest := [*lists]):
+            if (proof := _gap_proof(terms, rest, bound)) is not None:
+                whole = (words.size, top)
+                bound, bits = proof  # W, and F within [0, W]
+                words, top = _decode(bits, bound), np.uint64((1 << (bound % 64 + 1)) - 1)
+                break
+            lists = iter(rest)
         if whole is None and not seed and len(rest := [terms, *lists]) > 1:
             low = _head_miss(words, [terms[:_HEAD] for terms in rest], bound, top)
             if retry and bound // 2 < low < bound:
@@ -499,6 +525,37 @@ def _count_upto(terms, v: int) -> int:
     return _term_count(terms.c, v) if isinstance(terms, _Terms) else bisect_right(terms, v)
 
 
+def _gap_proof(seed: _Terms, rest: list, bound: int) -> tuple[int, int] | None:
+    # (W, the bits of F within [0, W]) for F = seed + T1 + ... + Tk, the Ti
+    # the lists of rest, if seed's gaps prove every value in (W, bound] (see
+    # fold); else None.  The difference after term i of c * P8 is c (i + 1)
+    # for even i and 2 c (i + 1) for odd i, so G, the widest one up to the
+    # first term past the bound (term k), is the larger of the last two.
+    k = len(seed)
+    gap = seed.c * max(k, 2 * (k - k % 2))
+    width = min(bound, 2 * gap)
+    mask = (2 << width) - 1
+    bits = 1
+    for terms in rest:  # C = (T1 + ... + Tk) within [0, W]
+        bits = _shift_or(bits, terms[: _count_upto(terms, width)], mask)
+    run, span = bits, 1  # bit b of run: [b, b + span) in C, so b + span - 1 <= W
+    while run and span < gap:
+        step = min(span, gap - span)
+        run, span = run & run >> step, span + step
+    if not run and width < bound:
+        return None
+    return width, _shift_or(bits, seed[: _count_upto(seed, width)], mask)
+
+
+def _shift_or(bits: int, terms: list[int], mask: int) -> int:
+    # the set bits plus the terms, within mask: Python-int shifts, as at a
+    # few thousand bits a numpy call costs more than the OR it makes
+    acc = 0
+    for t in terms:
+        acc |= bits << t
+    return acc & mask
+
+
 def _head_miss(words: np.ndarray, heads: list, bound: int, top: np.uint64) -> int:
     # L for the head step (see fold): the largest value <= bound that
     # A = S + H1 + ... + Hk misses, S in words and the Hi the heads, or 0 if
@@ -553,8 +610,9 @@ def build_sieve(a, bound: int) -> RepresentationSieve:
     coefficient (see fold), the smallest coefficient first (its list is the
     longest, and a fold from {0} scatters it at no fold cost) and then the
     largest to the second smallest, so the dense folds get the shortest
-    lists.  Each list is built only as far as the fold reads it: the
-    seed's whole, and the others' heads and terms <= L unless one is
+    lists.  Each list is built only as far as the fold reads it: its
+    terms <= W when the gaps of the first list prove the rest, else those,
+    the seed's whole, and the others' heads and terms <= L unless one is
     folded whole.
     """
     a = coeff_vector(a)

@@ -267,6 +267,18 @@ def test_sieve_bits_at_a_million_are_pinned():
     )
 
 
+def test_sieve_bits_at_ten_million_are_pinned():
+    # (2, 3, 4, 5, 6) is proved by its seed's gaps (see fold), and
+    # (2, 3, 4, 5) is not; both miss 1 alone up to 10^7, so the bits agree
+    pin = "38dbcb71e794a2ab6d3ce90eefb9979f31581c16596b03b051b842fb3caf5ef4"
+    for a, proved in (((2, 3, 4, 5, 6), True), ((2, 3, 4, 5), False)):
+        proofs = []
+        with _proving(proofs):
+            bits = build_sieve(a, 10**7).bits.to_bytes((10**7 + 8) // 8, "little")
+        assert (proofs[0] is not None) == proved, a
+        assert hashlib.sha256(bits).hexdigest() == pin, a
+
+
 def _as_words(bits, bound):
     nw = (bound + 64) // 64
     return np.frombuffer(bits.to_bytes(8 * nw, "little"), dtype="<u8"), nw
@@ -661,62 +673,168 @@ def _cut_at(tries, bound):
     return "first" if len(tries) == 1 else "retry"
 
 
+def _proving(proofs):
+    # _gap_proof, patched to record what each call returns: (W, bits) or None
+    real = polygonal._gap_proof
+
+    def gap_proof(*args):
+        proofs.append(real(*args))
+        return proofs[-1]
+
+    return mock.patch.object(polygonal, "_gap_proof", gap_proof)
+
+
 def test_table_forms_take_the_head_step_once():
-    # Every tabulated form at bound 200,000 tries the head step as soon as
-    # its first list is scattered, by the contract above.  172 cut at the
-    # first try and 69 at its retry with 24 heads; the other 11 fold a
-    # list and try again (one, whose A misses the bound, without a retry),
-    # and all but (2, 3, 4, 6) cut then.  Every table 4
-    # form cuts at L = 3: A misses 3 and nothing above it, so the fold
-    # below L is at bound 3, and the step is not tried again.  So do three
-    # table 1 rows, at their largest miss, but for (2, 3, 4, 6): its heads
-    # leave 199,995, 199,547 and then 199,163 open, so it never cuts and
-    # folds its last list whole.
+    # Every tabulated form at bound 200,000 first tries the gap proof (see
+    # fold), and 221 of the 252 are proved there: they try no head step.
+    # The other 31 try the head step as soon as their first list is
+    # scattered, by the contract above.  None cuts at the first try, 20 cut
+    # at its retry with 24 heads, and 11 fold a list and try again (one,
+    # whose A misses the bound, without a retry); all but (2, 3, 4, 6) cut
+    # then.  Every table 4 form is proved but (4, 5, 6, 7, 8), which cuts at
+    # L = 3: A misses 3 and nothing above it, so the fold below L is at
+    # bound 3, and the step is not tried again.  So do three table 1 rows,
+    # at their largest miss, but for (2, 3, 4, 6): its heads leave 199,995,
+    # 199,547 and then 199,163 open, so it never cuts and folds its last
+    # list whole.
     bound = 200_000
-    split = {"first": 0, "retry": 0, "later": 0}
+    split = {"proved": 0, "first": 0, "retry": 0, "later": 0}
     for a in _table_forms():
-        tries = []
-        with _recording(tries):
+        tries, proofs = [], []
+        with _recording(tries), _proving(proofs):
             build_sieve(a, bound)
+        assert len(proofs) == 1, a
+        if proofs[0] is not None:
+            assert tries == [], a
+            split["proved"] += 1
+            continue
         _assert_step_contract(tries, [term_values(c, bound) for c in reversed(a[1:])], bound)
         split[_cut_at(tries, bound)] += 1
-    assert split == {"first": 172, "retry": 69, "later": 11}
-    cases = [(a, 4, (), 3) for row in tables.load_table(4) for a in tables.expand_row(row)]
+    assert split == {"proved": 221, "first": 0, "retry": 20, "later": 11}
+    cases = [(a, 4, (), None if a != (4, 5, 6, 7, 8) else 3)
+             for row in tables.load_table(4) for a in tables.expand_row(row)]
     cases += [((3, 3, 4, 4, 5), 3, (17, 21), 21), ((2, 3, 4, 5), 2, (), 1),
-              ((2, 3, 4, 6), 2, (18,), 199_163)]
+              ((2, 3, 4, 6), 2, (18,), 199_163), ((2, 3, 4, 5, 6), 2, (), None)]
     for a, n, exceptions, low in cases:
-        tries = []
-        with _recording(tries):
+        tries, proofs = [], []
+        with _recording(tries), _proving(proofs):
             sieve = build_sieve(a, bound)
-        assert tries[-1][1] == low and len(tries) <= 3, a
+        if low is None:
+            assert proofs[0] is not None and tries == [], a
+        else:
+            assert proofs == [None] and tries[-1][1] == low and len(tries) <= 3, a
         assert sieve.missing_in_range(n, bound) == list(exceptions), a
 
 
 def test_a_form_that_cuts_builds_no_whole_list_past_its_seed():
-    # build_sieve's lists are built only as far as the fold reads them: the
-    # seed whole, and each other list's heads and terms <= L.  So each of
-    # the 241 tabulated forms that cut at the first try or at its retry
-    # builds one whole list, its seed's, and at most 2 * _HEAD terms of
-    # each other list (L <= 64 there); _first_terms builds them all.
+    # build_sieve's lists are built only as far as the fold reads them.  A
+    # form that its seed's gaps prove builds no list whole and no term past
+    # W, and folds nothing at the full bound: no _or_shifts call, no head
+    # step.  One that cuts at the head step's first try or retry builds, in
+    # this order, each other list's terms <= W for the gap proof that
+    # failed, its seed's list whole, and at most 2 * _HEAD terms of each
+    # other list, its heads and its terms <= L (L <= 64 there);
+    # _first_terms builds them all.  Of the tabulated forms, 221 are proved
+    # and 20 more cut.
     bound = 200_000
     real = polygonal._first_terms
-    cut = 0
+    proved = cut = 0
     for a in _table_forms():
-        tries, built = [], []
+        tries, proofs, built = [], [], []
 
         def spy(c, k):
             built.append((c, k))
             return real(c, k)
 
-        with _recording(tries), mock.patch.object(polygonal, "_first_terms", spy):
+        with _recording(tries), _proving(proofs), mock.patch.object(
+            polygonal, "_first_terms", spy
+        ), mock.patch.object(polygonal, "_or_shifts", wraps=polygonal._or_shifts) as shifts:
             sieve = build_sieve(a, bound)
-        if _cut_at(tries, bound) != "later":
+        whole = [c for c, k in built if k == len(term_values(c, bound))]
+        if proofs[0] is not None:
+            proved += 1
+            width = proofs[0][0]
+            assert width < bound and whole == [] and shifts.call_count == 0, a
+            assert all(k <= len(term_values(c, width)) for c, k in built), a
+        elif _cut_at(tries, bound) != "later":
             cut += 1
-            whole = [c for c, k in built if k == len(term_values(c, bound))]
-            assert whole == [a[0]] and built[0][0] == a[0], a
-            assert max(k for _, k in built[1:]) <= 2 * polygonal._HEAD, a
-    assert cut == 241
+            width = min(bound, 2 * _widest_gap(a[0], bound))
+            assert whole == [a[0]] and built[len(a) - 1][0] == a[0], a
+            assert all(k <= len(term_values(c, width)) for c, k in built[: len(a) - 1]), a
+            assert max(k for _, k in built[len(a):]) <= 2 * polygonal._HEAD, a
+    assert (proved, cut) == (221, 20)
     assert sieve.bits == fold([term_values(c, bound) for c in a], bound)  # the last form
+
+
+def _widest_gap(c, bound):
+    # G: the widest difference of consecutive terms of term_values(c, bound)
+    # and the first term past the bound, from the terms themselves
+    k = len(term_values(c, bound))
+    ahead = term_values(c, 2 * bound + 8 * c)[: k + 1]  # 2 c k <= bound + 8 c / 3 + 2 c
+    assert len(ahead) == k + 1
+    return max(b - a for a, b in zip(ahead, ahead[1:]))
+
+
+@st.composite
+def gap_proofs(draw):
+    # (bound, c, rest): a fold from {0} of c's lazy list and the lists of
+    # rest, an int b for b's lazy list or a plain list.  The bounds are
+    # tiny (W = bound), below c, on word edges, or at a term of c * P8 or
+    # next to one; the plain lists are runs of G - 1, G or G + 1 values
+    # from 0 or from W - G + 1, so that C holds a run that just misses G,
+    # just fills [β, β + G) up to W, or runs past W.
+    c = draw(st.integers(1, 30))
+    bound = draw(st.one_of(
+        st.integers(0, 300), BYTE_EDGES, st.integers(0, 20_000),
+        st.builds(lambda x, d: max(c * polygonal.octagonal_number(x) + d, 0),
+                  st.integers(-40, 40), st.sampled_from([-1, 0, 1])),
+    ))
+    gap = _widest_gap(c, bound)
+    width = min(bound, 2 * gap)
+    run = st.builds(lambda start, d: list(range(start, start + gap + d)),
+                    st.sampled_from([0, max(width - gap + 1, 0)]), st.sampled_from([-1, 0, 1]))
+    rest = draw(st.lists(st.one_of(st.integers(1, 30), run), min_size=1, max_size=4))
+    return bound, c, rest
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=gap_proofs())
+@example(case=(84, 1, [list(range(19))]))  # G = 20 after 65, so F misses 84; C runs 19
+@example(case=(84, 1, [list(range(21, 41))]))  # β + G - 1 = W = 40
+@example(case=(49, 1, [24, 13, 11]))  # C's run at W is shorter than G
+@example(case=(1, 17, [25]))  # bound < c: G is the gap past the bound
+@example(case=(2, 1, [2]))  # W = bound
+@example(case=(2000, 2, [4, 3]))  # ternary: C = T1 + T2 has no run
+@example(case=(5000, 8, [28, 11, 11]))  # (8, 11, 11, 28) misses 1 and 5 mod 8
+@example(case=(800, 4, [4, 4, 4]))  # repeated coefficients
+def test_the_gap_proof_is_the_sumset(case):
+    # The fold of case's lists from {0} equals the Python-int sumset, and
+    # tries the gap proof once, at W = min(bound, 2 G).  A fold it proves
+    # ORs nothing at the full bound (no _or_shifts call, no head step) and
+    # builds no term past W.
+    bound, c, rest = case
+    lists = [polygonal._Terms(c, bound)] + [
+        polygonal._Terms(b, bound) if isinstance(b, int) else b for b in rest]
+    whole = [term_values(c, bound)] + [
+        term_values(b, bound) if isinstance(b, int) else b for b in rest]
+    real = polygonal._first_terms
+    tries, proofs, built = [], [], []
+
+    def spy(b, k):
+        built.append((b, k))
+        return real(b, k)
+
+    with _recording(tries), _proving(proofs), mock.patch.object(
+        polygonal, "_first_terms", spy
+    ), mock.patch.object(polygonal, "_or_shifts", wraps=polygonal._or_shifts) as shifts:
+        words = polygonal._fold_words(polygonal._decode(1, bound), lists, bound)
+    assert _as_int(words) == _shift_or_fold(1, whole, bound)
+    assert len(proofs) == 1
+    if proofs[0] is not None:
+        width = proofs[0][0]
+        assert width == min(bound, 2 * _widest_gap(c, bound))
+        assert tries == [] and shifts.call_count == 0
+        assert all(k <= len(term_values(b, width)) for b, k in built)
 
 
 EDGY = st.one_of(st.sampled_from([1, 63, 64, 65, 128]), st.integers(1, 160 * 64 + 10))
