@@ -3,7 +3,6 @@
 from .polygonal import (
     ResourceBudgetError,
     build_sieve,
-    build_sieves,
     coeff_vector,
     insert_sorted,
     is_proper_subsequence,

@@ -247,11 +247,10 @@ def tight_verdicts(
     criterion: CriterionSet,
     bound: int = DEFAULT_BOUND,
 ) -> list[Verdict]:
-    """check_tight_universal for each form in turn, sieved by one prefix walk.
+    """check_tight_universal for each form in turn, one fold from {0} per form.
 
-    Forms that share a coefficient prefix with the form before them resume
-    from its sieve (polygonal.build_sieves), so list them in an order that
-    keeps shared prefixes adjacent, as the tables do.
+    Every form is validated before the first sieve is built, and each
+    verdict is read from its sieve's words, with no packed int.
     """
     walk = _walk(forms, bound)
     if criterion.n != n:

@@ -14,7 +14,8 @@ filled the set, and, from the first list on that does not start from
 {0}, folds only the smallest terms of every list left (12, and 24 on a
 first retry) and folds exactly only below the largest value they miss,
 once that cuts the bound at least in half (see fold); build_sieve builds
-only the terms that this reads.  Both paths are exact integer arithmetic
+only the terms that this reads.  The sieves of a list of forms are one
+such fold from {0} per form.  Both paths are exact integer arithmetic
 throughout.
 The search is the package's only one: lattice.represents_coprime3
 answers through it, since y = |3x - 1| turns b*y^2 with y prime to 3
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cache
 from math import gcd, isqrt
 
 import numpy as np
@@ -40,7 +40,6 @@ __all__ = [
     "RepresentationSieve",
     "fold",
     "build_sieve",
-    "build_sieves",
     "represents",
     "witness",
     "missing_in_range",
@@ -296,24 +295,22 @@ def fold(term_lists, bound: int, bits: int = 1) -> int:
     as its seed, and the rest shortest first, so the dense folds get the
     fewest terms and the long lists come last, when their small terms fill
     the set (see build_sieve).  The fold runs on nw = (bound + 64) // 64
-    uint64 words, and each term list T takes the cheapest of three exact
-    ways to S + T:
+    uint64 words, and each term list T takes one of two exact ways to
+    S + T:
 
     - S = {0} (the first list of a fold from the default bits, or of a
       fold below L whose S within [0, L] is {0}): S + T is T's own
       bitmap, set by one indexed OR.
-    - 0 in T and S misses at most nw / 16 values: S is then a subset of
-      S + T, so only a gap g of S can change, and it joins iff g - t is in
-      S for some t in T with 0 <= t <= g.  The gaps are tested against T in
-      one block when there are few pairs, else in fixed-size blocks, each
-      gap dropped once it is covered.
     - Otherwise dense (see _fold_dense): the values v of T are grouped by
       v & 7, the words are shifted once per group, and each v ORs the
       bytes of that shifted copy into the accumulator's from byte v >> 3
       on.  A list c * P8 fills at most three of the eight groups, one of
-      them unshifted.  The 12 smallest terms go first, and if their sum
-      misses at most nw / 16 values the rest of T goes to the gap test
-      instead.
+      them unshifted.  The 12 smallest terms T' go first.  If S + T'
+      misses at most nw / 16 values, the rest of T goes to a gap test
+      instead: a gap g of S + T' joins iff g - t is in S for some t of
+      the rest with 0 <= t <= g.  The gaps are tested against those terms
+      in one block when there are few pairs, else in fixed-size blocks,
+      each gap dropped once it is covered.
 
     A fold from S = {0} whose first list T0 is build_sieve's lazy list,
     with more lists after it, first tries the gap proof.  G is the widest
@@ -366,17 +363,17 @@ def _decode(bits: int, bound: int) -> np.ndarray:
 
 
 def _fold_words(words: np.ndarray, term_lists, bound: int) -> np.ndarray:
-    # The words of S + T1 + T2 + ... for S in words: one route per list (see
-    # fold).  The lists are read ascending, and only through slices.  While
-    # S != {0} and two or more lists are left, the head step reads L (see
-    # _head_miss) before each list, from the _HEAD smallest terms of every
-    # list left.  An L above bound / 2 would cut less than half: the first
-    # time, if L < bound, the step is tried again at once with 2 * _HEAD
-    # heads, and after that (or when the retry fails too) the list is
-    # folded by its route and the step tried again; else the step cuts the
-    # words, the bound and the lists to [0, L], the loop folds those by the
-    # same routes, never trying the step again, and (L, bound] is set at
-    # the end.  words never holds a value past the bound, so S = {0} is
+    # The words of S + T1 + T2 + ... for S in words: one route per list, the
+    # seed scatter or the dense fold (see fold).  The lists are read
+    # ascending, and only through slices.  While S != {0} and two or more
+    # lists are left, the head step reads L (see _head_miss) before each
+    # list, from the _HEAD smallest terms of every list left.  An L above
+    # bound / 2 would cut less than half: the first time, if L < bound, the
+    # step is tried again at once with 2 * _HEAD heads, and after that (or
+    # when the retry fails too) the list is folded by its route and the
+    # step tried again; else the step cuts the words, the bound and the
+    # lists to [0, L], the loop folds those by the same routes, never
+    # trying the step again, and (L, bound] is set at the end.  words never holds a value past the bound, so S = {0} is
     # read from it exactly.  The gap proof comes first (see fold): it folds
     # below W, and (W, bound] is set as (L, bound] is.
     top = np.uint64((1 << (bound % 64 + 1)) - 1)  # the last word's bits within bound
@@ -409,8 +406,6 @@ def _fold_words(words: np.ndarray, term_lists, bound: int) -> np.ndarray:
         if seed:
             v = np.array(terms, dtype=np.int64)
             words = _set(np.zeros(words.size, dtype="<u8"), v[v <= bound], top)
-        elif 0 in terms and (gaps := _few_gaps(words, top)) is not None:
-            words = _set(words.copy(), _cover(words, gaps, terms, bound)[0], top)
         else:
             words = _fold_dense(words, terms, bound, top)
     if whole is not None:
@@ -624,62 +619,16 @@ def _form_lists(a: tuple[int, ...], bound: int):
     return (_Terms(c, bound) for c in (a[0], *reversed(a[1:])))
 
 
-def build_sieves(forms, bound: int):
-    """Sieves of the forms up to bound, yielded in the order given: a prefix walk.
-
-    Every form, and the bound, is validated before the first sieve is built.
-    Form i resumes from the longest prefix it shares with form i - 1.  It
-    folds one coefficient at a time only as far as the prefix it shares with
-    form i + 1, keeping each of those prefixes as its uint64 words, and folds
-    the rest from the last kept words in one pass, largest coefficient first
-    (see build_sieve); the words become a packed sieve once, for the form
-    yielded.  A form that shares nothing with either neighbour is folded as
-    build_sieve folds it.  The kept steps and the tails build each
-    coefficient's term values once per walk.  So the walk keeps
-    k <= len(form) word arrays, and before folding each form it checks the
-    k kept arrays plus the one it builds, (k + 1) * 8 * nw bytes, against
-    BYTE_LIMIT.
-    """
-    walk = _walk(forms, bound)
-    return (RepresentationSieve(a, bound, int.from_bytes(w.tobytes(), "little")) for a, w in walk)
-
-
-def _shared_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    n = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        n += 1
-    return n
-
-
 def _walk(forms, bound: int):
-    # (form, words) for each form in the order given, by the prefix walk of
-    # build_sieves: the words are the form's sieve, and the tight verdicts
-    # and the Z rows read them as they are.  Every form and the bound are
-    # checked here, before the first fold.
+    # (form, words) for each form in the order given: the words of its
+    # sieve, folded from {0} as build_sieve folds it, which the tight
+    # verdicts and the Z rows read as they are.  Every form and the bound
+    # are checked, and one sieve's bytes, before the first fold.
     forms = [coeff_vector(a) for a in forms]
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    return zip(forms, _walk_words(forms, bound))
-
-
-def _walk_words(forms: list[tuple[int, ...]], bound: int):
-    nw = (bound + 64) // 64
-    kept: list[np.ndarray] = []  # kept[j]: the words of the form's first j + 1 coefficients
-    terms = cache(lambda c: term_values(c, bound))  # once per coefficient per walk
-    for i, a in enumerate(forms):
-        keep = _shared_prefix(a, forms[i + 1]) if i + 1 < len(forms) else 0
-        check_bytes((max(len(kept), keep) + 1) * 8 * nw, f"prefix walk of {a} to {bound}")
-        while len(kept) < keep:
-            words = kept[-1] if kept else _decode(1, bound)
-            kept.append(_fold_words(words, [terms(a[len(kept)])], bound))
-        p = len(kept)
-        if p == 0:
-            yield _fold_words(_decode(1, bound), _form_lists(a, bound), bound)
-        else:
-            yield _fold_words(kept[-1], map(terms, reversed(a[p:])), bound)
-        del kept[keep:]
+    check_bytes(8 * ((bound + 64) // 64), f"a sieve of {bound + 1} bits per form")
+    return ((a, _fold_words(_decode(1, bound), _form_lists(a, bound), bound)) for a in forms)
 
 
 def _extensions(words: np.ndarray, bound: int, gs, n: int, terms, reserve):

@@ -208,7 +208,11 @@ def verify_z_row(row: TableRow, bound: int = DEFAULT_BOUND) -> ZReport:
 
 
 def verify_z_rows(rows, bound: int = DEFAULT_BOUND) -> list[ZReport]:
-    """verify_z_row for each row in turn, sieved by one prefix walk (polygonal.build_sieves)."""
+    """verify_z_row for each row in turn, one fold from {0} per row.
+
+    Every row's form is validated before the first sieve is built, and each
+    exception set is read from its sieve's words, with no packed int.
+    """
     rows = list(rows)
     if any(row.expect_kind != "Z" for row in rows):
         raise ValueError("verify_z_row expects a Z row")

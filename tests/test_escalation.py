@@ -176,7 +176,7 @@ def test_check_tight_universal_verdicts(trace2):
 
 def _int_verdict(a, n, crit, bound):
     # the verdict by integer arithmetic on the packed bits of build_sieve,
-    # sharing no read-out with tight_verdicts, which reads the walk's words
+    # sharing no read-out with tight_verdicts, which reads each sieve's words
     bits = build_sieve(a, bound).bits
     below = [v for v in range(1, n) if bits >> v & 1]
     if below:
@@ -190,9 +190,8 @@ def _int_verdict(a, n, crit, bound):
 
 
 def test_tight_verdicts_match_the_per_form_checks(trace2):
-    # the batch resumes each form from its neighbour's prefix sieve; the
-    # per-form check folds every form from {0}; the integer verdict reads
-    # the packed bits of a sieve folded from {0}
+    # the batch and the per-form check read each form's words, folded from
+    # {0}; the integer verdict reads the packed bits of build_sieve
     for trace in (trace2, run_escalation(3, BOUND)):
         crit = criterion_set(trace)
         for rec in trace.depths:

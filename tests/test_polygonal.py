@@ -14,10 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from octaforms import lattice, polygonal, tables
+from octaforms.escalation import CriterionSet, check_tight_universal, tight_verdicts
 from octaforms.polygonal import (
     ResourceBudgetError,
     build_sieve,
-    build_sieves,
     coeff_vector,
     fold,
     insert_sorted,
@@ -200,7 +200,7 @@ def test_extend_is_the_sieve_of_the_inserted_form(bound, a):
 
 
 @st.composite
-def form_walks(draw):
+def form_lists(draw):
     # each form keeps some prefix of the one before it (all of it, or none)
     # and appends a sorted tail, so neighbours share prefixes, repeat, are
     # prefixes of each other in either order, or are unrelated
@@ -215,32 +215,58 @@ def form_walks(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(bound=st.sampled_from([0, 62, 63, 64, 127, 128, 191, 400, 4095]), forms=form_walks())
-@example(bound=128, forms=[])
-@example(bound=191, forms=[(2, 3), (2, 3), (2, 3, 4), (2, 3, 4, 4), (2, 3), (5,), (1, 1, 2)])
-@example(bound=4095, forms=[(1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3), (1, 2), (1, 2, 3, 4, 5)])
-def test_the_prefix_walk_gives_each_forms_own_sieve(bound, forms):
-    assert [s.bits for s in build_sieves(forms, bound)] == [build_sieve(a, bound).bits for a in forms]
-    assert [s.coeffs for s in build_sieves(forms, bound)] == forms
+@given(bound=st.sampled_from([0, 62, 63, 64, 127, 128, 191, 400, 4095]), forms=form_lists(),
+       n=st.integers(0, 3), values=st.sets(st.integers(0, 60), max_size=4))
+@example(bound=128, forms=[], n=2, values={3, 5})
+@example(bound=191, forms=[(2, 3), (2, 3), (2, 3, 4), (2, 3, 4, 4), (2, 3), (5,), (1, 1, 2)],
+         n=2, values={3, 5})
+@example(bound=4095, forms=[(1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3), (1, 2), (1, 2, 3, 4, 5)],
+         n=2, values={3, 5})
+def test_a_list_of_forms_gets_each_forms_own_verdict_and_sieve(bound, forms, n, values):
+    # the verdicts of a list are the one-form checks, and the words read
+    # for each form are its own sieve's; n and the criterion values are
+    # cut to lie within the bound
+    n = min(n, bound)
+    crit = CriterionSet(n=n, values=tuple(sorted({n} | {v for v in values if n <= v <= bound})))
+    assert tight_verdicts(forms, n, crit, bound) == [
+        check_tight_universal(a, n, crit, bound) for a in forms]
+    walked = [(a, _as_int(words)) for a, words in polygonal._walk(forms, bound)]
+    assert walked == [(a, build_sieve(a, bound).bits) for a in forms]
 
 
-def test_the_prefix_walk_validates_every_form_before_the_first_sieve():
+def _z_rows(forms):
+    return [tables.TableRow(prefix=a, slot=None, expect_kind="Z", expect_z=()) for a in forms]
+
+
+def test_a_list_of_forms_is_validated_before_the_first_sieve():
+    # tight_verdicts and verify_z_rows raise on any bad form, or a negative
+    # bound, before they fold any form's sieve
     good = [(1, 2), (1, 2, 3)]
+    crit = CriterionSet(n=2, values=(2, 3))
     with mock.patch.object(polygonal, "_fold_words", side_effect=AssertionError("folded")):
         for bad in [(3, 2)], [(0, 1)], [()], [(1, "x")]:
             with pytest.raises(ValueError):
-                next(build_sieves(good + bad + good, 100))
+                tight_verdicts(good + bad + good, 2, crit, 100)
+            with pytest.raises(ValueError):
+                tables.verify_z_rows(_z_rows(good + bad + good), 100)
         with pytest.raises(ValueError):
-            next(build_sieves(good, -1))
+            tight_verdicts(good, 2, crit, -1)
+        with pytest.raises(ValueError):
+            tables.verify_z_rows(_z_rows(good), -1)
 
 
-def test_the_prefix_walk_checks_its_kept_sieves_before_allocating():
-    # a 2**30 sieve is 128 MiB: the two kept prefix sieves of (1, 2) and
-    # the one being built are 384 MiB together, over the 256 MiB limit
+def test_a_list_of_forms_checks_one_sieves_bytes_before_allocating():
+    # a sieve of 2**31 + 1 bits is one word over the 256 MiB limit, so a
+    # list of forms raises before it decodes the start set of the first
+    # fold, let alone folds it
+    crit = CriterionSet(n=2, values=(2, 3))
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceBudgetError):
-            next(build_sieves([(1, 2, 3), (1, 2, 4)], 2**30))
+        with mock.patch.object(polygonal, "_decode", side_effect=AssertionError("allocated")):
+            with pytest.raises(ResourceBudgetError):
+                tight_verdicts([(1, 2, 3), (1, 2, 4)], 2, crit, 2**31)
+            with pytest.raises(ResourceBudgetError):
+                tables.verify_z_rows(_z_rows([(1, 2, 3), (1, 2, 4)]), 2**31)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -306,6 +332,8 @@ NEAR_FULL = st.lists(
 @example(bound=1023, gaps=[-1], terms=[1, 1023], with_zero=False)
 @example(bound=8191, gaps=[0, 63, 64, -1, 100, 4000, 8000, 8190], terms=[1, 63, 64, 65],
          with_zero=True)
+@example(bound=8191, gaps=[0, 63, 64, -1, 100, 4000, 8000, 8190],
+         terms=[8190, 1, 63, 9000, 64, 65, 127, 128, 500, 1000, 4000, 7999, 8191], with_zero=True)
 def test_fold_regimes_agree_on_nearly_full_sets(bound, gaps, terms, with_zero):
     gaps = {g % (bound + 1) for g in gaps}
     S = set(range(bound + 1)) - gaps
@@ -327,11 +355,14 @@ def test_fold_regimes_agree_on_nearly_full_sets(bound, gaps, terms, with_zero):
         if few is not None:
             assert few.tolist() == sorted(gaps)
 
-    # T has at most _HEAD terms, so no dense fold hands over here and a
-    # _cover call is the gap route's
-    with mock.patch.object(polygonal, "_cover", wraps=polygonal._cover) as spy:
+    # S is not {0}, so fold folds T densely.  fold sorts T, so with 0 in T
+    # the _HEAD smallest terms T' hold 0 and S + T' holds S; when S misses
+    # at most nw / 16 values, a longer T hands the rest over to the gap test
+    with mock.patch.object(polygonal, "_fold_dense", wraps=polygonal._fold_dense) as spy, \
+            mock.patch.object(polygonal, "_cover", wraps=polygonal._cover) as cover:
         assert fold([T], bound, bits) == _as_int(dense)
-    assert spy.called == (with_zero and 16 * len(gaps) <= nw)
+    assert spy.call_count == 1
+    assert cover.called or not (with_zero and len(T) > polygonal._HEAD and 16 * len(gaps) <= nw)
 
 
 @settings(max_examples=150, deadline=None)
@@ -371,11 +402,10 @@ def test_the_dense_hand_over_is_the_set_sumset(bound, step, gaps, terms, head):
 def test_every_fold_order_gives_the_same_bits():
     # The sumset does not depend on the order of its lists, nor on folding
     # the last one alone onto the sieve of the others.  From {0} every order
-    # ends in the head step.  Alone, the list of 1 takes the gap route: a
-    # _cover call on its whole T, with 0.  The lists of 2, 3 and 5 fold
-    # densely and hand their last terms over: a _cover call on T'', which
-    # lacks 0.  The coprime-to-3 lists have no 0 and their sums lie in one
-    # class mod 3, so theirs stay dense.
+    # ends in the head step.  Alone, each list folds densely, and the
+    # gap test serves only its hand-over: a _cover call on T'', which lacks
+    # 0, the smallest term.  The coprime-to-3 lists have no 0 and their
+    # sums lie in one class mod 3, so theirs stay dense.
     bound = 200_000
     a = (1, 2, 3, 5)
     want = build_sieve(a, bound).bits
@@ -386,7 +416,7 @@ def test_every_fold_order_gives_the_same_bits():
             others = build_sieve(a[:i] + a[i + 1:], bound).bits
             assert fold([term_values(c, bound)], bound, others) == want, c
     terms = [call.args[2] for call in cover.call_args_list]
-    assert any(0 in t for t in terms) and any(0 not in t for t in terms)
+    assert terms and all(0 not in t for t in terms)
     diag = (1, 2, 4, 6)
     units = {b: [b * y * y for y in lattice._coprime_units(bound // b)] for b in diag}
     want = lattice.coprime3_values_up_to(diag, bound)
@@ -916,13 +946,12 @@ def test_a_fold_from_zero_scatters_the_terms(bound, terms):
 @example(bound=200, v=200, terms=[5])
 def test_only_a_start_of_zero_alone_is_scattered(bound, v, terms):
     # The fold reads S = {0} from the words.  A start of {0, v} is folded
-    # by a sumset route, never scattered, whatever the word of v.
+    # densely, never scattered, whatever the word of v.
     bits = 1 | 1 << min(v, bound)
     words, _ = _as_words(bits, bound)
-    with mock.patch.object(polygonal, "_cover", wraps=polygonal._cover) as cover, \
-            mock.patch.object(polygonal, "_fold_dense", wraps=polygonal._fold_dense) as dense:
+    with mock.patch.object(polygonal, "_fold_dense", wraps=polygonal._fold_dense) as dense:
         folded = polygonal._fold_words(words, [terms], bound)
-    assert cover.called or dense.called
+    assert dense.called
     assert _as_int(folded) == _shift_or_fold(bits, [terms], bound)
 
 

@@ -140,7 +140,7 @@ def test_verify_z_rows():
         assert row.expect_z == z
         report = verify_z_row(row, 5000)
         assert report.ok, report
-    # one prefix walk over the table gives each row's own report
+    # the whole table, one fold per row, gives each row's own report
     table = load_table(1)
     assert verify_z_rows(table, 5000) == [verify_z_row(row, 5000) for row in table]
     with pytest.raises(ValueError):
