@@ -7,7 +7,7 @@ values, produces witnesses).  The fold spends its time on shifted ORs, one
 byte-offset OR per term folded densely and one shifted copy of the set
 per residue mod 8 among the terms (at most two nonzero ones for an
 octagonal list).  So a form's fold first tries to prove every value past
-a small W from the gaps of its first list, folding only below W, in
+a small W from the gaps of one of its lists, folding only below W, in
 Python ints.  Failing that, it folds the long lists last, hands the rest
 of a dense list over to a gap test once its smallest terms have nearly
 filled the set, and, from the first list on that does not start from
@@ -312,19 +312,29 @@ def fold(term_lists, bound: int, bits: int = 1) -> int:
       in one block when there are few pairs, else in fixed-size blocks,
       each gap dropped once it is covered.
 
-    A fold from S = {0} whose first list T0 is build_sieve's lazy list,
-    with more lists after it, first tries the gap proof.  G is the widest
-    gap between consecutive terms of T0, up to its first term past the
-    bound, W = min(bound, 2 G), and C the sumset of the other lists within
-    [0, W], folded from their terms <= W.  If C holds a run [b, b + G),
-    every v in [b, bound] is in the sumset F: with s the largest term of
-    T0 <= v - b, the next term is at most s + G, so v - s lies in
-    [b, b + G).  C holds nothing past W, so b + G - 1 <= W, and F is
-    (T0 within [0, W]) + C within [0, W] plus all of (W, bound]; at
-    W = bound that sum is F whether or not C holds a run.  Otherwise the
-    fold goes on as below.  C and F within [0, W] take a few thousand bits,
-    so they are Python-int shift-ORs, not words.  Of the 252 tabulated
-    forms at bound 200,000, 221 are proved so.
+    A fold from S = {0} of two or more lists, the first of them
+    build_sieve's lazy list, first tries the gap proof, with each distinct
+    coefficient's lazy list in turn as the seed T0, smallest coefficient
+    first, until one proves.  G is the widest gap between consecutive
+    terms of T0, up to its first term past the bound, W = min(bound, 2 G),
+    and C the sumset of the other lists within [0, W], folded from their
+    terms <= W.  If C holds a run [b, b + G), every v in [b, bound] is in
+    the sumset F: with s the largest term of T0 <= v - b, the next term is
+    at most s + G, so v - s lies in [b, b + G).  C holds nothing past W,
+    so b + G - 1 <= W, and F is (T0 within [0, W]) + C within [0, W] plus
+    all of (W, bound]; at W = bound that sum is F whether or not C holds a
+    run.  C and F within [0, W] take a few thousand bits, so they are
+    Python-int shift-ORs, not words.  If the first seed fails and the last
+    value that F misses within [0, W] lies past W / 2, F misses values high
+    up, as a form that misses a residue class does: no other seed is tried
+    and no head step, and the fold goes on by the routes above.  Of the 252
+    tabulated forms at bound 200,000, 221 are proved by their first list
+    and 23 more by a later one, such as (2, 3, 4, 5) by its list of 4.
+
+    A fold from {0} also reads M, the gcd of the differences of each
+    list's terms (c for c * P8, a multiple of 3 for b * y^2 with y prime
+    to 3).  If M > 1, every sum lies in one class mod M, so the head
+    step's L would be at least bound - M + 1, and it is not tried.
 
     As soon as S != {0} and two or more lists are left, the head step tries
     to fold them all (see _fold_words).  A = S + H1 + ... + Hk, Hi the 12
@@ -339,13 +349,14 @@ def fold(term_lists, bound: int, bits: int = 1) -> int:
     (L = bound), as a fold whose sums miss a whole residue class most often
     does and no number of heads can mend; if there is no retry or it fails
     too, and at every later try that fails, the next list is folded by its
-    route and the step tried again before the one after it.  Of the 31
-    tabulated forms at bound 200,000 that the gap proof leaves, 20 cut at
-    the retry, at L <= 21, so each list left costs 36 ORs, at most two
-    shifted copies per try and a fold of a few words; the other 11 go on.
+    route and the step tried again before the one after it.  Of the 8
+    tabulated forms at bound 200,000 that no seed proves, none cuts at the
+    first try or its retry; 7 fold a list and cut at the next try, at
+    L <= 14, and (2, 3, 4, 6) never cuts.
     The fold reads a list only through its terms <= W, its heads, its
     terms <= L and, when it folds the list whole, all of it; so
-    build_sieve's lists build only those terms.
+    build_sieve's lists build only those terms.  A proved or cut fold ends
+    as its words up to W or L, and only this int is widened to the bound.
 
     The byte limit is checked before anything is allocated, so term_lists
     may be a lazy iterable that is only consumed once the bound is accepted.
@@ -353,8 +364,8 @@ def fold(term_lists, bound: int, bits: int = 1) -> int:
     if bound < 0:
         raise ValueError("bound must be >= 0")
     check_bytes(8 * ((bound + 64) // 64), f"sieve of {bound + 1} bits")
-    words = _fold_words(_decode(bits, bound), term_lists, bound)
-    return int.from_bytes(words.tobytes(), "little")
+    low, cut = _fold_words(None if bits == 1 else _decode(bits, bound), term_lists, bound)
+    return int.from_bytes(low.tobytes(), "little") | (2 << bound) - (2 << cut)
 
 
 def _decode(bits: int, bound: int) -> np.ndarray:
@@ -362,40 +373,46 @@ def _decode(bits: int, bound: int) -> np.ndarray:
     return np.frombuffer(bits.to_bytes(8 * ((bound + 64) // 64), "little"), dtype="<u8")
 
 
-def _fold_words(words: np.ndarray, term_lists, bound: int) -> np.ndarray:
-    # The words of S + T1 + T2 + ... for S in words: one route per list, the
-    # seed scatter or the dense fold (see fold).  The lists are read
-    # ascending, and only through slices.  While S != {0} and two or more
-    # lists are left, the head step reads L (see _head_miss) before each
-    # list, from the _HEAD smallest terms of every list left.  An L above
-    # bound / 2 would cut less than half: the first time, if L < bound, the
-    # step is tried again at once with 2 * _HEAD heads, and after that (or
-    # when the retry fails too) the list is folded by its route and the
-    # step tried again; else the step cuts the words, the bound and the
-    # lists to [0, L], the loop folds those by the same routes, never
-    # trying the step again, and (L, bound] is set at the end.  words never holds a value past the bound, so S = {0} is
-    # read from it exactly.  The gap proof comes first (see fold): it folds
-    # below W, and (W, bound] is set as (L, bound] is.
+def _fold_words(words: np.ndarray | None, term_lists, bound: int) -> tuple[np.ndarray, int]:
+    # (low, cut) for F = S + T1 + T2 + ...: the words of F within [0, cut],
+    # nothing past cut, where F holds every value in (cut, bound].  S is
+    # the set in words, or {0} for None.  One route per list, the seed
+    # scatter or the dense fold (see fold).  The lists are read ascending,
+    # and only through slices.  A fold from {0} first reads M and tries the
+    # gap proof (see _seeded_proof), which ends the fold at cut = W.
+    # Unless M > 1 or the proof's late hole rules it out, while S != {0}
+    # and two or more lists are left, the head step reads L (see
+    # _head_miss) before each list, from the _HEAD smallest terms of every
+    # list left.  An L above bound / 2 would cut less than half: the first
+    # time, if L < bound, the step is tried again at once with 2 * _HEAD
+    # heads, and after that (or when the retry fails too) the list is
+    # folded by its route and the step tried again; else the step cuts the
+    # words, the bound and the lists to [0, L], and the loop folds those
+    # by the same routes, never trying the step again, to cut = L.  words
+    # never holds a value past the bound, so S = {0} is read from it
+    # exactly.
+    lists = [_ascending(terms) for terms in term_lists]
+    step = True  # the head step may be tried
+    if (words is None or _is_zero(words)) and len(lists) > 1:
+        step = _class_modulus(lists) <= 1
+        if isinstance(lists[0], _Terms):
+            proof = _seeded_proof(lists, bound)
+            if not isinstance(proof, bool):
+                width, bits = proof  # W, and F within [0, W]
+                return _decode(bits, width), width
+            step = step and proof
     top = np.uint64((1 << (bound % 64 + 1)) - 1)  # the last word's bits within bound
-    whole = None  # (nw, top) of the fold, once the head step or the gap proof has cut it
     retry = True  # before the first try, retried with 2 * _HEAD heads if it fails with L < bound
-    lists = map(_ascending, term_lists)
+    lists = iter(lists)
     while (terms := next(lists, None)) is not None:
-        seed = words[0] == 1 and not words[1:].any()  # S = {0}
-        if seed and isinstance(terms, _Terms) and (rest := [*lists]):
-            if (proof := _gap_proof(terms, rest, bound)) is not None:
-                whole = (words.size, top)
-                bound, bits = proof  # W, and F within [0, W]
-                words, top = _decode(bits, bound), np.uint64((1 << (bound % 64 + 1)) - 1)
-                break
-            lists = iter(rest)
-        if whole is None and not seed and len(rest := [terms, *lists]) > 1:
+        seed = words is None or _is_zero(words)
+        if step and not seed and len(rest := [terms, *lists]) > 1:
             low = _head_miss(words, [terms[:_HEAD] for terms in rest], bound, top)
             if retry and bound // 2 < low < bound:
                 low = _head_miss(words, [terms[: 2 * _HEAD] for terms in rest], bound, top)
             retry = False
             if 2 * low <= bound:
-                whole = (words.size, top)
+                step = False
                 words, bound = words[: low // 64 + 1].copy(), low
                 top = np.uint64((1 << (low % 64 + 1)) - 1)
                 words[-1] &= top
@@ -405,16 +422,15 @@ def _fold_words(words: np.ndarray, term_lists, bound: int) -> np.ndarray:
         terms = terms[:]  # the whole list: a _Terms list is built here
         if seed:
             v = np.array(terms, dtype=np.int64)
-            words = _set(np.zeros(words.size, dtype="<u8"), v[v <= bound], top)
+            words = _set(np.zeros((bound + 64) // 64, dtype="<u8"), v[v <= bound], top)
         else:
             words = _fold_dense(words, terms, bound, top)
-    if whole is not None:
-        nw, whole_top = whole
-        low_words, words = words, np.full(nw, _FULL, dtype="<u8")
-        words[: low_words.size] = low_words
-        words[low_words.size - 1] |= ~top  # (L, the end of L's word]
-        words[-1] &= whole_top
-    return words
+    return (_decode(1, bound) if words is None else words), bound
+
+
+def _is_zero(words: np.ndarray) -> bool:
+    # whether the set in words is {0}
+    return words[0] == 1 and not words[1:].any()
 
 
 def _group(terms: list[int], bound: int) -> list[list[int]]:
@@ -520,26 +536,59 @@ def _count_upto(terms, v: int) -> int:
     return _term_count(terms.c, v) if isinstance(terms, _Terms) else bisect_right(terms, v)
 
 
-def _gap_proof(seed: _Terms, rest: list, bound: int) -> tuple[int, int] | None:
-    # (W, the bits of F within [0, W]) for F = seed + T1 + ... + Tk, the Ti
-    # the lists of rest, if seed's gaps prove every value in (W, bound] (see
-    # fold); else None.  The difference after term i of c * P8 is c (i + 1)
-    # for even i and 2 c (i + 1) for odd i, so G, the widest one up to the
-    # first term past the bound (term k), is the larger of the last two.
-    k = len(seed)
-    gap = seed.c * max(k, 2 * (k - k % 2))
+def _class_modulus(lists: list) -> int:
+    # M (see fold): the gcd of the differences of each ascending list's
+    # terms, 0 where no list has two terms.  c * P8 has the terms 0, c and
+    # 5 c, whose differences have gcd c.
+    return gcd(*(
+        (terms.c if len(terms) > 1 else 0) if isinstance(terms, _Terms)
+        else gcd(*(t - terms[0] for t in terms))
+        for terms in lists
+    ))
+
+
+def _seeded_proof(lists: list, bound: int) -> tuple[int, int] | bool:
+    # The gap proof of F = T1 + T2 + ... (see fold) with each distinct
+    # coefficient's lazy list as the seed in turn, smallest first: (W, the
+    # bits of F within [0, W]) from the first seed that proves.  Else
+    # whether the head step may still cut: False if the first seed's F
+    # within [0, W] misses a value past W / 2.
+    seeds: dict[int, int] = {}
+    for i, terms in enumerate(lists):
+        if isinstance(terms, _Terms):
+            seeds.setdefault(terms.c, i)
+    for j, i in enumerate(seeds[c] for c in sorted(seeds)):
+        width, bits, proved = _gap_proof(lists, i, bound)
+        if proved or not j:
+            mask = (2 << width) - 1
+            bits = _shift_or(bits, lists[i][: _count_upto(lists[i], width)], mask)
+            if proved:
+                return width, bits
+            if 2 * ((mask ^ bits).bit_length() - 1) > width:  # the last hole
+                return False
+    return True
+
+
+def _gap_proof(lists: list, i: int, bound: int) -> tuple[int, int, bool]:
+    # (W, the bits of C within [0, W], whether the gaps of the seed, the
+    # lazy list lists[i], prove every value in (W, bound]) for C the sumset
+    # of the other lists (see fold).  The difference after term i of c * P8
+    # is c (i + 1) for even i and 2 c (i + 1) for odd i, so G, the widest
+    # one up to the first term past the bound (term k), is the larger of
+    # the last two.
+    seed = lists[i]
+    k, c = len(seed), seed.c
+    gap = c * max(k, 2 * (k - k % 2))
     width = min(bound, 2 * gap)
     mask = (2 << width) - 1
     bits = 1
-    for terms in rest:  # C = (T1 + ... + Tk) within [0, W]
+    for terms in lists[:i] + lists[i + 1 :]:  # C within [0, W]
         bits = _shift_or(bits, terms[: _count_upto(terms, width)], mask)
     run, span = bits, 1  # bit b of run: [b, b + span) in C, so b + span - 1 <= W
     while run and span < gap:
         step = min(span, gap - span)
         run, span = run & run >> step, span + step
-    if not run and width < bound:
-        return None
-    return width, _shift_or(bits, seed[: _count_upto(seed, width)], mask)
+    return width, bits, bool(run) or width == bound
 
 
 def _shift_or(bits: int, terms: list[int], mask: int) -> int:
@@ -606,8 +655,8 @@ def build_sieve(a, bound: int) -> RepresentationSieve:
     longest, and a fold from {0} scatters it at no fold cost) and then the
     largest to the second smallest, so the dense folds get the shortest
     lists.  Each list is built only as far as the fold reads it: its
-    terms <= W when the gaps of the first list prove the rest, else those,
-    the seed's whole, and the others' heads and terms <= L unless one is
+    terms <= W when the gaps of one list prove the rest, else those, the
+    first list's whole, and the others' heads and terms <= L unless one is
     folded whole.
     """
     a = coeff_vector(a)
@@ -620,15 +669,16 @@ def _form_lists(a: tuple[int, ...], bound: int):
 
 
 def _walk(forms, bound: int):
-    # (form, words) for each form in the order given: the words of its
-    # sieve, folded from {0} as build_sieve folds it, which the tight
-    # verdicts and the Z rows read as they are.  Every form and the bound
-    # are checked, and one sieve's bytes, before the first fold.
+    # (form, low, cut) for each form in the order given: its sieve folded
+    # from {0} as build_sieve folds it, as the words of its values within
+    # [0, cut], every value in (cut, bound] being one (see _fold_words).
+    # The tight verdicts and the Z rows read these as they are.  Every form
+    # and the bound are checked, and one sieve's bytes, before the first fold.
     forms = [coeff_vector(a) for a in forms]
     if bound < 0:
         raise ValueError("bound must be >= 0")
     check_bytes(8 * ((bound + 64) // 64), f"a sieve of {bound + 1} bits per form")
-    return ((a, _fold_words(_decode(1, bound), _form_lists(a, bound), bound)) for a in forms)
+    return ((a, *_fold_words(None, _form_lists(a, bound), bound)) for a in forms)
 
 
 def _extensions(words: np.ndarray, bound: int, gs, n: int, terms, reserve):

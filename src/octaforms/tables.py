@@ -211,16 +211,17 @@ def verify_z_rows(rows, bound: int = DEFAULT_BOUND) -> list[ZReport]:
     """verify_z_row for each row in turn, one fold from {0} per row.
 
     Every row's form is validated before the first sieve is built, and each
-    exception set is read from its sieve's words, with no packed int.
+    exception set is read from its sieve's words up to the value past which
+    the fold proved every value, with no packed int and no word past it.
     """
     rows = list(rows)
     if any(row.expect_kind != "Z" for row in rows):
         raise ValueError("verify_z_row expects a Z row")
     reports = []
-    for row, (a, words) in zip(rows, _walk([row.prefix for row in rows], bound)):
+    for row, (a, low, cut) in zip(rows, _walk([row.prefix for row in rows], bound)):
         if a[0] > bound:
             raise ValueError(f"range [{a[0]}, {bound}] outside sieve range [0, {bound}]")
-        actual = tuple(_bit_scan(words, a[0], bound, missing=True))
+        actual = tuple(_bit_scan(low, a[0], cut, missing=True))  # none missing past the cut
         reports.append(ZReport(row=row, ok=actual == row.expect_z, expected=row.expect_z,
                                actual=actual))
     return reports

@@ -2,7 +2,7 @@
 
 import pytest
 
-from octaforms import escalation, polygonal
+from octaforms import escalation, polygonal, tables
 from octaforms.escalation import (
     CriterionSet,
     EscalationDepthError,
@@ -208,6 +208,35 @@ def test_tight_verdicts_match_the_per_form_checks(trace2):
         "represents_below_n(1)", "misses_in_bound(6)", "tight", "tight", "misses_criterion(3)"]
     with pytest.raises(ValueError):
         tight_verdicts(forms, 3, crit, BOUND)
+
+
+def test_verdicts_and_z_rows_read_a_cut_sieve_as_its_packed_int():
+    # _walk hands each sieve over as its words up to a cut, every value past
+    # the cut being in the sieve: W for a form a seed's gaps prove, L for one
+    # that the head step cuts ((2, 3, 4, 5) at 1, below its first
+    # coefficient), and the bound for one folded whole (the ternary
+    # (1, 2, 3), the non-primitive (2, 4, 6, 8) and (2, 3, 4, 6)).  The
+    # verdicts, with n and the criterion values on both sides of each cut,
+    # and the Z rows read what build_sieve's packed int holds.
+    bound = 20_000
+    forms = [(2, 3, 4, 5, 6), (4, 5, 6, 7, 8), (3, 3, 4, 4, 5), (2, 2, 2, 3), (2, 3, 4, 5),
+             (1, 2, 3), (2, 4, 6, 8), (2, 3, 4, 6)]
+    cuts = {a: cut for a, _, cut in polygonal._walk(forms, bound)}
+    assert [cuts[a] for a in forms[:5]] == [928, 1440, 1312, 11, 1]
+    assert all(cuts[a] == bound for a in forms[5:])
+    for a, cut in cuts.items():
+        near = sorted({v for v in (0, 1, 2, cut - 1, cut, cut + 1, cut + 2, bound)
+                       if 0 <= v <= bound})
+        for n in near:
+            for values in ((), tuple(v for v in near if v >= n), (bound,)):
+                crit = CriterionSet(n=n, values=values)
+                assert tight_verdicts([a], n, crit, bound) == [_int_verdict(a, n, crit, bound)], (
+                    a, n, values)
+    reports = tables.verify_z_rows(
+        [tables.TableRow(prefix=a, slot=None, expect_kind="Z", expect_z=()) for a in forms], bound)
+    for a, report in zip(forms, reports):
+        bits = build_sieve(a, bound).bits
+        assert report.actual == tuple(v for v in range(a[0], bound + 1) if not bits >> v & 1), a
 
 
 def test_new_forms_are_tested_only_against_universal_forms_with_the_added_coefficient():

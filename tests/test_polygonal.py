@@ -1,11 +1,13 @@
 """Core representation machinery against an independent brute-force oracle."""
 
+import contextlib
 import hashlib
 import random
 import time
 import tracemalloc
 from bisect import bisect_right
 from itertools import permutations, product
+from math import gcd
 from unittest import mock
 
 import numpy as np
@@ -230,7 +232,7 @@ def test_a_list_of_forms_gets_each_forms_own_verdict_and_sieve(bound, forms, n, 
     crit = CriterionSet(n=n, values=tuple(sorted({n} | {v for v in values if n <= v <= bound})))
     assert tight_verdicts(forms, n, crit, bound) == [
         check_tight_universal(a, n, crit, bound) for a in forms]
-    walked = [(a, _as_int(words)) for a, words in polygonal._walk(forms, bound)]
+    walked = [(a, _folded(low, cut, bound)) for a, low, cut in polygonal._walk(forms, bound)]
     assert walked == [(a, build_sieve(a, bound).bits) for a in forms]
 
 
@@ -257,12 +259,16 @@ def test_a_list_of_forms_is_validated_before_the_first_sieve():
 
 def test_a_list_of_forms_checks_one_sieves_bytes_before_allocating():
     # a sieve of 2**31 + 1 bits is one word over the 256 MiB limit, so a
-    # list of forms raises before it decodes the start set of the first
-    # fold, let alone folds it
+    # list of forms raises before it folds the first form.  A fold from {0}
+    # fills a sieve-sized array first by the seed scatter's _set or, when
+    # the gap proof holds, by _decode; both fail here, so a missing check
+    # stops before it folds a 256 MiB sieve
     crit = CriterionSet(n=2, values=(2, 3))
     tracemalloc.start()
     try:
-        with mock.patch.object(polygonal, "_decode", side_effect=AssertionError("allocated")):
+        with mock.patch.multiple(polygonal, _decode=mock.DEFAULT, _set=mock.DEFAULT) as spies:
+            for spy in spies.values():
+                spy.side_effect = AssertionError("allocated")
             with pytest.raises(ResourceBudgetError):
                 tight_verdicts([(1, 2, 3), (1, 2, 4)], 2, crit, 2**31)
             with pytest.raises(ResourceBudgetError):
@@ -294,14 +300,21 @@ def test_sieve_bits_at_a_million_are_pinned():
 
 
 def test_sieve_bits_at_ten_million_are_pinned():
-    # (2, 3, 4, 5, 6) is proved by its seed's gaps (see fold), and
-    # (2, 3, 4, 5) is not; both miss 1 alone up to 10^7, so the bits agree
-    pin = "38dbcb71e794a2ab6d3ce90eefb9979f31581c16596b03b051b842fb3caf5ef4"
-    for a, proved in (((2, 3, 4, 5, 6), True), ((2, 3, 4, 5), False)):
+    # (2, 3, 4, 5, 6) is proved by the gaps of its first list (see fold),
+    # (2, 3, 4, 5) by those of its list of 4, the third seed tried, and
+    # (2, 3, 4, 6) by none of its four; the first two miss 1 alone up to
+    # 10^7, so their bits agree, and (2, 3, 4, 6) misses 1 and 18
+    pins = {
+        (2, 3, 4, 5, 6): (1, "38dbcb71e794a2ab6d3ce90eefb9979f31581c16596b03b051b842fb3caf5ef4"),
+        (2, 3, 4, 5): (3, "38dbcb71e794a2ab6d3ce90eefb9979f31581c16596b03b051b842fb3caf5ef4"),
+        (2, 3, 4, 6): (None, "96a885aca2e40b450aa85fb533e87cd3a7469e65dfbec15aa354e274fed1ebef"),
+    }
+    for a, (proved_at, pin) in pins.items():
         proofs = []
         with _proving(proofs):
             bits = build_sieve(a, 10**7).bits.to_bytes((10**7 + 8) // 8, "little")
-        assert (proofs[0] is not None) == proved, a
+        assert [c for c, _, _ in proofs] == sorted(set(a))[: proved_at or len(set(a))], a
+        assert [proved for _, _, proved in proofs][-1] == (proved_at is not None), a
         assert hashlib.sha256(bits).hexdigest() == pin, a
 
 
@@ -312,6 +325,15 @@ def _as_words(bits, bound):
 
 def _as_int(words):
     return int.from_bytes(words.tobytes(), "little")
+
+
+def _folded(low, cut, bound):
+    # the packed bits over [0, bound] of a fold's (low, cut): low holds the
+    # values within [0, cut] and nothing past it, and every value in
+    # (cut, bound] is in the set
+    bits = _as_int(low)
+    assert cut <= bound and bits >> cut + 1 == 0
+    return bits | (2 << bound) - (2 << cut)
 
 
 # sets that are full but for 0-8 gaps, on bounds of 16 to 160 words;
@@ -592,12 +614,13 @@ def test_the_head_step_is_the_ordinary_loop(case):
     words, _ = _as_words(bits, bound)
     tries = []
     with _recording(tries):
-        stepped = polygonal._fold_words(words, lists, bound)
+        stepped = _folded(*polygonal._fold_words(words, lists, bound), bound)
     plain = words
     for terms in lists:
-        plain = polygonal._fold_words(plain, [terms], bound)
+        plain, cut = polygonal._fold_words(plain, [terms], bound)
+        assert cut == bound  # one list: no cut
     want = _shift_or_fold(bits, lists, bound)
-    assert _as_int(stepped) == _as_int(plain) == want
+    assert stepped == _as_int(plain) == want
     if S == {0}:  # the seed route, as from the default bits
         assert all(len(heads) < len(lists) for heads, _ in tries)
     else:
@@ -635,8 +658,8 @@ def test_the_retry_is_the_sumset(bound, start, step, above, zero, cs, lazy):
              else [random.Random(c).sample(terms, len(terms)) for c, terms in zip(cs, whole)])
     tries = []
     with _recording(tries):
-        folded = polygonal._fold_words(words, lists, bound)
-    assert _as_int(folded) == _shift_or_fold(bits, whole, bound)
+        folded = _folded(*polygonal._fold_words(words, lists, bound), bound)
+    assert folded == _shift_or_fold(bits, whole, bound)
     if S != {0}:
         _assert_step_contract(tries, whole, bound)
 
@@ -704,72 +727,81 @@ def _cut_at(tries, bound):
 
 
 def _proving(proofs):
-    # _gap_proof, patched to record what each call returns: (W, bits) or None
+    # _gap_proof, patched to record each try: (its seed's coefficient, W,
+    # whether it proved)
     real = polygonal._gap_proof
 
-    def gap_proof(*args):
-        proofs.append(real(*args))
-        return proofs[-1]
+    def gap_proof(lists, i, bound):
+        width, bits, proved = real(lists, i, bound)
+        proofs.append((lists[i].c, width, proved))
+        return width, bits, proved
 
     return mock.patch.object(polygonal, "_gap_proof", gap_proof)
 
 
 def test_table_forms_take_the_head_step_once():
     # Every tabulated form at bound 200,000 first tries the gap proof (see
-    # fold), and 221 of the 252 are proved there: they try no head step.
-    # The other 31 try the head step as soon as their first list is
-    # scattered, by the contract above.  None cuts at the first try, 20 cut
-    # at its retry with 24 heads, and 11 fold a list and try again (one,
-    # whose A misses the bound, without a retry); all but (2, 3, 4, 6) cut
-    # then.  Every table 4 form is proved but (4, 5, 6, 7, 8), which cuts at
-    # L = 3: A misses 3 and nothing above it, so the fold below L is at
-    # bound 3, and the step is not tried again.  So do three table 1 rows,
-    # at their largest miss, but for (2, 3, 4, 6): its heads leave 199,995,
-    # 199,547 and then 199,163 open, so it never cuts and folds its last
-    # list whole.
+    # fold) with each distinct coefficient as the seed, smallest first,
+    # until one proves: 221 of the 252 are proved by their first list and
+    # 23 more by a later one, so 244 try no head step.  No first try ends
+    # at a late hole.  The other 8 try the head step as soon as their
+    # first list is scattered, by the contract above.  None cuts at the
+    # first try or its retry: each folds a list and tries again (one, whose
+    # A misses the bound, without a retry), and all but (2, 3, 4, 6) cut
+    # then, at L <= 14.  (2, 3, 4, 6) never cuts: its heads leave 199,995,
+    # 199,547 and then 199,163 open, and it folds its last list whole.
+    # Every table 4 form is proved, (4, 5, 6, 7, 8) by its list of 5, and
+    # (2, 3, 4, 5) and (3, 3, 4, 4, 5) by their lists of 4.
     bound = 200_000
     split = {"proved": 0, "first": 0, "retry": 0, "later": 0}
+    later_seed = 0
     for a in _table_forms():
         tries, proofs = [], []
         with _recording(tries), _proving(proofs):
             build_sieve(a, bound)
-        assert len(proofs) == 1, a
-        if proofs[0] is not None:
+        seeds = sorted(set(a))
+        assert [c for c, _, _ in proofs] == seeds[: len(proofs)], a
+        assert [proved for _, _, proved in proofs[:-1]] == [False] * (len(proofs) - 1), a
+        if proofs[-1][2]:
             assert tries == [], a
             split["proved"] += 1
+            later_seed += len(proofs) > 1
             continue
+        assert len(proofs) == len(seeds), a  # no late hole
         _assert_step_contract(tries, [term_values(c, bound) for c in reversed(a[1:])], bound)
         split[_cut_at(tries, bound)] += 1
-    assert split == {"proved": 221, "first": 0, "retry": 20, "later": 11}
-    cases = [(a, 4, (), None if a != (4, 5, 6, 7, 8) else 3)
-             for row in tables.load_table(4) for a in tables.expand_row(row)]
-    cases += [((3, 3, 4, 4, 5), 3, (17, 21), 21), ((2, 3, 4, 5), 2, (), 1),
-              ((2, 3, 4, 6), 2, (18,), 199_163), ((2, 3, 4, 5, 6), 2, (), None)]
+    assert split == {"proved": 244, "first": 0, "retry": 0, "later": 8}
+    assert later_seed == 23
+    cases = [(a, 4, (), None) for row in tables.load_table(4) for a in tables.expand_row(row)]
+    cases += [((3, 3, 4, 4, 5), 3, (17, 21), None), ((2, 3, 4, 5), 2, (), None),
+              ((2, 3, 4, 6), 2, (18,), 199_163), ((2, 3, 4, 5, 6), 2, (), None),
+              ((2, 2, 2, 3), 2, (8, 11), 11)]
     for a, n, exceptions, low in cases:
         tries, proofs = [], []
         with _recording(tries), _proving(proofs):
             sieve = build_sieve(a, bound)
         if low is None:
-            assert proofs[0] is not None and tries == [], a
+            assert proofs[-1][2] and tries == [], a
         else:
-            assert proofs == [None] and tries[-1][1] == low and len(tries) <= 3, a
+            assert not any(proved for _, _, proved in proofs), a
+            assert tries[-1][1] == low and len(tries) <= 3, a
         assert sieve.missing_in_range(n, bound) == list(exceptions), a
 
 
 def test_a_form_that_cuts_builds_no_whole_list_past_its_seed():
     # build_sieve's lists are built only as far as the fold reads them.  A
-    # form that its seed's gaps prove builds no list whole and no term past
-    # W, and folds nothing at the full bound: no _or_shifts call, no head
-    # step.  One that cuts at the head step's first try or retry builds, in
-    # this order, each other list's terms <= W for the gap proof that
-    # failed, its seed's list whole, and at most 2 * _HEAD terms of each
-    # other list, its heads and its terms <= L (L <= 64 there);
-    # _first_terms builds them all.  Of the tabulated forms, 221 are proved
-    # and 20 more cut.
+    # form that a seed's gaps prove builds no list whole and no term past
+    # the largest W of its tries, and folds nothing at the full bound: no
+    # _or_shifts call, no head step.  One that cuts at the head step's
+    # first try or retry builds, in this order, each list's terms <= W for
+    # the gap proofs that failed, its first list whole, and at most
+    # 2 * _HEAD terms of each other list, its heads and its terms <= L;
+    # _first_terms builds them all.  Of the tabulated forms, 244 are proved
+    # and none cuts so; of three more forms, each cuts at the retry.
     bound = 200_000
     real = polygonal._first_terms
     proved = cut = 0
-    for a in _table_forms():
+    for a in [*_table_forms(), (1, 2, 5, 7), (1, 2, 7, 9), (1, 4, 6, 9)]:
         tries, proofs, built = [], [], []
 
         def spy(c, k):
@@ -780,19 +812,18 @@ def test_a_form_that_cuts_builds_no_whole_list_past_its_seed():
             polygonal, "_first_terms", spy
         ), mock.patch.object(polygonal, "_or_shifts", wraps=polygonal._or_shifts) as shifts:
             sieve = build_sieve(a, bound)
-        whole = [c for c, k in built if k == len(term_values(c, bound))]
-        if proofs[0] is not None:
+        whole = [i for i, (c, k) in enumerate(built) if k == len(term_values(c, bound))]
+        width = max(w for _, w, _ in proofs)
+        if proofs[-1][2]:
             proved += 1
-            width = proofs[0][0]
             assert width < bound and whole == [] and shifts.call_count == 0, a
             assert all(k <= len(term_values(c, width)) for c, k in built), a
         elif _cut_at(tries, bound) != "later":
             cut += 1
-            width = min(bound, 2 * _widest_gap(a[0], bound))
-            assert whole == [a[0]] and built[len(a) - 1][0] == a[0], a
-            assert all(k <= len(term_values(c, width)) for c, k in built[: len(a) - 1]), a
-            assert max(k for _, k in built[len(a):]) <= 2 * polygonal._HEAD, a
-    assert (proved, cut) == (221, 20)
+            assert len(whole) == 1 and built[whole[0]][0] == a[0], a
+            assert all(k <= len(term_values(c, width)) for c, k in built[: whole[0]]), a
+            assert max(k for _, k in built[whole[0] + 1 :]) <= 2 * polygonal._HEAD, a
+    assert (proved, cut) == (244, 3)
     assert sieve.bits == fold([term_values(c, bound) for c in a], bound)  # the last form
 
 
@@ -812,7 +843,9 @@ def gap_proofs(draw):
     # tiny (W = bound), below c, on word edges, or at a term of c * P8 or
     # next to one; the plain lists are runs of G - 1, G or G + 1 values
     # from 0 or from W - G + 1, so that C holds a run that just misses G,
-    # just fills [β, β + G) up to W, or runs past W.
+    # just fills [β, β + G) up to W, or runs past W, or shorter runs from
+    # 0, which fill [0, W] with c's list but leave its wider gaps past W
+    # open.
     c = draw(st.integers(1, 30))
     bound = draw(st.one_of(
         st.integers(0, 300), BYTE_EDGES, st.integers(0, 20_000),
@@ -821,10 +854,27 @@ def gap_proofs(draw):
     ))
     gap = _widest_gap(c, bound)
     width = min(bound, 2 * gap)
-    run = st.builds(lambda start, d: list(range(start, start + gap + d)),
-                    st.sampled_from([0, max(width - gap + 1, 0)]), st.sampled_from([-1, 0, 1]))
-    rest = draw(st.lists(st.one_of(st.integers(1, 30), run), min_size=1, max_size=4))
+    run = st.one_of(
+        st.builds(lambda start, d: list(range(start, start + gap + d)),
+                  st.sampled_from([0, max(width - gap + 1, 0)]), st.sampled_from([-1, 0, 1])),
+        st.integers(1, max(gap, 1)).map(lambda r: list(range(r))),
+    )
+    rest = draw(st.lists(st.one_of(st.integers(1, 30), st.integers(31, 300), run),
+                         min_size=1, max_size=4))
     return bound, c, rest
+
+
+def _gap_lists(bound, c, rest):
+    # a gap_proofs case as the lists the fold reads and the same lists whole
+    lists = [polygonal._Terms(c, bound)] + [
+        polygonal._Terms(b, bound) if isinstance(b, int) else b for b in rest]
+    return lists, [terms[:] for terms in lists]
+
+
+def _late_hole(bits, width):
+    # whether the packed set bits misses a value within (W / 2, W]
+    missed = ((2 << width) - 1) & ~bits
+    return 2 * (missed.bit_length() - 1) > width
 
 
 @settings(max_examples=200, deadline=None)
@@ -837,16 +887,18 @@ def gap_proofs(draw):
 @example(case=(2000, 2, [4, 3]))  # ternary: C = T1 + T2 has no run
 @example(case=(5000, 8, [28, 11, 11]))  # (8, 11, 11, 28) misses 1 and 5 mod 8
 @example(case=(800, 4, [4, 4, 4]))  # repeated coefficients
+@example(case=(200_000, 2, [5, 4, 3]))  # (2, 3, 4, 5): the list of 4 proves
+@example(case=(500, 4, [60, list(range(32))]))  # only the list of 60, by its own G
 def test_the_gap_proof_is_the_sumset(case):
-    # The fold of case's lists from {0} equals the Python-int sumset, and
-    # tries the gap proof once, at W = min(bound, 2 G).  A fold it proves
-    # ORs nothing at the full bound (no _or_shifts call, no head step) and
-    # builds no term past W.
+    # The fold of case's lists from {0} equals the Python-int sumset.  It
+    # tries the gap proof with the distinct lazy coefficients as seeds,
+    # smallest first, until one proves, each at W = min(bound, 2 G) for its
+    # own G.  It stops after the first try if that try's F within [0, W]
+    # misses a value past W / 2, and then tries no head step.  A fold it
+    # proves ORs nothing at the full bound (no _or_shifts call, no head
+    # step) and builds no term past the largest W tried.
     bound, c, rest = case
-    lists = [polygonal._Terms(c, bound)] + [
-        polygonal._Terms(b, bound) if isinstance(b, int) else b for b in rest]
-    whole = [term_values(c, bound)] + [
-        term_values(b, bound) if isinstance(b, int) else b for b in rest]
+    lists, whole = _gap_lists(bound, c, rest)
     real = polygonal._first_terms
     tries, proofs, built = [], [], []
 
@@ -857,14 +909,111 @@ def test_the_gap_proof_is_the_sumset(case):
     with _recording(tries), _proving(proofs), mock.patch.object(
         polygonal, "_first_terms", spy
     ), mock.patch.object(polygonal, "_or_shifts", wraps=polygonal._or_shifts) as shifts:
-        words = polygonal._fold_words(polygonal._decode(1, bound), lists, bound)
-    assert _as_int(words) == _shift_or_fold(1, whole, bound)
-    assert len(proofs) == 1
-    if proofs[0] is not None:
-        width = proofs[0][0]
-        assert width == min(bound, 2 * _widest_gap(c, bound))
+        low, cut = polygonal._fold_words(None, lists, bound)
+    want = _shift_or_fold(1, whole, bound)
+    assert _folded(low, cut, bound) == want
+    seeds = sorted({terms.c for terms in lists if isinstance(terms, polygonal._Terms)})
+    assert [b for b, _, _ in proofs] == seeds[: len(proofs)]
+    assert [width for _, width, _ in proofs] == [
+        min(bound, 2 * _widest_gap(b, bound)) for b, _, _ in proofs]
+    assert not any(proved for _, _, proved in proofs[:-1])
+    width = max(width for _, width, _ in proofs)
+    if proofs[-1][2]:
+        assert cut == proofs[-1][1]
         assert tries == [] and shifts.call_count == 0
         assert all(k <= len(term_values(b, width)) for b, k in built)
+    elif len(proofs) < len(seeds):  # the first seed's F misses a value past W / 2
+        assert len(proofs) == 1 and _late_hole(want, proofs[0][1]) and tries == []
+    else:
+        assert len(proofs) == 1 or not _late_hole(want, proofs[0][1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=gap_proofs())
+@example(case=(500, 4, [60, list(range(32))]))  # the list of 60 proves only by its own G
+@example(case=(50, 2, [8, 7, 4]))  # C without the seed's list: (2, 4, 7, 8) misses 3
+def test_every_seed_the_gap_proof_may_pick_gives_the_sumset(case):
+    # Whichever lazy list is the seed, C is the sumset of the other lists
+    # within [0, W], W = min(bound, 2 G) for the seed's own widest gap G;
+    # and where its gaps prove the values past W, the seed's terms <= W
+    # plus C within [0, W], with all of (W, bound] set, is the sumset.
+    bound, c, rest = case
+    lists, whole = _gap_lists(bound, c, rest)
+    want = _shift_or_fold(1, whole, bound)
+    for i, seed in enumerate(lists):
+        if not isinstance(seed, polygonal._Terms):
+            continue
+        width, bits, proved = polygonal._gap_proof(lists, i, bound)
+        assert width == min(bound, 2 * _widest_gap(seed.c, bound)), i
+        assert bits == _shift_or_fold(1, whole[:i] + whole[i + 1 :], width), i
+        if proved:
+            low = _shift_or_fold(bits, [whole[i]], width)
+            assert low | (2 << bound) - (2 << width) == want, i
+
+
+FORMS_THAT_MISS_HIGH_UP = st.one_of(
+    st.lists(st.integers(1, 12), min_size=2, max_size=3),  # ternary and binary
+    st.builds(lambda m, a: [m * c for c in a], st.integers(2, 4),
+              st.lists(st.integers(1, 8), min_size=2, max_size=5)),  # non-primitive
+    st.sampled_from([[8, 11, 11, 28], [3, 3, 4, 4], [2, 3, 4, 6], [2, 3, 4, 5]]),
+    st.lists(st.integers(1, 30), min_size=4, max_size=6),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=FORMS_THAT_MISS_HIGH_UP.map(sorted), bound=st.integers(0, 30_000),
+       route=st.sampled_from([None, True, False]), modulus=st.sampled_from([None, 0, 1, 2]))
+@example(a=[8, 11, 11, 28], bound=5000, route=None, modulus=None)
+@example(a=[2, 4, 6, 8], bound=3000, route=None, modulus=None)
+@example(a=[2, 3, 4, 5], bound=20_000, route=None, modulus=None)
+def test_the_late_hole_rule_and_the_class_test_never_change_bits(a, bound, route, modulus):
+    # The gap proof's verdict on the head step (route: True lets it be
+    # tried, False skips it, None is the fold's own) and M (modulus; None
+    # is the fold's own) choose routes only: every choice gives the sumset.
+    # The fold's own choices are the rules of fold: M is gcd(a) once every
+    # list has two terms, the first seed's late hole is read from its F
+    # within [0, W], and after a late hole or with M > 1 no head step is
+    # tried.
+    lists = list(polygonal._form_lists(tuple(a), bound))
+    want = _shift_or_fold(1, [term_values(c, bound) for c in a], bound)
+    patches = []
+    if route is not None:
+        patches.append(mock.patch.object(polygonal, "_seeded_proof", return_value=route))
+    if modulus is not None:
+        patches.append(mock.patch.object(polygonal, "_class_modulus", return_value=modulus))
+    tries, proofs = [], []
+    with _recording(tries), _proving(proofs), contextlib.ExitStack() as stack:
+        for patch in patches:
+            stack.enter_context(patch)
+        low, cut = polygonal._fold_words(None, lists, bound)
+    assert _folded(low, cut, bound) == want
+    m = polygonal._class_modulus(lists) if modulus is None else modulus
+    if route is False or m > 1:
+        assert tries == []
+    if route is None and modulus is None:
+        assert m == gcd(*(c for c in a if c <= bound))
+        if not proofs[0][2]:
+            late = _late_hole(want, proofs[0][1])
+            assert (len(proofs) == 1) == (late or len(set(a)) == 1)
+            assert tries == [] or not late
+
+
+def test_a_fold_whose_sums_lie_in_one_class_tries_no_head_step():
+    # M is the gcd of the differences of each list's terms, not of the
+    # terms: b * y^2 with y prime to 3 is b mod 3 b, so the coprime-to-3
+    # folds have M = 3 gcd(b) and try no head step, though gcd(b) may be 1.
+    assert polygonal._class_modulus([[1, 4, 16, 25, 49], [2, 8, 32]]) == 3
+    assert polygonal._class_modulus([[2, 5], [3]]) == 3
+    assert polygonal._class_modulus([[7], [3]]) == 0
+    assert polygonal._class_modulus([polygonal._Terms(6, 100), [0, 9]]) == 3
+    assert polygonal._class_modulus([polygonal._Terms(6, 5), [0, 9]]) == 9
+    for diag, bound in (((3, 4, 5, 6), 10_000), ((1, 2), 3000), ((1, 1, 1), 2000)):
+        tries = []
+        with _recording(tries):
+            bits = lattice.coprime3_values_up_to(diag, bound)
+        assert tries == [], diag
+        lists = [[b * y * y for y in lattice._coprime_units(bound // b)] for b in diag]
+        assert bits == _shift_or_fold(1, lists, bound), diag
 
 
 EDGY = st.one_of(st.sampled_from([1, 63, 64, 65, 128]), st.integers(1, 160 * 64 + 10))
@@ -933,10 +1082,10 @@ def test_a_fold_from_zero_scatters_the_terms(bound, terms):
     top = np.uint64((1 << (bound % 64 + 1)) - 1)
     # from {0}, the list is scattered: neither gap-tested nor folded densely
     with mock.patch.multiple(polygonal, _cover=mock.DEFAULT, _fold_dense=mock.DEFAULT) as spies:
-        seeded = polygonal._fold_words(words, [terms], bound)
+        seeded = _folded(*polygonal._fold_words(words, [terms], bound), bound)
     assert not any(spy.called for spy in spies.values())
-    assert _as_int(seeded) == _as_int(polygonal._fold_dense(words, terms, bound, top))
-    assert fold([terms], bound) == _as_int(seeded) == sum(1 << t for t in set(terms) if t <= bound)
+    assert seeded == _as_int(polygonal._fold_dense(words, terms, bound, top))
+    assert fold([terms], bound) == seeded == sum(1 << t for t in set(terms) if t <= bound)
 
 
 @settings(max_examples=60, deadline=None)
@@ -950,9 +1099,9 @@ def test_only_a_start_of_zero_alone_is_scattered(bound, v, terms):
     bits = 1 | 1 << min(v, bound)
     words, _ = _as_words(bits, bound)
     with mock.patch.object(polygonal, "_fold_dense", wraps=polygonal._fold_dense) as dense:
-        folded = polygonal._fold_words(words, [terms], bound)
+        folded = _folded(*polygonal._fold_words(words, [terms], bound), bound)
     assert dense.called
-    assert _as_int(folded) == _shift_or_fold(bits, [terms], bound)
+    assert folded == _shift_or_fold(bits, [terms], bound)
 
 
 def test_a_start_of_zero_is_scattered_wherever_the_fold_finds_it():
@@ -970,11 +1119,11 @@ def test_a_start_of_zero_is_scattered_wherever_the_fold_finds_it():
         tries = []
         with _recording(tries), mock.patch.multiple(
                 polygonal, _cover=mock.DEFAULT, _fold_dense=mock.DEFAULT) as spies:
-            folded = polygonal._fold_words(words, lists, bound)
+            folded = _folded(*polygonal._fold_words(words, lists, bound), bound)
         assert not any(spy.called for spy in spies.values())
         assert [len(heads) for heads, _ in tries] == tries_left
-        assert _as_int(folded) == _shift_or_fold(bits, lists, bound)
-        assert fold(lists, bound, bits) == _as_int(folded)
+        assert folded == _shift_or_fold(bits, lists, bound)
+        assert fold(lists, bound, bits) == folded
 
 
 def test_read_outs_match_a_string_oracle_past_a_hundred_thousand_gaps():
