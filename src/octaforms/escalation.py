@@ -35,13 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-import numpy as np
-
 from .polygonal import (
     _decode,
     _extensions,
     _first_gap,
     _fold_words,
+    _Folded,
     _insert_sorted,
     _is_proper_subsequence,
     _walk,
@@ -177,7 +176,7 @@ def run_escalation(n: int, bound: int = DEFAULT_BOUND) -> EscalationTrace:
     terms = cache(lambda c: term_values(c, bound))  # once per coefficient per run
     sieves, children = {}, {}  # the active candidates' words, and the kept children's
     reserve(1)  # the root's words and {0}'s
-    sieves[(n,)] = _fold_words(_decode(1, bound), [terms(n)], bound)[0]  # one list: no cut
+    sieves[(n,)] = _fold_words(_decode(1, bound), [terms(n)], bound).low  # one list: no cut
     found = {(n,): _first_gap(sieves[(n,)], n, bound)}  # the candidates E and their truants
     added = {(n,): n}  # the coefficient each candidate added to its parent
     k = 1
@@ -250,30 +249,25 @@ def tight_verdicts(
     """check_tight_universal for each form in turn, one fold from {0} per form.
 
     Every form is validated before the first sieve is built, and each
-    verdict is read from its sieve's words up to the value past which the
-    fold proved every value, with no packed int and no word past it.
+    verdict is read from its fold as the fold ends it (polygonal._Folded),
+    with no packed int past the largest value read.
     """
     walk = _walk(forms, bound)
     if criterion.n != n:
         raise ValueError(f"criterion set is for n={criterion.n}, not n={n}")
-    return [_verdict(low, cut, bound, n, criterion) for _, low, cut in walk]
+    return [_verdict(sieve, bound, n, criterion) for _, sieve in walk]
 
 
-def _verdict(
-    low: np.ndarray, cut: int, bound: int, n: int, criterion: CriterionSet
-) -> Verdict:
-    # The sieve is its words low within [0, cut] and all of (cut, bound].
+def _verdict(sieve: _Folded, bound: int, n: int, criterion: CriterionSet) -> Verdict:
     # The values below n and the criterion values are read from one small
-    # int of those words, and the first gap >= n by one word read-out up to
-    # the cut; a value or a range outside [0, bound] raises, as it does on
-    # a sieve.
-    top = min(max((0, n - 1, *criterion.values)), cut)
-    bits = int.from_bytes(low[: top // 64 + 1].tobytes(), "little")
+    # packed int of the sieve, and the first gap >= n by one word read-out;
+    # a value or a range outside [0, bound] raises, as it does on a sieve.
+    bits = sieve.packed(min(max((0, n - 1, *criterion.values)), bound))
 
     def has(v: int) -> bool:
         if not 0 <= v <= bound:
             raise ValueError(f"value {v} outside sieve range [0, {bound}]")
-        return v > cut or bool(bits >> v & 1)
+        return bool(bits >> v & 1)
 
     for v in range(1, n):
         if has(v):
@@ -283,7 +277,7 @@ def _verdict(
             return Verdict("misses_criterion", c)
     if not 0 <= n <= bound:
         raise ValueError(f"range [{n}, {bound}] outside sieve range [0, {bound}]")
-    gap = _first_gap(low, n, cut) if n <= cut else None
+    gap = sieve.first_gap(n, bound)
     if gap is not None:
         return Verdict("misses_in_bound", gap)
     return Verdict("tight")

@@ -26,7 +26,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 from math import gcd, isqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -324,17 +326,21 @@ def fold(term_lists, bound: int, bits: int = 1) -> int:
     so b + G - 1 <= W, and F is (T0 within [0, W]) + C within [0, W] plus
     all of (W, bound]; at W = bound that sum is F whether or not C holds a
     run.  C and F within [0, W] take a few thousand bits, so they are
-    Python-int shift-ORs, not words.  If the first seed fails and the last
-    value that F misses within [0, W] lies past W / 2, F misses values high
-    up, as a form that misses a residue class does: no other seed is tried
-    and no head step, and the fold goes on by the routes above.  Of the 252
-    tabulated forms at bound 200,000, 221 are proved by their first list
-    and 23 more by a later one, such as (2, 3, 4, 5) by its list of 4.
+    Python-int shift-ORs, not words.  If no seed proves, the fold goes on
+    by the routes above.  Of the 252 tabulated forms at bound 200,000, 221
+    are proved by their first list and 23 more by a later one, such as
+    (2, 3, 4, 5) by its list of 4.
 
-    A fold from {0} also reads M, the gcd of the differences of each
-    list's terms (c for c * P8, a multiple of 3 for b * y^2 with y prime
-    to 3).  If M > 1, every sum lies in one class mod M, so the head
-    step's L would be at least bound - M + 1, and it is not tried.
+    A fold from {0} that its first seed does not prove (or that has no
+    seed) runs the class test before any other seed: do the sums all lie
+    in one class mod M, M the gcd of the differences of each list's terms
+    (c for c * P8, a multiple of 3 for b * y^2 with y prime to 3), or miss
+    a class mod 144 (as (8, 11, 11, 28) misses 1 and 5 mod 8)?  Then F
+    misses a value in every m consecutive ones, m = M or 144, so no gaps
+    prove F past a W below bound - m + 1, and the head step's L is at
+    least bound - m + 1: no other seed and no head step is tried.  The
+    first seed comes before the test, as it proves most forms and the
+    test costs about 20 us a form.
 
     As soon as S != {0} and two or more lists are left, the head step tries
     to fold them all (see _fold_words).  A = S + H1 + ... + Hk, Hi the 12
@@ -356,7 +362,8 @@ def fold(term_lists, bound: int, bits: int = 1) -> int:
     The fold reads a list only through its terms <= W, its heads, its
     terms <= L and, when it folds the list whole, all of it; so
     build_sieve's lists build only those terms.  A proved or cut fold ends
-    as its words up to W or L, and only this int is widened to the bound.
+    as its words up to W or L (see _Folded), and only this int is widened
+    to the bound.
 
     The byte limit is checked before anything is allocated, so term_lists
     may be a lazy iterable that is only consumed once the bound is accepted.
@@ -364,8 +371,8 @@ def fold(term_lists, bound: int, bits: int = 1) -> int:
     if bound < 0:
         raise ValueError("bound must be >= 0")
     check_bytes(8 * ((bound + 64) // 64), f"sieve of {bound + 1} bits")
-    low, cut = _fold_words(None if bits == 1 else _decode(bits, bound), term_lists, bound)
-    return int.from_bytes(low.tobytes(), "little") | (2 << bound) - (2 << cut)
+    folded = _fold_words(None if bits == 1 else _decode(bits, bound), term_lists, bound)
+    return folded.packed(bound)
 
 
 def _decode(bits: int, bound: int) -> np.ndarray:
@@ -373,34 +380,59 @@ def _decode(bits: int, bound: int) -> np.ndarray:
     return np.frombuffer(bits.to_bytes(8 * ((bound + 64) // 64), "little"), dtype="<u8")
 
 
-def _fold_words(words: np.ndarray | None, term_lists, bound: int) -> tuple[np.ndarray, int]:
-    # (low, cut) for F = S + T1 + T2 + ...: the words of F within [0, cut],
-    # nothing past cut, where F holds every value in (cut, bound].  S is
-    # the set in words, or {0} for None.  One route per list, the seed
-    # scatter or the dense fold (see fold).  The lists are read ascending,
-    # and only through slices.  A fold from {0} first reads M and tries the
-    # gap proof (see _seeded_proof), which ends the fold at cut = W.
-    # Unless M > 1 or the proof's late hole rules it out, while S != {0}
-    # and two or more lists are left, the head step reads L (see
-    # _head_miss) before each list, from the _HEAD smallest terms of every
-    # list left.  An L above bound / 2 would cut less than half: the first
-    # time, if L < bound, the step is tried again at once with 2 * _HEAD
-    # heads, and after that (or when the retry fails too) the list is
-    # folded by its route and the step tried again; else the step cuts the
-    # words, the bound and the lists to [0, L], and the loop folds those
-    # by the same routes, never trying the step again, to cut = L.  words
-    # never holds a value past the bound, so S = {0} is read from it
-    # exactly.
+class _Folded(NamedTuple):
+    # A fold's sumset F within [0, bound], as _fold_words ends it: low holds
+    # F's words within [0, cut] and nothing past the cut, and every value
+    # in (cut, bound] is in F.  Only these methods read the cut, so the
+    # verdicts and the Z rows read F without widening low to the bound.
+    low: np.ndarray
+    cut: int
+
+    def packed(self, top: int) -> int:
+        # F within [0, top], top <= bound, as a packed int
+        if top <= self.cut:
+            return int.from_bytes(self.low[: top // 64 + 1].tobytes(), "little") & (2 << top) - 1
+        return int.from_bytes(self.low.tobytes(), "little") | (2 << top) - (2 << self.cut)
+
+    def first_gap(self, lo: int, hi: int) -> int | None:
+        # the smallest value in [lo, hi], hi <= bound, that F misses, or None
+        return _first_gap(self.low, lo, min(hi, self.cut)) if lo <= self.cut else None
+
+    def gaps(self, lo: int, hi: int) -> list[int]:
+        # the values in [lo, hi], hi <= bound, that F misses, ascending
+        return _bit_scan(self.low, lo, min(hi, self.cut), missing=True) if lo <= self.cut else []
+
+
+def _fold_words(words: np.ndarray | None, term_lists, bound: int) -> _Folded:
+    # F = S + T1 + T2 + ... (see _Folded), S the set in words, or {0} for
+    # None.  One route per list, the seed scatter or the dense fold (see
+    # fold).  The lists are read ascending, and only through slices.  A
+    # fold from {0} first tries the gap proof from its first seed (see
+    # _seeds), then the class test (see _misses_a_class), and the other
+    # seeds only if the sums miss no class; a proof ends the fold at
+    # cut = W.  Unless the sums miss a class, while S != {0} and two or
+    # more lists are left, the head step reads L (see _head_miss) before
+    # each list, from the _HEAD smallest terms of every list left.  An L
+    # above bound / 2 would cut less than half: the first time, if
+    # L < bound, the step is tried again at once with 2 * _HEAD heads, and
+    # after that (or when the retry fails too) the list is folded by its
+    # route and the step tried again; else the step cuts the words, the
+    # bound and the lists to [0, L], and the loop folds those by the same
+    # routes, never trying the step again, to cut = L.  words never holds
+    # a value past the bound, so S = {0} is read from it exactly.
     lists = [_ascending(terms) for terms in term_lists]
-    step = True  # the head step may be tried
+    step = True  # the head step (and a gap proof's later seeds) may be tried
     if (words is None or _is_zero(words)) and len(lists) > 1:
-        step = _class_modulus(lists) <= 1
-        if isinstance(lists[0], _Terms):
-            proof = _seeded_proof(lists, bound)
-            if not isinstance(proof, bool):
-                width, bits = proof  # W, and F within [0, W]
-                return _decode(bits, width), width
-            step = step and proof
+        seeds = _seeds(lists) if isinstance(lists[0], _Terms) else []
+        proof = _gap_proof(lists, seeds[0], bound) if seeds else None
+        if proof is None:
+            step = not _misses_a_class(lists)
+            for i in seeds[1:] if step else ():
+                if proof := _gap_proof(lists, i, bound):
+                    break
+        if proof is not None:
+            width, bits = proof  # W, and F within [0, W]
+            return _Folded(_decode(bits, width), width)
     top = np.uint64((1 << (bound % 64 + 1)) - 1)  # the last word's bits within bound
     retry = True  # before the first try, retried with 2 * _HEAD heads if it fails with L < bound
     lists = iter(lists)
@@ -425,7 +457,7 @@ def _fold_words(words: np.ndarray | None, term_lists, bound: int) -> tuple[np.nd
             words = _set(np.zeros((bound + 64) // 64, dtype="<u8"), v[v <= bound], top)
         else:
             words = _fold_dense(words, terms, bound, top)
-    return (_decode(1, bound) if words is None else words), bound
+    return _Folded(_decode(1, bound) if words is None else words, bound)
 
 
 def _is_zero(words: np.ndarray) -> bool:
@@ -487,11 +519,17 @@ def _cover(
 
 
 def _hits(words: np.ndarray, gaps: np.ndarray, t: np.ndarray) -> np.ndarray:
-    # one gap-test block: g - t in S for some t of t, per gap g
+    # one gap-test block: g - t in S for some t of t, per gap g.  d becomes
+    # the word indices in place and the shifts are kept as bytes, so no
+    # more than two int64 blocks are held at once.
     d = gaps[:, None] - t
-    found = words[d >> 6]  # a d < 0 reads a wrapped word, masked out below
-    found >>= (d & 63).view(np.uint64)
-    found &= d >= 0  # bit d of S, where t <= g
+    ok = d >= 0  # t <= g
+    shift = (d & 63).astype(np.uint8)
+    d >>= 6
+    found = words[d]  # a d < 0 reads a wrapped word, masked out below
+    del d
+    found >>= shift
+    found &= ok  # bit d of S, where t <= g
     return found.any(axis=1)
 
 
@@ -547,35 +585,60 @@ def _class_modulus(lists: list) -> int:
     ))
 
 
-def _seeded_proof(lists: list, bound: int) -> tuple[int, int] | bool:
-    # The gap proof of F = T1 + T2 + ... (see fold) with each distinct
-    # coefficient's lazy list as the seed in turn, smallest first: (W, the
-    # bits of F within [0, W]) from the first seed that proves.  Else
-    # whether the head step may still cut: False if the first seed's F
-    # within [0, W] misses a value past W / 2.
-    seeds: dict[int, int] = {}
-    for i, terms in enumerate(lists):
+# the modulus of the class test's residue sums: 16 * 9, so that it reads
+# the sums mod 16 and mod 9, and mod every divisor of 144, at once
+_CLASSES = 144
+
+
+@cache
+def _octagonal_classes(c: int) -> tuple[int, ...]:
+    # the classes mod _CLASSES of c * P8(x) over all integers x: P8(x + m)
+    # = P8(x) + m (6x + 3m - 2), so those of x in [0, _CLASSES)
+    return tuple(sorted({c * x * (3 * x - 2) % _CLASSES for x in range(_CLASSES)}))
+
+
+def _misses_a_class(lists: list) -> bool:
+    # Whether every sum of one term from each list lies outside some class:
+    # one mod M (see _class_modulus) when M > 1, or else one mod _CLASSES,
+    # found by adding the lists' classes as rotations of a bitmask.  A
+    # _Terms list reads the classes of c * P8 over all x, which hold those
+    # of its terms, so a class missed is missed by the sums of the terms.
+    # An empty list leaves no sums, and a full set of classes stays full.
+    if not all(lists) or _class_modulus(lists) > 1:
+        return True
+    full = (1 << _CLASSES) - 1
+    sums = 1  # the classes of the sums so far: {0}
+    for terms in lists:
         if isinstance(terms, _Terms):
-            seeds.setdefault(terms.c, i)
-    for j, i in enumerate(seeds[c] for c in sorted(seeds)):
-        width, bits, proved = _gap_proof(lists, i, bound)
-        if proved or not j:
-            mask = (2 << width) - 1
-            bits = _shift_or(bits, lists[i][: _count_upto(lists[i], width)], mask)
-            if proved:
-                return width, bits
-            if 2 * ((mask ^ bits).bit_length() - 1) > width:  # the last hole
-                return False
+            classes = _octagonal_classes(terms.c % _CLASSES)
+        else:
+            classes = {t % _CLASSES for t in terms}
+        acc = 0
+        for r in classes:
+            acc |= sums << r | sums >> (_CLASSES - r)
+        sums = acc & full
+        if sums == full:
+            return False
     return True
 
 
-def _gap_proof(lists: list, i: int, bound: int) -> tuple[int, int, bool]:
-    # (W, the bits of C within [0, W], whether the gaps of the seed, the
-    # lazy list lists[i], prove every value in (W, bound]) for C the sumset
-    # of the other lists (see fold).  The difference after term i of c * P8
-    # is c (i + 1) for even i and 2 c (i + 1) for odd i, so G, the widest
-    # one up to the first term past the bound (term k), is the larger of
-    # the last two.
+def _seeds(lists: list) -> list[int]:
+    # the gap proof's seeds (see fold): the index of each distinct
+    # coefficient's lazy list, the smallest coefficient first
+    first: dict[int, int] = {}
+    for i, terms in enumerate(lists):
+        if isinstance(terms, _Terms):
+            first.setdefault(terms.c, i)
+    return [first[c] for c in sorted(first)]
+
+
+def _gap_proof(lists: list, i: int, bound: int) -> tuple[int, int] | None:
+    # (W, the bits of F within [0, W]) if the gaps of the seed, the lazy
+    # list lists[i], prove every value of F in (W, bound] (see fold), C
+    # being the sumset of the other lists; else None.  The difference after
+    # term i of c * P8 is c (i + 1) for even i and 2 c (i + 1) for odd i, so
+    # G, the widest one up to the first term past the bound (term k), is
+    # the larger of the last two.
     seed = lists[i]
     k, c = len(seed), seed.c
     gap = c * max(k, 2 * (k - k % 2))
@@ -588,7 +651,9 @@ def _gap_proof(lists: list, i: int, bound: int) -> tuple[int, int, bool]:
     while run and span < gap:
         step = min(span, gap - span)
         run, span = run & run >> step, span + step
-    return width, bits, bool(run) or width == bound
+    if not run and width < bound:
+        return None
+    return width, _shift_or(bits, seed[: _count_upto(seed, width)], mask)
 
 
 def _shift_or(bits: int, terms: list[int], mask: int) -> int:
@@ -669,16 +734,15 @@ def _form_lists(a: tuple[int, ...], bound: int):
 
 
 def _walk(forms, bound: int):
-    # (form, low, cut) for each form in the order given: its sieve folded
-    # from {0} as build_sieve folds it, as the words of its values within
-    # [0, cut], every value in (cut, bound] being one (see _fold_words).
-    # The tight verdicts and the Z rows read these as they are.  Every form
+    # (form, F) for each form in the order given: its sieve folded from {0}
+    # as build_sieve folds it, as a _Folded that the tight verdicts and the
+    # Z rows read as it is, without widening it to the bound.  Every form
     # and the bound are checked, and one sieve's bytes, before the first fold.
     forms = [coeff_vector(a) for a in forms]
     if bound < 0:
         raise ValueError("bound must be >= 0")
     check_bytes(8 * ((bound + 64) // 64), f"a sieve of {bound + 1} bits per form")
-    return ((a, *_fold_words(None, _form_lists(a, bound), bound)) for a in forms)
+    return ((a, _fold_words(None, _form_lists(a, bound), bound)) for a in forms)
 
 
 def _extensions(words: np.ndarray, bound: int, gs, n: int, terms, reserve):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .escalation import DEFAULT_BOUND, EscalationTrace
-from .polygonal import _bit_scan, _walk, coeff_vector, insert_sorted
+from .polygonal import _walk, coeff_vector, insert_sorted
 # unused here; perfbench/tracer.py wraps tables.build_sieve by name
 from .polygonal import build_sieve  # noqa: F401
 
@@ -211,17 +211,17 @@ def verify_z_rows(rows, bound: int = DEFAULT_BOUND) -> list[ZReport]:
     """verify_z_row for each row in turn, one fold from {0} per row.
 
     Every row's form is validated before the first sieve is built, and each
-    exception set is read from its sieve's words up to the value past which
-    the fold proved every value, with no packed int and no word past it.
+    exception set is read from its fold as the fold ends it
+    (polygonal._Folded), with no packed int.
     """
     rows = list(rows)
     if any(row.expect_kind != "Z" for row in rows):
         raise ValueError("verify_z_row expects a Z row")
     reports = []
-    for row, (a, low, cut) in zip(rows, _walk([row.prefix for row in rows], bound)):
+    for row, (a, sieve) in zip(rows, _walk([row.prefix for row in rows], bound)):
         if a[0] > bound:
             raise ValueError(f"range [{a[0]}, {bound}] outside sieve range [0, {bound}]")
-        actual = tuple(_bit_scan(low, a[0], cut, missing=True))  # none missing past the cut
+        actual = tuple(sieve.gaps(a[0], bound))
         reports.append(ZReport(row=row, ok=actual == row.expect_z, expected=row.expect_z,
                                actual=actual))
     return reports

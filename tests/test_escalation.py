@@ -221,7 +221,7 @@ def test_verdicts_and_z_rows_read_a_cut_sieve_as_its_packed_int():
     bound = 20_000
     forms = [(2, 3, 4, 5, 6), (4, 5, 6, 7, 8), (3, 3, 4, 4, 5), (2, 2, 2, 3), (2, 3, 4, 5),
              (1, 2, 3), (2, 4, 6, 8), (2, 3, 4, 6)]
-    cuts = {a: cut for a, _, cut in polygonal._walk(forms, bound)}
+    cuts = {a: sieve.cut for a, sieve in polygonal._walk(forms, bound)}
     assert [cuts[a] for a in forms[:5]] == [928, 1440, 1312, 11, 1]
     assert all(cuts[a] == bound for a in forms[5:])
     for a, cut in cuts.items():

@@ -232,7 +232,7 @@ def test_a_list_of_forms_gets_each_forms_own_verdict_and_sieve(bound, forms, n, 
     crit = CriterionSet(n=n, values=tuple(sorted({n} | {v for v in values if n <= v <= bound})))
     assert tight_verdicts(forms, n, crit, bound) == [
         check_tight_universal(a, n, crit, bound) for a in forms]
-    walked = [(a, _folded(low, cut, bound)) for a, low, cut in polygonal._walk(forms, bound)]
+    walked = [(a, _folded(*sieve, bound)) for a, sieve in polygonal._walk(forms, bound)]
     assert walked == [(a, build_sieve(a, bound).bits) for a in forms]
 
 
@@ -448,12 +448,15 @@ def test_every_fold_order_gives_the_same_bits():
 
 
 def test_the_dense_fold_holds_no_more_than_three_sieves_and_a_carry():
-    # The hand-over sets the covered gaps in its own accumulator, so
-    # build_sieve peaks no higher than the all-dense fold in the given
-    # order: the source, the shifted copy, the accumulator and one carry.
-    # With _HEAD past every list's length, no list is split, and the head
-    # step ORs in every list whole.
-    a, bound = (2, 3, 4, 5), 10**6
+    # The hand-over sets the covered gaps in its own accumulator, and its
+    # gap test holds two int64 blocks at once, so build_sieve peaks no
+    # higher than the all-dense fold in the given order: the source, the
+    # shifted copy, the accumulator and one carry.  With _HEAD past every
+    # list's length, no list is split, and the head step ORs in every list
+    # whole.  No seed's gaps prove (2, 3, 4, 6) (see fold) and no head step
+    # cuts it, so build_sieve folds it densely at the full bound and hands
+    # its last list over to the gap test.
+    a, bound = (2, 3, 4, 6), 10**6
     build_sieve(a, 1_000)  # imports and caches outside the traced span
 
     def peak(run):
@@ -467,6 +470,14 @@ def test_the_dense_fold_holds_no_more_than_three_sieves_and_a_carry():
     with mock.patch.object(polygonal, "_HEAD", bound + 1):
         dense = peak(lambda: fold((term_values(c, bound) for c in a), bound))
     assert peak(lambda: build_sieve(a, bound)) <= dense < 5 * 8 * ((bound + 64) // 64)
+    proofs, tries = [], []  # the spies hold their calls' arrays, so they stay out of the peak
+    with _proving(proofs), _recording(tries), mock.patch.object(
+        polygonal, "_fold_dense", wraps=polygonal._fold_dense
+    ) as folds, mock.patch.object(polygonal, "_cover", wraps=polygonal._cover) as cover:
+        build_sieve(a, bound)
+    assert [proved for _, _, proved in proofs] == [False] * 4
+    assert all(2 * low > bound for _, low in tries)
+    assert folds.call_count == 3 and cover.called
 
 
 def _shift_or_fold(bits, term_lists, bound):
@@ -727,14 +738,17 @@ def _cut_at(tries, bound):
 
 
 def _proving(proofs):
-    # _gap_proof, patched to record each try: (its seed's coefficient, W,
-    # whether it proved)
+    # _gap_proof, patched to record each try: (its seed's coefficient, W =
+    # min(bound, 2 G) for the seed's own widest gap G, whether it proved);
+    # a proof must end the fold at that W
     real = polygonal._gap_proof
 
     def gap_proof(lists, i, bound):
-        width, bits, proved = real(lists, i, bound)
-        proofs.append((lists[i].c, width, proved))
-        return width, bits, proved
+        proof = real(lists, i, bound)
+        width = min(bound, 2 * _widest_gap(lists[i].c, bound))
+        assert proof is None or proof[0] == width
+        proofs.append((lists[i].c, width, proof is not None))
+        return proof
 
     return mock.patch.object(polygonal, "_gap_proof", gap_proof)
 
@@ -743,13 +757,13 @@ def test_table_forms_take_the_head_step_once():
     # Every tabulated form at bound 200,000 first tries the gap proof (see
     # fold) with each distinct coefficient as the seed, smallest first,
     # until one proves: 221 of the 252 are proved by their first list and
-    # 23 more by a later one, so 244 try no head step.  No first try ends
-    # at a late hole.  The other 8 try the head step as soon as their
-    # first list is scattered, by the contract above.  None cuts at the
-    # first try or its retry: each folds a list and tries again (one, whose
-    # A misses the bound, without a retry), and all but (2, 3, 4, 6) cut
-    # then, at L <= 14.  (2, 3, 4, 6) never cuts: its heads leave 199,995,
-    # 199,547 and then 199,163 open, and it folds its last list whole.
+    # 23 more by a later one, so 244 try no head step.  The other 8 try
+    # every seed, and then the head step as soon as their first list is
+    # scattered, by the contract above.  None cuts at the first try or its
+    # retry: each folds a list and tries again (one, whose A misses the
+    # bound, without a retry), and all but (2, 3, 4, 6) cut then, at
+    # L <= 14.  (2, 3, 4, 6) never cuts: its heads leave 199,995, 199,547
+    # and then 199,163 open, and it folds its last list whole.
     # Every table 4 form is proved, (4, 5, 6, 7, 8) by its list of 5, and
     # (2, 3, 4, 5) and (3, 3, 4, 4, 5) by their lists of 4.
     bound = 200_000
@@ -767,7 +781,7 @@ def test_table_forms_take_the_head_step_once():
             split["proved"] += 1
             later_seed += len(proofs) > 1
             continue
-        assert len(proofs) == len(seeds), a  # no late hole
+        assert len(proofs) == len(seeds), a
         _assert_step_contract(tries, [term_values(c, bound) for c in reversed(a[1:])], bound)
         split[_cut_at(tries, bound)] += 1
     assert split == {"proved": 244, "first": 0, "retry": 0, "later": 8}
@@ -828,10 +842,12 @@ def test_a_form_that_cuts_builds_no_whole_list_past_its_seed():
 
 
 def _widest_gap(c, bound):
-    # G: the widest difference of consecutive terms of term_values(c, bound)
-    # and the first term past the bound, from the terms themselves
-    k = len(term_values(c, bound))
-    ahead = term_values(c, 2 * bound + 8 * c)[: k + 1]  # 2 c k <= bound + 8 c / 3 + 2 c
+    # G: the widest difference of consecutive terms c * P8(x) <= bound and
+    # the first term past the bound, from the terms themselves (the oracle's,
+    # so that a spy on the fold's term builder does not see them)
+    ahead = [c * p for p in oracle_octagonal(2 * (bound // c) + 8)]
+    k = sum(t <= bound for t in ahead)
+    ahead = ahead[: k + 1]  # 2 c k <= bound + 8 c / 3 + 2 c
     assert len(ahead) == k + 1
     return max(b - a for a, b in zip(ahead, ahead[1:]))
 
@@ -871,12 +887,6 @@ def _gap_lists(bound, c, rest):
     return lists, [terms[:] for terms in lists]
 
 
-def _late_hole(bits, width):
-    # whether the packed set bits misses a value within (W / 2, W]
-    missed = ((2 << width) - 1) & ~bits
-    return 2 * (missed.bit_length() - 1) > width
-
-
 @settings(max_examples=200, deadline=None)
 @given(case=gap_proofs())
 @example(case=(84, 1, [list(range(19))]))  # G = 20 after 65, so F misses 84; C runs 19
@@ -893,10 +903,10 @@ def test_the_gap_proof_is_the_sumset(case):
     # The fold of case's lists from {0} equals the Python-int sumset.  It
     # tries the gap proof with the distinct lazy coefficients as seeds,
     # smallest first, until one proves, each at W = min(bound, 2 G) for its
-    # own G.  It stops after the first try if that try's F within [0, W]
-    # misses a value past W / 2, and then tries no head step.  A fold it
-    # proves ORs nothing at the full bound (no _or_shifts call, no head
-    # step) and builds no term past the largest W tried.
+    # own G; after the first, only if the sums miss no class (see
+    # _sums_miss_a_class), and a fold whose sums miss one tries no head
+    # step.  A fold it proves ORs nothing at the full bound (no _or_shifts
+    # call, no head step) and builds no term past the largest W tried.
     bound, c, rest = case
     lists, whole = _gap_lists(bound, c, rest)
     real = polygonal._first_terms
@@ -922,10 +932,10 @@ def test_the_gap_proof_is_the_sumset(case):
         assert cut == proofs[-1][1]
         assert tries == [] and shifts.call_count == 0
         assert all(k <= len(term_values(b, width)) for b, k in built)
-    elif len(proofs) < len(seeds):  # the first seed's F misses a value past W / 2
-        assert len(proofs) == 1 and _late_hole(want, proofs[0][1]) and tries == []
+    elif _sums_miss_a_class(lists, whole):
+        assert len(proofs) == 1 and tries == []
     else:
-        assert len(proofs) == 1 or not _late_hole(want, proofs[0][1])
+        assert len(proofs) == len(seeds)
 
 
 @settings(max_examples=200, deadline=None)
@@ -933,22 +943,39 @@ def test_the_gap_proof_is_the_sumset(case):
 @example(case=(500, 4, [60, list(range(32))]))  # the list of 60 proves only by its own G
 @example(case=(50, 2, [8, 7, 4]))  # C without the seed's list: (2, 4, 7, 8) misses 3
 def test_every_seed_the_gap_proof_may_pick_gives_the_sumset(case):
-    # Whichever lazy list is the seed, C is the sumset of the other lists
-    # within [0, W], W = min(bound, 2 G) for the seed's own widest gap G;
-    # and where its gaps prove the values past W, the seed's terms <= W
-    # plus C within [0, W], with all of (W, bound] set, is the sumset.
+    # Whichever lazy list is the seed, with G its own widest gap and
+    # W = min(bound, 2 G), the proof holds exactly when W is the bound or
+    # C, the sumset of the other lists within [0, W], holds a run of G
+    # values; and then the seed's terms <= W plus C within [0, W], with all
+    # of (W, bound] set, is the sumset.
     bound, c, rest = case
     lists, whole = _gap_lists(bound, c, rest)
     want = _shift_or_fold(1, whole, bound)
     for i, seed in enumerate(lists):
         if not isinstance(seed, polygonal._Terms):
             continue
-        width, bits, proved = polygonal._gap_proof(lists, i, bound)
-        assert width == min(bound, 2 * _widest_gap(seed.c, bound)), i
-        assert bits == _shift_or_fold(1, whole[:i] + whole[i + 1 :], width), i
-        if proved:
-            low = _shift_or_fold(bits, [whole[i]], width)
-            assert low | (2 << bound) - (2 << width) == want, i
+        gap = _widest_gap(seed.c, bound)
+        width = min(bound, 2 * gap)
+        C = _shift_or_fold(1, whole[:i] + whole[i + 1 :], width)
+        proof = polygonal._gap_proof(lists, i, bound)
+        assert (proof is not None) == (width == bound or "1" * gap in format(C, "b")), i
+        if proof is not None:
+            assert proof == (width, _shift_or_fold(C, [whole[i]], width)), i
+            assert proof[1] | (2 << bound) - (2 << width) == want, i
+
+
+def _sums_miss_a_class(lists, whole):
+    # whether the sums of one term from each list all lie in one class mod
+    # M > 1, M the gcd of the differences of each list's terms, or miss a
+    # class mod 144, by set arithmetic: a lazy list c * P8 takes the
+    # classes of c * P8(x) for every x, those of x in [0, 144)
+    M = gcd(*(t - terms[0] for terms in whole for t in terms))
+    sums = {0}
+    for terms, values in zip(lists, whole):
+        if isinstance(terms, polygonal._Terms):
+            values = [terms.c * polygonal.octagonal_number(x) for x in range(144)]
+        sums = {(s + t) % 144 for s in sums for t in values}
+    return M > 1 or len(sums) < 144
 
 
 FORMS_THAT_MISS_HIGH_UP = st.one_of(
@@ -962,40 +989,58 @@ FORMS_THAT_MISS_HIGH_UP = st.one_of(
 
 @settings(max_examples=150, deadline=None)
 @given(a=FORMS_THAT_MISS_HIGH_UP.map(sorted), bound=st.integers(0, 30_000),
-       route=st.sampled_from([None, True, False]), modulus=st.sampled_from([None, 0, 1, 2]))
-@example(a=[8, 11, 11, 28], bound=5000, route=None, modulus=None)
-@example(a=[2, 4, 6, 8], bound=3000, route=None, modulus=None)
-@example(a=[2, 3, 4, 5], bound=20_000, route=None, modulus=None)
-def test_the_late_hole_rule_and_the_class_test_never_change_bits(a, bound, route, modulus):
-    # The gap proof's verdict on the head step (route: True lets it be
-    # tried, False skips it, None is the fold's own) and M (modulus; None
-    # is the fold's own) choose routes only: every choice gives the sumset.
-    # The fold's own choices are the rules of fold: M is gcd(a) once every
-    # list has two terms, the first seed's late hole is read from its F
-    # within [0, W], and after a late hole or with M > 1 no head step is
-    # tried.
+       proof=st.booleans(), missed=st.sampled_from([None, True, False]))
+@example(a=[8, 11, 11, 28], bound=5000, proof=True, missed=None)
+@example(a=[2, 4, 6, 8], bound=3000, proof=True, missed=None)
+@example(a=[2, 3, 4, 5], bound=20_000, proof=False, missed=None)
+def test_the_class_test_never_changes_bits(a, bound, proof, missed):
+    # The class test (missed; None is the fold's own) chooses whether the
+    # later seeds and the head step are tried, and a fold whose gap proofs
+    # are taken away (proof False) goes on by the head step and the dense
+    # folds: every choice gives the sumset.  The fold's own test is
+    # _sums_miss_a_class, and a form whose sums miss a class tries no head
+    # step.
     lists = list(polygonal._form_lists(tuple(a), bound))
-    want = _shift_or_fold(1, [term_values(c, bound) for c in a], bound)
+    whole = [term_values(c, bound) for c in (a[0], *reversed(a[1:]))]
+    want = _shift_or_fold(1, whole, bound)
     patches = []
-    if route is not None:
-        patches.append(mock.patch.object(polygonal, "_seeded_proof", return_value=route))
-    if modulus is not None:
-        patches.append(mock.patch.object(polygonal, "_class_modulus", return_value=modulus))
-    tries, proofs = [], []
-    with _recording(tries), _proving(proofs), contextlib.ExitStack() as stack:
+    if not proof:
+        patches.append(mock.patch.object(polygonal, "_gap_proof", return_value=None))
+    if missed is not None:
+        patches.append(mock.patch.object(polygonal, "_misses_a_class", return_value=missed))
+    tries = []
+    with _recording(tries), contextlib.ExitStack() as stack:
         for patch in patches:
             stack.enter_context(patch)
-        low, cut = polygonal._fold_words(None, lists, bound)
-    assert _folded(low, cut, bound) == want
-    m = polygonal._class_modulus(lists) if modulus is None else modulus
-    if route is False or m > 1:
+        folded = polygonal._fold_words(None, lists, bound)
+    assert _folded(*folded, bound) == want
+    if _sums_miss_a_class(lists, whole) if missed is None else missed:
         assert tries == []
-    if route is None and modulus is None:
-        assert m == gcd(*(c for c in a if c <= bound))
-        if not proofs[0][2]:
-            late = _late_hole(want, proofs[0][1])
-            assert (len(proofs) == 1) == (late or len(set(a)) == 1)
-            assert tries == [] or not late
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.one_of(FORMS_THAT_MISS_HIGH_UP, st.lists(st.integers(1, 200), min_size=1, max_size=6)),
+    plain=st.lists(st.lists(st.integers(0, 400), max_size=6), max_size=2),
+    bound=st.one_of(st.integers(0, 200), st.integers(0, 5000)),
+)
+@example(a=[8, 11, 11, 28], plain=[], bound=3000)  # misses 1 and 5 mod 8
+@example(a=[1, 2, 25, 30], plain=[], bound=3000)  # misses no class mod 144
+@example(a=[3], plain=[[1, 4], [2, 8, 32]], bound=100)  # M = 3
+@example(a=[2, 3, 4, 6], plain=[[]], bound=0)  # all classes, then an empty list: no sums
+def test_the_class_test_finds_a_class_the_sums_miss(a, plain, bound):
+    # _misses_a_class answers as the set arithmetic of _sums_miss_a_class,
+    # and when it finds a miss, the sumset within [0, bound] lies in fewer
+    # than all classes mod 144 or mod M, as no value of that class is a sum
+    lists = [polygonal._Terms(c, bound) for c in sorted(a)] + plain
+    whole = [terms[:] for terms in lists]
+    missed = polygonal._misses_a_class(lists)
+    assert missed == _sums_miss_a_class(lists, whole)
+    if missed:
+        values = _shift_or_fold(1, whole, bound)
+        values = [v for v in range(bound + 1) if values >> v & 1]
+        M = gcd(*(t - terms[0] for terms in whole for t in terms))
+        assert M > 1 or len({v % 144 for v in values}) < 144
 
 
 def test_a_fold_whose_sums_lie_in_one_class_tries_no_head_step():
@@ -1014,6 +1059,17 @@ def test_a_fold_whose_sums_lie_in_one_class_tries_no_head_step():
         assert tries == [], diag
         lists = [[b * y * y for y in lattice._coprime_units(bound // b)] for b in diag]
         assert bits == _shift_or_fold(1, lists, bound), diag
+    # (8, 11, 11, 28) has M = 1 but misses 1 and 5 mod 8, so it tries its
+    # first seed alone and no head step; at 10^6 that was 2 seeds and 2
+    # head tries more, all failing
+    a, bound = (8, 11, 11, 28), 10**6
+    tries, proofs = [], []
+    with _recording(tries), _proving(proofs):
+        sieve = build_sieve(a, bound)
+    assert polygonal._class_modulus(list(polygonal._form_lists(a, bound))) == 1
+    assert [c for c, _, _ in proofs] == [8] and tries == []
+    assert sieve.missing_in_range(10**6 - 7, 10**6) == [v for v in range(10**6 - 7, 10**6 + 1)
+                                                         if v % 8 in (1, 5)]
 
 
 EDGY = st.one_of(st.sampled_from([1, 63, 64, 65, 128]), st.integers(1, 160 * 64 + 10))
